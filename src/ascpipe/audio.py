@@ -109,23 +109,21 @@ def load_wav(path: str | Path) -> AudioClip:
         raise UnsupportedWavError(f"{path}: {channels} channels not supported")
 
     if audio_format == _FORMAT_PCM and bits == 16:
-        frames = np.frombuffer(data, dtype="<i2")
-        scale = 32768.0
+        dtype, scale = "<i2", 32768.0
     elif audio_format == _FORMAT_IEEE_FLOAT and bits == 32:
-        frames = np.frombuffer(data, dtype="<f4")
-        scale = 1.0
+        dtype, scale = "<f4", 1.0
     else:
         raise UnsupportedWavError(
             f"{path}: format tag {audio_format} at {bits} bits not supported"
         )
 
-    if block_align and len(data) % block_align:
+    # block_align may be 0 or wrong; np.frombuffer needs whole frames
+    if len(data) % (channels * bits // 8) or (block_align and len(data) % block_align):
         raise MalformedWavError(f"{path}: data size not a multiple of frame size")
-    if frames.size % channels:
-        raise MalformedWavError(f"{path}: sample count not divisible by channels")
-    if frames.size == 0:
+    if not data:
         raise MalformedWavError(f"{path}: empty data chunk")
 
+    frames = np.frombuffer(data, dtype=dtype)
     samples = frames.reshape(-1, channels).astype(np.float64) / scale
     if not np.all(np.isfinite(samples)):
         raise MalformedWavError(f"{path}: non-finite float samples")

@@ -28,25 +28,15 @@ _PROFILE_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    mixup_alpha: float = 0.4
-    crop_len: int = 400
-    specaug_time_frac: float = 0.10
-    specaug_freq_frac: float = 0.10
+    """Waveform augmentation settings; the online tensor-level ones are
+    ``nn.OnlineAugment``."""
+
     pitch_semitones: float = 2.0  # shift drawn uniformly from +/- this
     speed_range: tuple[float, float] = (0.9, 1.1)
     noise_std: float = 0.003  # of full scale, about -50 dBFS
-    mix_weight_range: tuple[float, float] = (0.4, 0.6)
     rt60_range: tuple[float, float] = (0.1, 0.6)
-    rng_seed: int = 0
 
     def __post_init__(self):
-        if self.mixup_alpha <= 0:
-            raise DataError("mixup_alpha must be positive")
-        if self.crop_len <= 0:
-            raise DataError("crop_len must be positive")
-        for frac in (self.specaug_time_frac, self.specaug_freq_frac):
-            if not 0 < frac < 1:
-                raise DataError("mask fractions must lie in (0, 1)")
         lo, hi = self.speed_range
         if not (0 < lo <= hi <= 2):
             raise DataError("speed_range must lie within (0, 2]")
@@ -157,22 +147,6 @@ def spec_augment(
         out[t0 : t0 + tw, :, c] = 0.0
         out[:, f0 : f0 + fw, c] = 0.0
     return FeatureTensor(out)
-
-
-def spec_augment_batch(
-    tensors: np.ndarray, time_frac: float, freq_frac: float, rng: np.random.Generator
-) -> np.ndarray:
-    out = [
-        spec_augment(FeatureTensor(x), time_frac, freq_frac, rng).data for x in tensors
-    ]
-    return np.stack(out)
-
-
-def random_crop_batch(
-    tensors: np.ndarray, crop_len: int, rng: np.random.Generator
-) -> np.ndarray:
-    out = [random_crop(FeatureTensor(x), crop_len, rng).data for x in tensors]
-    return np.stack(out)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +345,6 @@ def _stretch_to_length(x: np.ndarray, out_len: int, sample_rate: int) -> np.ndar
         out[j] = mag * np.exp(1j * phase)
     y = istft(out, cfg, out_len)
     return y
-
-
-def speed_change(
-    clip: AudioClip, rng: np.random.Generator, cfg: AugmentConfig
-) -> AudioClip:
-    """Resample by a uniform random ratio, then cut or zero-pad to length."""
-    ratio = float(rng.uniform(*cfg.speed_range))
-    return speed_change_by(clip, ratio)
 
 
 def speed_change_by(clip: AudioClip, ratio: float) -> AudioClip:

@@ -138,20 +138,12 @@ def _classes_for(scene_labels) -> tuple[str, ...]:
     return tuple(sorted(seen))
 
 
-def _train_indices(manifest: DatasetManifest) -> tuple[int, ...]:
+def _split_indices(manifest: DatasetManifest, tag: str) -> tuple[int, ...]:
+    """Rows tagged ``tag``, or every row when the manifest has no split tags."""
     if any(row.split for row in manifest.rows):
-        idx = manifest.split_rows("train")
+        idx = manifest.split_rows(tag)
         if not idx:
-            raise DataError("manifest has split tags but no rows tagged train")
-        return idx
-    return tuple(range(len(manifest)))
-
-
-def _eval_indices(manifest: DatasetManifest) -> tuple[int, ...]:
-    if any(row.split for row in manifest.rows):
-        idx = manifest.split_rows("test")
-        if not idx:
-            raise DataError("manifest has split tags but no rows tagged test")
+            raise DataError(f"manifest has split tags but no rows tagged {tag}")
         return idx
     return tuple(range(len(manifest)))
 
@@ -294,14 +286,7 @@ def cmd_extract(args) -> int:
     if len(channel_counts) != 1:
         raise DataError(f"mixed channel counts across corpus: {sorted(channel_counts)}")
 
-    has_split = any(row.split for row in manifest.rows)
-    train_idx = (
-        [i for i, row in enumerate(manifest.rows) if row.split == "train"]
-        if has_split
-        else list(range(len(manifest.rows)))
-    )
-    if not train_idx:
-        raise DataError("manifest has split tags but no rows tagged train")
+    train_idx = _split_indices(manifest, "train")
     stats = ScaleStats(
         np.minimum.reduce([results[i][2] for i in train_idx]),
         np.maximum.reduce([results[i][3] for i in train_idx]),
@@ -364,7 +349,7 @@ def cmd_train(args) -> int:
     _print_repro("train", cfg)
     manifest = read_manifest(args.manifest)
     base = Path(args.manifest).resolve().parent
-    idx = _train_indices(manifest)
+    idx = _split_indices(manifest, "train")
     rows = [manifest.rows[i] for i in idx]
 
     tensors = _load_feature_rows(base, rows)
@@ -398,8 +383,7 @@ def cmd_train(args) -> int:
     )
 
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, graph)
     write_scale_stats(_stats_sidecar(out), stats)
 
@@ -441,7 +425,7 @@ def cmd_evaluate(args) -> int:
 
     manifest = read_manifest(args.manifest)
     base = Path(args.manifest).resolve().parent
-    idx = _eval_indices(manifest)
+    idx = _split_indices(manifest, "test")
     rows = [manifest.rows[i] for i in idx]
     tensors = _load_feature_rows(base, rows)
 
@@ -476,8 +460,7 @@ def cmd_fuse(args) -> int:
         )
     fused, preds = two_stage_fuse_batch(coarse, fine, hierarchy)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_scores(out, fused, hierarchy.classes)
     counts = np.bincount(preds, minlength=len(hierarchy.classes))
     top = hierarchy.classes[int(np.argmax(counts))]
@@ -501,8 +484,7 @@ def cmd_ensemble(args) -> int:
         matrices.append(scores)
     averaged = average_ensemble(matrices)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_scores(out, averaged, classes)
     print(f"averaged {len(matrices)} members over {len(averaged)} rows")
     print(f"ensemble scores -> {out}")
@@ -515,16 +497,11 @@ def cmd_quantize(args) -> int:
     graph = load_checkpoint(args.model)
     qm = quantize_model(graph)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     report = save_quantized(out, qm)
     float_bytes = Path(args.model).stat().st_size
-    print(f"header bytes: {report.header_bytes}")
-    print(f"topology bytes: {report.topology_bytes}")
-    print(f"record header bytes: {report.record_header_bytes}")
-    print(f"scale bytes: {report.scale_bytes}")
-    print(f"int8 payload bytes: {report.int8_payload_bytes}")
-    print(f"float payload bytes: {report.float_payload_bytes}")
+    for section, size in dataclasses.asdict(report).items():
+        print(f"{section.replace('_', ' ')}: {size}")
     print(f"total bytes: {report.total_bytes}")
     print(f"float checkpoint bytes: {float_bytes}")
     print(f"file size ratio: {report.total_bytes / float_bytes:.4f}")
@@ -548,7 +525,7 @@ def cmd_report(args) -> int:
         raise ConfigError("report on a scores file needs --manifest")
     scores, names = read_scores(path)
     manifest = read_manifest(args.manifest)
-    idx = _eval_indices(manifest)
+    idx = _split_indices(manifest, "test")
     rows = [manifest.rows[i] for i in idx]
     if len(rows) != len(scores):
         raise DataError(

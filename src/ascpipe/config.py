@@ -32,18 +32,8 @@ _SCHEMA = {
         "log_floor",
         "downmix",
     ),
-    "augment": (
-        "mixup_alpha",
-        "crop_len",
-        "specaug_time_frac",
-        "specaug_freq_frac",
-        "pitch_semitones",
-        "speed_range",
-        "noise_std",
-        "mix_weight_range",
-        "rt60_range",
-    ),
-    "model": ("arch", "width_mult", "n_classes"),
+    "augment": ("pitch_semitones", "speed_range", "noise_std", "rt60_range"),
+    "model": ("arch", "width_mult"),
     "schedule": ("first_cycle_len", "lr_max", "lr_min", "cycle_mult", "momentum"),
     "train": (
         "epochs",
@@ -68,7 +58,6 @@ class RunConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     arch: str = "small_fcnn"
     width_mult: float = 1.0
-    n_classes: int = 10
     schedule: ScheduleConfig = field(
         default_factory=lambda: ScheduleConfig(first_cycle_len=400)
     )
@@ -202,14 +191,9 @@ def load_config(path: str | Path | None) -> RunConfig:
 
     au = reader("augment")
     augment = AugmentConfig(
-        mixup_alpha=au.get_float("mixup_alpha", 0.4),
-        crop_len=au.get_int("crop_len", 400),
-        specaug_time_frac=au.get_float("specaug_time_frac", 0.10),
-        specaug_freq_frac=au.get_float("specaug_freq_frac", 0.10),
         pitch_semitones=au.get_float("pitch_semitones", 2.0),
         speed_range=au.get_pair("speed_range", (0.9, 1.1)),
         noise_std=au.get_float("noise_std", 0.003),
-        mix_weight_range=au.get_pair("mix_weight_range", (0.4, 0.6)),
         rt60_range=au.get_pair("rt60_range", (0.1, 0.6)),
     )
 
@@ -239,7 +223,6 @@ def load_config(path: str | Path | None) -> RunConfig:
         augment=augment,
         arch=mo.get_str("arch", "small_fcnn"),
         width_mult=mo.get_float("width_mult", 1.0),
-        n_classes=mo.get_int("n_classes", 10),
         schedule=schedule,
         epochs=tr.get_int("epochs", 10),
         batch_size=tr.get_int("batch_size", 32),

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import GraphError, NumericError
-from . import layers as L
-from .graph import INPUT, LayerSpec, ModelGraph, _pair
+from .graph import INPUT, ModelGraph
+from .ops import OPS
 
 
 @dataclass
@@ -24,106 +24,6 @@ class Tape:
     acts: dict
     caches: dict
     mode: str
-
-
-def _dropout_rng(drop_key, layer_idx: int) -> np.random.Generator:
-    key = [layer_idx] if drop_key is None else [*np.atleast_1d(drop_key), layer_idx]
-    return np.random.default_rng([int(k) for k in key])
-
-
-def _layer_forward(graph, spec: LayerSpec, ins, mode, drop_key, layer_idx):
-    p = graph.params.get(spec.name, {})
-    kind = spec.kind
-    if kind == "conv2d":
-        return L.conv2d_forward(
-            ins[0], p["w"], p.get("b"), _pair(spec.attr("stride", (1, 1))),
-            spec.attr("padding", "same"),
-        )
-    if kind == "depthwise_conv2d":
-        return L.depthwise_forward(
-            ins[0], p["w"], p.get("b"), _pair(spec.attr("stride", (1, 1))),
-            spec.attr("padding", "same"),
-        )
-    if kind == "batchnorm":
-        out, cache, rm, rv = L.batchnorm_forward(
-            ins[0],
-            p["gamma"],
-            p["beta"],
-            p["running_mean"],
-            p["running_var"],
-            mode,
-            spec.attr("momentum", 0.9),
-        )
-        if mode == "train":
-            p["running_mean"], p["running_var"] = rm, rv
-        return out, cache
-    if kind == "relu":
-        return L.relu_forward(ins[0])
-    if kind == "maxpool":
-        ph, pw = spec.attr("pool")
-        return L.maxpool_forward(ins[0], int(ph), int(pw))
-    if kind == "global_avg_pool":
-        return L.global_avg_pool_forward(ins[0])
-    if kind == "dense":
-        return L.dense_forward(ins[0], p["w"], p["b"])
-    if kind == "softmax":
-        return L.softmax_forward(ins[0])
-    if kind == "dropout":
-        rng = _dropout_rng(drop_key, layer_idx) if mode == "train" else None
-        return L.dropout_forward(ins[0], float(spec.attr("rate", 0.3)), mode, rng)
-    if kind == "channel_attention":
-        return L.channel_attention_forward(ins[0], p["w1"], p["b1"], p["w2"], p["b2"])
-    if kind == "residual_add":
-        return ins[0] + ins[1], None
-    if kind == "freq_split":
-        return L.freq_split_forward(ins[0], int(spec.attr("part")))
-    if kind == "concat":
-        return L.concat_forward(ins, spec.attr("axis", "channel"))
-    raise GraphError(f"layer {spec.name!r}: unknown kind {kind!r}")
-
-
-def _layer_backward(graph, spec: LayerSpec, cache, dout):
-    """Returns (gradients w.r.t. each input, parameter gradients)."""
-    p = graph.params.get(spec.name, {})
-    kind = spec.kind
-    if kind == "conv2d":
-        dx, dw, db = L.conv2d_backward(dout, p["w"], cache)
-        grads = {"w": dw}
-        if "b" in p:
-            grads["b"] = db
-        return [dx], grads
-    if kind == "depthwise_conv2d":
-        dx, dw, db = L.depthwise_backward(dout, p["w"], cache)
-        grads = {"w": dw}
-        if "b" in p:
-            grads["b"] = db
-        return [dx], grads
-    if kind == "batchnorm":
-        dx, dgamma, dbeta = L.batchnorm_backward(dout, cache)
-        return [dx], {"gamma": dgamma, "beta": dbeta}
-    if kind == "relu":
-        return [L.relu_backward(dout, cache)], {}
-    if kind == "maxpool":
-        return [L.maxpool_backward(dout, cache)], {}
-    if kind == "global_avg_pool":
-        return [L.global_avg_pool_backward(dout, cache)], {}
-    if kind == "dense":
-        dx, dw, db = L.dense_backward(dout, p["w"], cache)
-        return [dx], {"w": dw, "b": db}
-    if kind == "softmax":
-        return [L.softmax_backward(dout, cache)], {}
-    if kind == "dropout":
-        return [L.dropout_backward(dout, cache)], {}
-    if kind == "channel_attention":
-        dx, dw1, db1, dw2, db2 = L.channel_attention_backward(dout, p["w1"], p["w2"], cache)
-        return [dx], {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
-    if kind == "residual_add":
-        return [dout, dout], {}
-    if kind == "freq_split":
-        return [L.freq_split_backward(dout, cache)], {}
-    if kind == "concat":
-        return L.concat_backward(dout, cache), {}
-    raise GraphError(f"layer {spec.name!r}: unknown kind {kind!r}")
 
 
 def run_forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=None):
@@ -137,9 +37,12 @@ def run_forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=N
         )
     acts = {INPUT: x}
     caches = {}
+    # dropout seeds its mask from (drop_key..., layer index)
+    seed = [] if drop_key is None else [int(k) for k in np.atleast_1d(drop_key)]
     for idx, spec in enumerate(graph.layers):
         ins = [acts[s] for s in spec.inputs]
-        out, cache = _layer_forward(graph, spec, ins, mode, drop_key, idx)
+        params = graph.params.get(spec.name, {})
+        out, cache = OPS[spec.kind].forward(spec, params, ins, mode, [*seed, idx])
         if not np.all(np.isfinite(out)):
             raise NumericError(f"non-finite activation at layer {spec.name!r}")
         acts[spec.name] = out
@@ -174,7 +77,8 @@ def run_backward(graph: ModelGraph, tape: Tape, dout: np.ndarray, skip_last: boo
         if spec.name not in grads_acts:
             raise GraphError(f"layer {spec.name!r} received no output gradient")
         d = grads_acts.pop(spec.name)
-        dins, dparams = _layer_backward(graph, spec, tape.caches[spec.name], d)
+        params = graph.params.get(spec.name, {})
+        dins, dparams = OPS[spec.kind].backward(spec, params, tape.caches[spec.name], d)
         for src, dx in zip(spec.inputs, dins):
             if src in grads_acts:
                 grads_acts[src] = grads_acts[src] + dx

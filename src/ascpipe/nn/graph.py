@@ -8,34 +8,17 @@ channels); after global pooling they are (batch, features).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from ..errors import GraphError
+from .ops import OPS
 
 INPUT = "input"
 
-# arity: exact input count, or None for 2-or-more (concat)
-KIND_ARITY = {
-    "conv2d": 1,
-    "depthwise_conv2d": 1,
-    "batchnorm": 1,
-    "relu": 1,
-    "maxpool": 1,
-    "global_avg_pool": 1,
-    "dense": 1,
-    "softmax": 1,
-    "dropout": 1,
-    "channel_attention": 1,
-    "residual_add": 2,
-    "freq_split": 1,
-    "concat": None,
-}
-
-KINDS = frozenset(KIND_ARITY)
+KINDS = frozenset(OPS)
 
 # parameter tensors that carry statistics, not gradients
 NON_TRAINABLE = frozenset({"running_mean", "running_var"})
@@ -54,105 +37,6 @@ class LayerSpec:
         if default is None:
             raise GraphError(f"layer {self.name!r} missing attribute {key!r}")
         return default
-
-
-def _pair(v) -> tuple[int, int]:
-    if isinstance(v, (tuple, list)):
-        return int(v[0]), int(v[1])
-    return int(v), int(v)
-
-
-def _conv_axis(n: int, k: int, s: int, padding: str, layer: str) -> int:
-    if padding == "same":
-        return -(-n // s)
-    if padding == "valid":
-        if n < k:
-            raise GraphError(f"layer {layer!r}: input extent {n} smaller than kernel {k}")
-        return (n - k) // s + 1
-    raise GraphError(f"layer {layer!r}: unknown padding {padding!r}")
-
-
-def _infer_one(spec: LayerSpec, in_shapes: list[tuple]) -> tuple:
-    name, kind = spec.name, spec.kind
-    x = in_shapes[0]
-
-    def need_rank(r):
-        if len(x) != r:
-            raise GraphError(f"layer {name!r} expects rank-{r} input, got {x}")
-
-    if kind == "conv2d":
-        need_rank(3)
-        kh, kw = _pair(spec.attr("kernel", (3, 3)))
-        sh, sw = _pair(spec.attr("stride", (1, 1)))
-        pad = spec.attr("padding", "same")
-        t = _conv_axis(x[0], kh, sh, pad, name)
-        f = _conv_axis(x[1], kw, sw, pad, name)
-        return (t, f, int(spec.attr("filters")))
-    if kind == "depthwise_conv2d":
-        need_rank(3)
-        kh, kw = _pair(spec.attr("kernel", (3, 3)))
-        sh, sw = _pair(spec.attr("stride", (1, 1)))
-        pad = spec.attr("padding", "same")
-        mult = int(spec.attr("multiplier", 1))
-        t = _conv_axis(x[0], kh, sh, pad, name)
-        f = _conv_axis(x[1], kw, sw, pad, name)
-        return (t, f, x[2] * mult)
-    if kind in ("batchnorm", "relu", "dropout"):
-        return x
-    if kind == "maxpool":
-        need_rank(3)
-        ph, pw = _pair(spec.attr("pool"))
-        if x[0] < ph or x[1] < pw:
-            raise GraphError(
-                f"layer {name!r}: pool {ph}x{pw} exceeds map {x[0]}x{x[1]}"
-            )
-        # non-overlapping windows; a remainder that cannot fill one is dropped
-        return (x[0] // ph, x[1] // pw, x[2])
-    if kind == "global_avg_pool":
-        need_rank(3)
-        return (x[2],)
-    if kind == "dense":
-        need_rank(1)
-        return (int(spec.attr("units")),)
-    if kind == "softmax":
-        need_rank(1)
-        return x
-    if kind == "channel_attention":
-        need_rank(3)
-        return x
-    if kind == "residual_add":
-        if in_shapes[0] != in_shapes[1]:
-            raise GraphError(
-                f"layer {name!r}: residual operands differ {in_shapes[0]} vs {in_shapes[1]}"
-            )
-        return x
-    if kind == "freq_split":
-        need_rank(3)
-        if x[1] % 2:
-            raise GraphError(f"layer {name!r}: cannot halve odd frequency extent {x[1]}")
-        part = int(spec.attr("part"))
-        if part not in (0, 1):
-            raise GraphError(f"layer {name!r}: part must be 0 or 1")
-        return (x[0], x[1] // 2, x[2])
-    if kind == "concat":
-        axis = spec.attr("axis", "channel")
-        if axis not in ("channel", "freq"):
-            raise GraphError(f"layer {name!r}: concat axis must be channel or freq")
-        pos = 2 if axis == "channel" else 1
-        base = list(x)
-        total = 0
-        for s in in_shapes:
-            if len(s) != 3:
-                raise GraphError(f"layer {name!r}: concat needs rank-3 inputs")
-            for d in range(3):
-                if d != pos and s[d] != base[d]:
-                    raise GraphError(
-                        f"layer {name!r}: concat shapes disagree off-axis: {in_shapes}"
-                    )
-            total += s[pos]
-        base[pos] = total
-        return tuple(base)
-    raise GraphError(f"layer {name!r}: unknown kind {kind!r}")
 
 
 class ModelGraph:
@@ -174,19 +58,19 @@ class ModelGraph:
         consumed: set[str] = set()
         shapes: dict[str, tuple] = {INPUT: self.input_shape}
         for spec in self.layers:
-            if spec.kind not in KINDS:
+            op = OPS.get(spec.kind)
+            if op is None:
                 raise GraphError(f"layer {spec.name!r}: unknown kind {spec.kind!r}")
             if not spec.name or spec.name == INPUT:
                 raise GraphError(f"bad layer name {spec.name!r}")
             if spec.name in seen:
                 raise GraphError(f"duplicate layer name {spec.name!r}")
-            arity = KIND_ARITY[spec.kind]
-            if arity is None:
+            if op.arity is None:
                 if len(spec.inputs) < 2:
-                    raise GraphError(f"layer {spec.name!r}: concat needs >= 2 inputs")
-            elif len(spec.inputs) != arity:
+                    raise GraphError(f"layer {spec.name!r}: {spec.kind} needs >= 2 inputs")
+            elif len(spec.inputs) != op.arity:
                 raise GraphError(
-                    f"layer {spec.name!r}: {spec.kind} takes {arity} input(s), "
+                    f"layer {spec.name!r}: {spec.kind} takes {op.arity} input(s), "
                     f"got {len(spec.inputs)}"
                 )
             for src in spec.inputs:
@@ -195,7 +79,7 @@ class ModelGraph:
                         f"layer {spec.name!r}: input {src!r} is not defined earlier"
                     )
                 consumed.add(src)
-            shapes[spec.name] = _infer_one(spec, [shapes[s] for s in spec.inputs])
+            shapes[spec.name] = op.infer(spec, [shapes[s] for s in spec.inputs])
             seen[spec.name] = spec
         dangling = [s.name for s in self.layers[:-1] if s.name not in consumed]
         if dangling:
@@ -207,12 +91,6 @@ class ModelGraph:
     @property
     def output_shape(self) -> tuple:
         return self.shapes[self.layers[-1].name]
-
-    def layer(self, name: str) -> LayerSpec:
-        for spec in self.layers:
-            if spec.name == name:
-                return spec
-        raise GraphError(f"no layer named {name!r}")
 
     def in_shape(self, spec: LayerSpec, idx: int = 0) -> tuple:
         return self.shapes[spec.inputs[idx]]
@@ -227,45 +105,10 @@ class ModelGraph:
         return total
 
 
-def _he_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    std = math.sqrt(2.0 / fan_in)
-    return (rng.standard_normal(shape) * std).astype(np.float32)
-
-
-def param_shapes(graph: ModelGraph, spec: LayerSpec) -> dict[str, tuple]:
-    """Parameter tensor shapes for one layer, from its inferred input shape."""
-    x = graph.in_shape(spec)
-    kind = spec.kind
-    if kind == "conv2d":
-        kh, kw = _pair(spec.attr("kernel", (3, 3)))
-        filters = int(spec.attr("filters"))
-        shapes = {"w": (kh, kw, x[2], filters)}
-        if spec.attr("use_bias", False):
-            shapes["b"] = (filters,)
-        return shapes
-    if kind == "depthwise_conv2d":
-        kh, kw = _pair(spec.attr("kernel", (3, 3)))
-        mult = int(spec.attr("multiplier", 1))
-        shapes = {"w": (kh, kw, x[2], mult)}
-        if spec.attr("use_bias", False):
-            shapes["b"] = (x[2] * mult,)
-        return shapes
-    if kind == "batchnorm":
-        c = x[-1]
-        return {
-            "gamma": (c,),
-            "beta": (c,),
-            "running_mean": (c,),
-            "running_var": (c,),
-        }
-    if kind == "dense":
-        units = int(spec.attr("units"))
-        return {"w": (x[0], units), "b": (units,)}
-    if kind == "channel_attention":
-        c = x[2]
-        hidden = max(c // int(spec.attr("reduction", 4)), 1)
-        return {"w1": (c, hidden), "b1": (hidden,), "w2": (hidden, c), "b2": (c,)}
-    return {}
+def param_rules(graph: ModelGraph, spec: LayerSpec) -> dict[str, tuple]:
+    """(shape, init rule) per parameter of one layer, from its input shape."""
+    params = OPS[spec.kind].params
+    return params(spec, graph.in_shape(spec)) if params else {}
 
 
 def initialize(graph: ModelGraph, seed: int = 0) -> ModelGraph:
@@ -273,21 +116,9 @@ def initialize(graph: ModelGraph, seed: int = 0) -> ModelGraph:
     rng = np.random.default_rng(seed)
     graph.params = {}
     for spec in graph.layers:
-        shapes = param_shapes(graph, spec)
-        if not shapes:
-            continue
-        store: dict[str, np.ndarray] = {}
-        for key, shp in shapes.items():
-            if key == "w" and spec.kind in ("conv2d", "depthwise_conv2d"):
-                fan_in = shp[0] * shp[1] * shp[2]
-                store[key] = _he_normal(rng, shp, fan_in)
-            elif key in ("w", "w1", "w2"):
-                store[key] = _he_normal(rng, shp, shp[0])
-            elif key in ("gamma", "running_var"):
-                store[key] = np.ones(shp, dtype=np.float32)
-            else:
-                store[key] = np.zeros(shp, dtype=np.float32)
-        graph.params[spec.name] = store
+        rules = param_rules(graph, spec)
+        if rules:
+            graph.params[spec.name] = {k: init(rng, shape) for k, (shape, init) in rules.items()}
     return graph
 
 

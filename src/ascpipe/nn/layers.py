@@ -182,7 +182,8 @@ def global_avg_pool_backward(dout, x_shape):
 
 
 def dense_forward(x, w, b):
-    return x @ w + b, x
+    out = x @ w
+    return (out if b is None else out + b), x
 
 
 def dense_backward(dout, w, x):
@@ -245,6 +246,14 @@ def channel_attention_backward(dout, w1, w2, cache):
     ds = dh @ w1.T
     dx = dx + ds[:, None, None, :] / (x.shape[1] * x.shape[2])
     return dx, dw1, db1, dw2, db2
+
+
+def residual_add_forward(a, b):
+    return a + b, None
+
+
+def residual_add_backward(dout, cache):
+    return [dout, dout]
 
 
 def freq_split_forward(x, part):

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..augment import (
     LabeledBatch,
+    channel_confusion,
     mixup_batch,
     random_crop,
     spec_augment,
@@ -51,11 +52,7 @@ def _augment_batch(xb, yb, online: OnlineAugment, rng) -> LabeledBatch:
             [random_crop(FeatureTensor(x), online.crop_len, rng).data for x in xb]
         )
     if online.swap_stereo_blocks:
-        out = xb.copy()
-        for i in range(out.shape[0]):
-            if rng.random() < 0.5:
-                out[i] = out[i][:, :, [3, 4, 5, 0, 1, 2]]
-        xb = out
+        xb = np.stack([channel_confusion(FeatureTensor(x), rng).data for x in xb])
     if online.time_mask_frac or online.freq_mask_frac:
         xb = np.stack(
             [

@@ -16,25 +16,24 @@ Integer accumulation is exact by construction: products are bounded by
 
 from __future__ import annotations
 
-import json
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, GraphError
-from .nn.checkpoint import graph_from_dict, graph_to_dict
-from .nn.engine import _layer_forward
-from .nn.graph import INPUT, LayerSpec, ModelGraph, _pair
+from .nn.checkpoint import ContainerReader, encode_container
+from .nn.graph import INPUT, LayerSpec, ModelGraph
 from .nn.layers import BN_EPS
-from .nn import layers as L
+from .nn.ops import OPS
 
 MAGIC = b"ASCQ"
 VERSION = 1
 
-QUANT_KINDS = ("conv2d", "depthwise_conv2d", "dense")
-FOLDABLE_KINDS = QUANT_KINDS
+# the kinds with a MAC count carry the int8 weights and absorb batchnorm
+QUANT_KINDS = tuple(kind for kind, op in OPS.items() if op.macs)
 
 # per-output multiply-accumulate budget that keeps int32 accumulation safe
 MAX_MACS_PER_OUTPUT = 2**23
@@ -68,8 +67,12 @@ class QuantizedModel:
     weights: dict[str, QuantizedTensor]
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+def _symmetric(arr: np.ndarray) -> tuple[np.ndarray, float]:
+    """Integer values (as float64) and scale, max|arr| mapping to 127."""
+    amax = float(np.max(np.abs(arr))) if arr.size else 0.0
+    scale = amax / _QMAX if amax > 0 else 1.0
+    q = np.asarray(arr, dtype=np.float64) / scale
+    return np.clip(np.sign(q) * np.floor(np.abs(q) + 0.5), -_QMAX, _QMAX), scale
 
 
 def quantize_tensor(w: np.ndarray) -> QuantizedTensor:
@@ -83,32 +86,17 @@ def quantize_tensor(w: np.ndarray) -> QuantizedTensor:
         raise DataError("cannot quantize an empty tensor")
     if not np.isfinite(arr).all():
         raise DataError("cannot quantize non-finite values")
-    amax = float(np.max(np.abs(arr)))
-    scale = amax / _QMAX if amax > 0 else 1.0
-    q = np.clip(_round_half_away(arr / scale), -_QMAX, _QMAX)
+    q, scale = _symmetric(arr)
     return QuantizedTensor(q.astype(np.int8), scale)
-
-
-def _mac_count(graph: ModelGraph, spec: LayerSpec) -> int:
-    """Multiply-accumulates per output element for a quantizable layer."""
-    x = graph.in_shape(spec)
-    if spec.kind == "conv2d":
-        kh, kw = _pair(spec.attr("kernel", (3, 3)))
-        return kh * kw * x[2]
-    if spec.kind == "depthwise_conv2d":
-        kh, kw = _pair(spec.attr("kernel", (3, 3)))
-        return kh * kw
-    if spec.kind == "dense":
-        return x[0]
-    raise GraphError(f"layer {spec.name!r}: kind {spec.kind!r} has no MAC bound")
 
 
 def check_mac_budget(graph: ModelGraph) -> None:
     """Reject graphs whose integer accumulators could exceed 32 bits."""
     for spec in graph.layers:
-        if spec.kind not in QUANT_KINDS:
+        count = OPS[spec.kind].macs
+        if count is None:
             continue
-        macs = _mac_count(graph, spec)
+        macs = count(spec, graph.in_shape(spec))
         if macs > MAX_MACS_PER_OUTPUT:
             raise GraphError(
                 f"layer {spec.name!r}: {macs} multiply-accumulates per output "
@@ -127,21 +115,16 @@ def fold_batchnorm(graph: ModelGraph) -> ModelGraph:
     if not graph.params:
         raise DataError(f"model {graph.name!r} has no parameters to fold")
     by_name = {spec.name: spec for spec in graph.layers}
-    consumers: dict[str, list[str]] = {}
-    for spec in graph.layers:
-        for inp in spec.inputs:
-            consumers.setdefault(inp, []).append(spec.name)
-
     folded_bn: dict[str, str] = {}  # bn name -> producer name
     for spec in graph.layers:
         if spec.kind != "batchnorm":
             continue
         src = spec.inputs[0]
-        if src == INPUT or by_name[src].kind not in FOLDABLE_KINDS:
+        if src == INPUT or by_name[src].kind not in QUANT_KINDS:
             raise DataError(
                 f"batchnorm {spec.name!r} does not follow a foldable layer"
             )
-        if len(consumers[src]) != 1:
+        if sum(src in other.inputs for other in graph.layers) != 1:
             raise DataError(
                 f"cannot fold batchnorm {spec.name!r}: its input "
                 f"{src!r} feeds other layers too"
@@ -161,18 +144,9 @@ def fold_batchnorm(graph: ModelGraph) -> ModelGraph:
             bn = graph.params[bn_name]
             scale = bn["gamma"] / np.sqrt(bn["running_var"] + BN_EPS)
             w = store["w"]
-            if spec.kind == "conv2d":
-                n_out = w.shape[3]
-                store["w"] = (w * scale).astype(np.float32)
-            elif spec.kind == "depthwise_conv2d":
-                n_out = w.shape[2] * w.shape[3]
-                store["w"] = (w * scale.reshape(w.shape[2], w.shape[3])).astype(
-                    np.float32
-                )
-            else:
-                n_out = w.shape[1]
-                store["w"] = (w * scale).astype(np.float32)
-            bias = store.get("b", np.zeros(n_out, dtype=np.float32))
+            # every weight layout flattens to (inputs, output channels)
+            store["w"] = (w.reshape(-1, scale.size) * scale).reshape(w.shape).astype(np.float32)
+            bias = store.get("b", np.zeros(scale.size, dtype=np.float32))
             store["b"] = (
                 (bias - bn["running_mean"]) * scale + bn["beta"]
             ).astype(np.float32)
@@ -213,13 +187,6 @@ def dequantize_model(qm: QuantizedModel) -> ModelGraph:
     return out
 
 
-def _quantize_activation(a: np.ndarray) -> tuple[np.ndarray, float]:
-    amax = float(np.max(np.abs(a))) if a.size else 0.0
-    scale = amax / _QMAX if amax > 0 else 1.0
-    q = np.clip(_round_half_away(a.astype(np.float64) / scale), -_QMAX, _QMAX)
-    return q, scale
-
-
 def quantized_forward(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
     """Run inference with int8 weights and dynamically quantized activations.
 
@@ -237,84 +204,52 @@ def quantized_forward(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
             + f"), got {x.shape}"
         )
     acts: dict[str, np.ndarray] = {INPUT: x.astype(np.float32)}
-    for idx, spec in enumerate(graph.layers):
+    for spec in graph.layers:
+        op = OPS[spec.kind]
         ins = [acts[name] for name in spec.inputs]
-        if spec.kind in QUANT_KINDS:
+        params = graph.params.get(spec.name, {})
+        if op.macs:
             qt = qm.weights[spec.name]
-            qa, a_scale = _quantize_activation(ins[0])
-            qw = qt.values.astype(np.float64)
-            bias = graph.params.get(spec.name, {}).get("b")
-            if spec.kind == "conv2d":
-                acc, _ = L.conv2d_forward(
-                    qa, qw, None, _pair(spec.attr("stride", (1, 1))),
-                    spec.attr("padding", "same"),
-                )
-            elif spec.kind == "depthwise_conv2d":
-                acc, _ = L.depthwise_forward(
-                    qa, qw, None, _pair(spec.attr("stride", (1, 1))),
-                    spec.attr("padding", "same"),
-                )
-            else:
-                acc = qa @ qw
+            qa, a_scale = _symmetric(ins[0])
+            acc, _ = op.forward(spec, {"w": qt.values.astype(np.float64)}, [qa], "eval", None)
             out = acc * (a_scale * qt.scale)
-            if bias is not None:
-                out = out + bias
+            if "b" in params:
+                out = out + params["b"]
             out = out.astype(np.float32)
         else:
-            out, _ = _layer_forward(graph, spec, ins, "eval", None, idx)
+            out, _ = op.forward(spec, params, ins, "eval", None)
         acts[spec.name] = out
     return acts[graph.layers[-1].name]
 
 
 def _serialize(qm: QuantizedModel) -> tuple[bytes, "QuantSizeReport"]:
-    topo = json.dumps(graph_to_dict(qm.graph), sort_keys=True).encode("utf-8")
-    chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(topo)), topo]
-    records: list[tuple[str, str]] = []  # (layer, param)
+    """Container bytes; each record's format fields are a quantized flag
+    byte and, when it is set, the float32 scale of the int8 data."""
+    records = []
+    scale_bytes = int8_bytes = float_bytes = 0
     for spec in qm.graph.layers:
-        keys = set(qm.graph.params.get(spec.name, {}))
-        if spec.name in qm.weights:
-            keys.add("w")
-        for key in sorted(keys):
-            records.append((spec.name, key))
-    chunks.append(struct.pack("<I", len(records)))
-
+        store = qm.graph.params.get(spec.name, {})
+        qt = qm.weights.get(spec.name)
+        for key in sorted(set(store) | ({"w"} if qt is not None else set())):
+            name = f"{spec.name}/{key}"
+            if key == "w" and qt is not None:
+                records.append((name, struct.pack("<Bf", 1, qt.scale), qt.values, np.int8))
+                scale_bytes += 4
+                int8_bytes += qt.values.size
+            else:
+                records.append((name, b"\0", store[key], "<f4"))
+                float_bytes += 4 * store[key].size
+    blob = encode_container(MAGIC, VERSION, qm.graph, records)
     header_bytes = 16
-    record_header_bytes = 0
-    scale_bytes = 0
-    int8_payload_bytes = 0
-    float_payload_bytes = 0
-    for layer, key in records:
-        name = f"{layer}/{key}".encode("utf-8")
-        quantized = key == "w" and layer in qm.weights
-        if quantized:
-            qt = qm.weights[layer]
-            arr = qt.values
-        else:
-            arr = qm.graph.params[layer][key]
-        head = struct.pack("<I", len(name)) + name + struct.pack("<B", quantized)
-        dims = struct.pack("<I", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-        chunks.append(head)
-        record_header_bytes += len(head) + len(dims)
-        if quantized:
-            chunks.append(struct.pack("<f", qt.scale))
-            chunks.append(dims)
-            payload = np.ascontiguousarray(arr, dtype=np.int8).tobytes()
-            scale_bytes += 4
-            int8_payload_bytes += len(payload)
-        else:
-            chunks.append(dims)
-            payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-            float_payload_bytes += len(payload)
-        chunks.append(payload)
-
-    blob = b"".join(chunks)
+    topology_bytes = struct.unpack_from("<I", blob, 8)[0]
     report = QuantSizeReport(
         header_bytes=header_bytes,
-        topology_bytes=len(topo),
-        record_header_bytes=record_header_bytes,
+        topology_bytes=topology_bytes,
+        record_header_bytes=len(blob) - header_bytes - topology_bytes
+        - scale_bytes - int8_bytes - float_bytes,
         scale_bytes=scale_bytes,
-        int8_payload_bytes=int8_payload_bytes,
-        float_payload_bytes=float_payload_bytes,
+        int8_payload_bytes=int8_bytes,
+        float_payload_bytes=float_bytes,
     )
     return blob, report
 
@@ -332,14 +267,7 @@ class QuantSizeReport:
 
     @property
     def total_bytes(self) -> int:
-        return (
-            self.header_bytes
-            + self.topology_bytes
-            + self.record_header_bytes
-            + self.scale_bytes
-            + self.int8_payload_bytes
-            + self.float_payload_bytes
-        )
+        return sum(astuple(self))
 
 
 def size_report(qm: QuantizedModel) -> QuantSizeReport:
@@ -362,83 +290,25 @@ def save_quantized(path, qm: QuantizedModel) -> QuantSizeReport:
 
 
 def load_quantized(path) -> QuantizedModel:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read quantized model {path}: {exc}") from exc
-    if len(data) < 12 or data[:4] != MAGIC:
-        raise DataError(f"{path}: not a quantized model file")
-    version = struct.unpack_from("<I", data, 4)[0]
-    if version != VERSION:
-        raise DataError(f"{path}: unsupported version {version}")
-    topo_len = struct.unpack_from("<I", data, 8)[0]
-    pos = 12
-    if pos + topo_len > len(data):
-        raise DataError(f"{path}: truncated topology")
-    try:
-        topo = json.loads(data[pos : pos + topo_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: bad topology block: {exc}") from exc
-    pos += topo_len
-    try:
-        graph = graph_from_dict(topo)
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{path}: bad topology block: {exc}") from exc
-
-    def take(fmt: str, size: int):
-        nonlocal pos
-        if pos + size > len(data):
-            raise DataError(f"{path}: truncated at byte {pos}")
-        out = struct.unpack_from(fmt, data, pos)
-        pos += size
-        return out
-
-    (n_records,) = take("<I", 4)
-    params: dict[str, dict[str, np.ndarray]] = {}
+    reader = ContainerReader(path, MAGIC, VERSION, "quantized model")
+    graph = reader.graph
     weights: dict[str, QuantizedTensor] = {}
-    layer_kinds = {spec.name: spec.kind for spec in graph.layers}
-    for _ in range(n_records):
-        (name_len,) = take("<I", 4)
-        if pos + name_len > len(data):
-            raise DataError(f"{path}: truncated record name")
-        name = data[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        if "/" not in name:
-            raise DataError(f"{path}: malformed record name {name!r}")
-        layer, key = name.split("/", 1)
-        if layer not in layer_kinds:
-            raise DataError(f"{path}: record for unknown layer {layer!r}")
-        (quantized,) = take("<B", 1)
-        if quantized:
-            if layer_kinds[layer] not in QUANT_KINDS or key != "w":
-                raise DataError(
-                    f"{path}: quantized record {name!r} on a non-quantizable slot"
-                )
-            (scale,) = take("<f", 4)
-            if scale <= 0:
-                raise DataError(f"{path}: record {name!r} has scale {scale}")
-        (ndim,) = take("<I", 4)
-        shape = take(f"<{ndim}I", 4 * ndim)
-        count = int(np.prod(shape)) if ndim else 1
-        if quantized:
-            raw = data[pos : pos + count]
-            if len(raw) < count:
-                raise DataError(f"{path}: truncated data for {name!r}")
-            pos += count
-            values = np.frombuffer(raw, dtype=np.int8).reshape(shape)
-            weights[layer] = QuantizedTensor(values.copy(), float(scale))
-        else:
-            raw = data[pos : pos + 4 * count]
-            if len(raw) < 4 * count:
-                raise DataError(f"{path}: truncated data for {name!r}")
-            pos += 4 * count
-            arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
-            params.setdefault(layer, {})[key] = arr
-    if pos != len(data):
-        raise DataError(f"{path}: {len(data) - pos} trailing bytes")
+    for _ in range(reader.count):
+        spec, key, shape = reader.name()
+        name = f"{spec.name}/{key}"
+        (quantized,) = reader.unpack("<B")
+        if not quantized:
+            graph.params.setdefault(spec.name, {})[key] = reader.array(name, shape, "<f4")
+            continue
+        if spec.kind not in QUANT_KINDS or key != "w":
+            raise DataError(f"{path}: quantized record {name!r} on a non-quantizable slot")
+        (scale,) = reader.unpack("<f")
+        if not 0 < scale < math.inf:
+            raise DataError(f"{path}: record {name!r} has scale {scale}")
+        weights[spec.name] = QuantizedTensor(reader.array(name, shape, np.int8), float(scale))
+    reader.finish()
     for spec in graph.layers:
         if spec.kind in QUANT_KINDS and spec.name not in weights:
             raise DataError(f"{path}: missing quantized weights for {spec.name!r}")
-    graph.params = params
     check_mac_budget(graph)
     return QuantizedModel(graph, weights)

@@ -51,21 +51,3 @@ def spectro_corpus(
         xs[i] = np.clip(item, 0.0, 1.0)
     return xs, labels
 
-
-def score_corpus(
-    n_items: int,
-    n_classes: int = 10,
-    accuracy: float = 0.6,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Random probability vectors whose argmax hits the label at roughly
-    the requested rate. Useful for exercising fusion and evaluation."""
-    if not 0.0 <= accuracy <= 1.0:
-        raise ConfigError(f"accuracy must be in [0, 1], got {accuracy}")
-    rng = np.random.default_rng(seed)
-    labels = rng.integers(0, n_classes, n_items)
-    scores = rng.dirichlet(np.ones(n_classes), size=n_items)
-    boost = rng.random(n_items) < accuracy
-    scores[boost] = scores[boost] * 0.4
-    scores[boost, labels[boost]] += 0.6
-    return scores, labels

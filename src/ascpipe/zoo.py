@@ -210,19 +210,14 @@ def build_mobnet(cfg: ArchConfig, seed: int = 0) -> ModelGraph:
 
 
 def build(cfg: ArchConfig, seed: int = 0) -> ModelGraph:
-    """Build any zoo architecture by name."""
-    if cfg.arch == "fcnn":
-        return build_fcnn(cfg, seed)
-    if cfg.arch == "small_fcnn":
-        return build_small_fcnn(cfg, seed)
-    if cfg.arch == "fsfcnn":
-        return build_fsfcnn(cfg, seed)
-    if cfg.arch == "fsfcnn_s":
-        return build_fsfcnn_s(cfg, seed)
-    if cfg.arch == "resnet":
-        return build_resnet(cfg, doubled=False, seed=seed)
-    if cfg.arch == "resnet_d":
-        return build_resnet(cfg, doubled=True, seed=seed)
-    if cfg.arch == "mobnet":
-        return build_mobnet(cfg, seed)
-    raise ConfigError(f"unknown architecture {cfg.arch!r}")
+    """Build any zoo architecture by name (ArchConfig has checked it)."""
+    if cfg.arch in ("resnet", "resnet_d"):
+        return build_resnet(cfg, doubled=cfg.arch == "resnet_d", seed=seed)
+    builders = {
+        "fcnn": build_fcnn,
+        "small_fcnn": build_small_fcnn,
+        "fsfcnn": build_fsfcnn,
+        "fsfcnn_s": build_fsfcnn_s,
+        "mobnet": build_mobnet,
+    }
+    return builders[cfg.arch](cfg, seed)

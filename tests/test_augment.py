@@ -453,14 +453,6 @@ class TestDeterminism:
 
 
 class TestConfigValidation:
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(DataError):
-            AugmentConfig(mixup_alpha=0.0)
-
-    def test_bad_mask_fraction_rejected(self):
-        with pytest.raises(DataError):
-            AugmentConfig(specaug_time_frac=1.5)
-
     def test_bad_speed_range_rejected(self):
         with pytest.raises(DataError):
             AugmentConfig(speed_range=(0.0, 1.0))

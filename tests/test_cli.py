@@ -445,6 +445,16 @@ class TestTrainEvaluate:
         assert code == 3
         assert "no rows tagged train" in capsys.readouterr().err
 
+    def test_stereo_swap_on_mono_features_is_a_data_error(self, ws, tmp_path, capsys):
+        ini = tmp_path / "swap.ini"
+        ini.write_text(
+            INI_FAST.replace("batch_size = 4", "batch_size = 4\nswap_stereo_blocks = yes")
+        )
+        code = run_cli("train", "--manifest", ws.feats / "features.tsv",
+                       "--out", tmp_path / "m.ascm", "--config", ini)
+        assert code == 3
+        assert "6-channel" in capsys.readouterr().err
+
 
 class TestFuse:
     def write_pair(self, tmp_path, rng, n=6):

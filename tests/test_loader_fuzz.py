@@ -1,0 +1,74 @@
+"""Damaged input files end in AscError, never in another exception.
+
+Each loader reads a tiny valid file cut at every offset and with one
+seeded single-byte flip at every offset. A damaged file may still load
+(a flip inside a float payload is undetectable); it must not raise
+anything but AscError.
+"""
+
+import numpy as np
+import pytest
+
+from ascpipe.audio import AudioClip, load_wav, save_wav
+from ascpipe.errors import AscError
+from ascpipe.featio import read_features, write_features
+from ascpipe.features import FeatureTensor
+from ascpipe.nn import LayerSpec, ModelGraph, initialize, load_checkpoint, save_checkpoint
+from ascpipe.quant import load_quantized, quantize_model, save_quantized
+
+
+def _model() -> ModelGraph:
+    layers = [
+        LayerSpec("conv2d", "conv", ("input",), {"filters": 2, "kernel": (3, 3)}),
+        LayerSpec("batchnorm", "bn", ("conv",)),
+        LayerSpec("relu", "relu", ("bn",)),
+        LayerSpec("global_avg_pool", "gap", ("relu",)),
+        LayerSpec("dense", "fc", ("gap",), {"units": 3}),
+        LayerSpec("softmax", "probs", ("fc",)),
+    ]
+    return initialize(ModelGraph("tiny", (4, 4, 1), layers), seed=0)
+
+
+def _wav(path):
+    t = np.arange(32) / 8000.0
+    save_wav(path, AudioClip(0.5 * np.sin(2 * np.pi * 440.0 * t), 8000))
+
+
+LOADERS = {
+    "checkpoint": (lambda p: save_checkpoint(p, _model()), load_checkpoint),
+    "quantized": (lambda p: save_quantized(p, quantize_model(_model())), load_quantized),
+    "features": (
+        lambda p: write_features(p, FeatureTensor(np.linspace(0, 1, 24).reshape(4, 3, 2))),
+        read_features,
+    ),
+    "wav": (_wav, load_wav),
+}
+
+
+def _damaged(blob: bytes, seed: int):
+    for n in range(len(blob)):
+        yield f"cut at {n}", blob[:n]
+    masks = np.random.default_rng(seed).integers(1, 256, len(blob))
+    for pos, mask in enumerate(masks):
+        flipped = bytearray(blob)
+        flipped[pos] ^= int(mask)
+        yield f"byte {pos} ^ {mask:#04x}", bytes(flipped)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_damaged_files_raise_only_asc_error(kind, tmp_path):
+    write, load = LOADERS[kind]
+    good = tmp_path / "good"
+    write(good)
+    load(good)
+    bad = tmp_path / "bad"
+    leaks = []
+    for what, data in _damaged(good.read_bytes(), seed=7):
+        bad.write_bytes(data)
+        try:
+            load(bad)
+        except AscError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - any other exception is the failure
+            leaks.append(f"{what}: {exc!r}")
+    assert not leaks, f"{len(leaks)} leaks, first: {leaks[:5]}"

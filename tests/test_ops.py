@@ -1,0 +1,69 @@
+"""The layer-kind table: kernel dispatch through module lookups, coverage."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from ascpipe import quant, zoo
+from ascpipe.nn import layers as L
+from ascpipe.nn.engine import run_backward, run_forward
+from ascpipe.nn.ops import OPS
+
+from gradcheck import LAYER_CASES
+
+# between them these architectures contain every layer kind
+ARCHS = ("small_fcnn", "mobnet", "resnet")
+
+
+def _kernel(kind: str) -> str:
+    return "depthwise" if kind == "depthwise_conv2d" else kind
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts calls to every kernel, wrapped where the engine looks it up."""
+    seen = Counter()
+    for name in dir(L):
+        if name.endswith(("_forward", "_backward")):
+
+            def counted(*args, _fn=getattr(L, name), _name=name):
+                seen[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(L, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_every_layer_reaches_its_kernel_through_the_module(arch, calls):
+    cfg = zoo.ArchConfig(arch, width_mult=0.125, n_classes=3, input_shape=(16, 32, 3))
+    graph = zoo.build(cfg, seed=0)
+    x = np.random.default_rng(0).random((2, 16, 32, 3), dtype=np.float32)
+
+    out, tape = run_forward(graph, x, "train", (0, 0))
+    assert calls == Counter(f"{_kernel(s.kind)}_forward" for s in graph.layers)
+    calls.clear()
+    run_backward(graph, tape, np.ones_like(out))
+    assert calls == Counter(f"{_kernel(s.kind)}_backward" for s in graph.layers)
+
+    qm = quant.quantize_model(graph)
+    calls.clear()
+    quant.quantized_forward(qm, x)
+    assert calls == Counter(f"{_kernel(s.kind)}_forward" for s in qm.graph.layers)
+
+
+def test_the_dispatch_test_covers_every_kind():
+    kinds = set()
+    for arch in ARCHS:
+        cfg = zoo.ArchConfig(arch, width_mult=0.125, n_classes=3, input_shape=(16, 32, 3))
+        kinds |= {spec.kind for spec in zoo.build(cfg).layers}
+    assert kinds == set(OPS)
+
+
+def test_every_kind_has_a_gradient_check_case():
+    kinds = set()
+    for _, case in LAYER_CASES:
+        graph, _, _ = case(np.random.default_rng(0), 0)
+        kinds |= {spec.kind for spec in graph.layers}
+    assert kinds == set(OPS)
