@@ -40,7 +40,12 @@ class AugmentConfig:
         lo, hi = self.speed_range
         if not (0 < lo <= hi <= 2):
             raise DataError("speed_range must lie within (0, 2]")
-        if self.noise_std < 0:
+        lo, hi = self.rt60_range
+        if not 0 < lo <= hi:
+            raise DataError("rt60_range must be positive and ascending")
+        if not self.pitch_semitones >= 0:
+            raise DataError("pitch_semitones must be non-negative")
+        if not self.noise_std >= 0:
             raise DataError("noise_std must be non-negative")
 
 
@@ -273,17 +278,6 @@ def apply_reverb_drc(
     return AudioClip(compressed, clip.sample_rate)
 
 
-def reverb_drc(
-    clip: AudioClip,
-    rng: np.random.Generator,
-    cfg: AugmentConfig,
-    drc: CompressorConfig | None = None,
-) -> AudioClip:
-    rt60 = float(rng.uniform(*cfg.rt60_range))
-    rir = synth_rir(rt60, clip.sample_rate, rng)
-    return apply_reverb_drc(clip, rir, drc or CompressorConfig())
-
-
 # ---------------------------------------------------------------------------
 # waveform resampling transforms
 
@@ -294,19 +288,12 @@ def _resample_linear(x: np.ndarray, step: float, out_len: int) -> np.ndarray:
     return np.interp(pos, np.arange(len(x)), x)
 
 
-def pitch_shift(
-    clip: AudioClip, rng: np.random.Generator, cfg: AugmentConfig
-) -> AudioClip:
-    """Shift pitch by a uniform random number of semitones; length preserved.
+def pitch_shift_by(clip: AudioClip, semitones: float) -> AudioClip:
+    """Shift pitch by the given number of semitones; length preserved.
 
     Resample by 2^(s/12), then phase-vocoder stretch back to the original
     duration.
     """
-    s = float(rng.uniform(-cfg.pitch_semitones, cfg.pitch_semitones))
-    return pitch_shift_by(clip, s)
-
-
-def pitch_shift_by(clip: AudioClip, semitones: float) -> AudioClip:
     if semitones == 0.0:
         return clip
     factor = 2.0 ** (semitones / 12.0)

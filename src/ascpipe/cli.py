@@ -393,7 +393,6 @@ def cmd_train(args) -> int:
     )
     if result.loss_curve:
         print(f"final epoch loss: {result.loss_curve[-1]:.6f}")
-    print(f"snapshots captured: {len(result.snapshots)}")
     print(f"checkpoint -> {out}")
     print(f"scale stats -> {_stats_sidecar(out)}")
     return 0

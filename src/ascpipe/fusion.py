@@ -149,20 +149,6 @@ def to_super_labels(labels: np.ndarray, hierarchy: ClassHierarchy) -> np.ndarray
     return hierarchy.parent_indices()[labels]
 
 
-def _check_scores(name: str, scores: np.ndarray, length: int) -> np.ndarray:
-    arr = np.asarray(scores, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != length:
-        raise DataError(
-            f"{name}: expected a length-{length} score vector, "
-            f"got shape {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise DataError(f"{name}: non-finite scores")
-    if (arr < 0).any():
-        raise DataError(f"{name}: negative scores")
-    return arr
-
-
 def two_stage_fuse(
     f1: np.ndarray, f2: np.ndarray, hierarchy: ClassHierarchy
 ) -> tuple[np.ndarray, int]:
@@ -172,10 +158,10 @@ def two_stage_fuse(
     not renormalized. The predicted class is its argmax; ties go to the
     lowest class index.
     """
-    c1 = _check_scores("f1", f1, hierarchy.n_superclasses)
-    c2 = _check_scores("f2", f2, hierarchy.n_classes)
-    fused = c1[hierarchy.parent_indices()] * c2
-    return fused, int(np.argmax(fused))
+    fused, preds = two_stage_fuse_batch(
+        np.asarray(f1)[None], np.asarray(f2)[None], hierarchy
+    )
+    return fused[0], int(preds[0])
 
 
 def two_stage_fuse_batch(

@@ -17,8 +17,6 @@ from .train import (
     TrainResult,
     one_hot,
     predict,
-    predict_with_snapshots,
-    snapshot_average,
     train,
 )
 
@@ -42,10 +40,8 @@ __all__ = [
     "load_checkpoint",
     "one_hot",
     "predict",
-    "predict_with_snapshots",
     "run_backward",
     "run_forward",
     "save_checkpoint",
-    "snapshot_average",
     "train",
 ]

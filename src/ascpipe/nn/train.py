@@ -1,10 +1,4 @@
-"""Minibatch SGD training loop with online augmentation and snapshots.
-
-A parameter snapshot is captured once per schedule cycle, at the first
-step whose learning rate falls to 2x lr_min or below (the tail of the
-cosine decay). Snapshot ensembling averages output probabilities, not
-weights.
-"""
+"""Minibatch SGD training loop with online augmentation."""
 
 from __future__ import annotations
 
@@ -19,12 +13,12 @@ from ..augment import (
     random_crop,
     spec_augment,
 )
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 from ..features import FeatureTensor
 from .engine import backward, forward
-from .graph import ModelGraph, clone_params
+from .graph import ModelGraph
 from .optim import SgdMomentum
-from .schedule import ScheduleConfig, cosine_restart_lr, cycle_position
+from .schedule import ScheduleConfig, cosine_restart_lr
 
 
 @dataclass(frozen=True)
@@ -37,13 +31,20 @@ class OnlineAugment:
     freq_mask_frac: float = 0.0
     swap_stereo_blocks: bool = False
 
+    def __post_init__(self):
+        if not self.crop_len >= 0:
+            raise ConfigError("crop_len must be >= 0")
+        if not self.mixup_alpha >= 0:
+            raise ConfigError("mixup_alpha must be >= 0")
+        if not (0 <= self.time_mask_frac <= 1 and 0 <= self.freq_mask_frac <= 1):
+            raise ConfigError("time_mask_frac and freq_mask_frac must lie in [0, 1]")
+
 
 @dataclass
 class TrainResult:
     graph: ModelGraph
     loss_curve: list = field(default_factory=list)  # mean loss per epoch
     lr_curve: list = field(default_factory=list)  # lr per step
-    snapshots: list = field(default_factory=list)  # parameter stores
 
 
 def _augment_batch(xb, yb, online: OnlineAugment, rng) -> LabeledBatch:
@@ -89,7 +90,6 @@ def train(
     seed: int = 0,
     batch_size: int = 32,
     online: OnlineAugment = OnlineAugment(),
-    record_snapshots: bool = True,
 ) -> TrainResult:
     tensors = np.asarray(tensors, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.float32)
@@ -104,7 +104,6 @@ def train(
     rng = np.random.default_rng(seed)
     opt = SgdMomentum(schedule.momentum)
     step = 0
-    snapped_cycles: set[int] = set()
     for _ in range(epochs):
         order = rng.permutation(len(tensors))
         epoch_losses = []
@@ -116,11 +115,6 @@ def train(
             opt.step(graph, grads, lr)
             epoch_losses.append(loss)
             result.lr_curve.append(lr)
-            if record_snapshots and lr <= 2.0 * schedule.lr_min:
-                cycle, _, _ = cycle_position(step, schedule)
-                if cycle not in snapped_cycles:
-                    snapped_cycles.add(cycle)
-                    result.snapshots.append(clone_params(graph.params))
             step += 1
         result.loss_curve.append(float(np.mean(epoch_losses)))
     return result
@@ -139,30 +133,3 @@ def predict(graph: ModelGraph, tensors: np.ndarray, batch_size: int = 64) -> np.
     ]
     return np.concatenate(outs, axis=0)
 
-
-def snapshot_average(prob_batches: list[np.ndarray]) -> np.ndarray:
-    """Elementwise mean of probability batches from several model states."""
-    if not prob_batches:
-        raise DataError("snapshot_average needs at least one probability batch")
-    first = np.asarray(prob_batches[0])
-    for p in prob_batches[1:]:
-        if np.asarray(p).shape != first.shape:
-            raise DataError("snapshot probability shapes disagree")
-    return np.mean([np.asarray(p) for p in prob_batches], axis=0)
-
-
-def predict_with_snapshots(
-    graph: ModelGraph, snapshots: list[dict], tensors: np.ndarray, batch_size: int = 64
-) -> np.ndarray:
-    """Average predictions over captured snapshots (current params if none)."""
-    if not snapshots:
-        return predict(graph, tensors, batch_size)
-    saved = graph.params
-    batches = []
-    try:
-        for snap in snapshots:
-            graph.params = snap
-            batches.append(predict(graph, tensors, batch_size))
-    finally:
-        graph.params = saved
-    return snapshot_average(batches)

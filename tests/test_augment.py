@@ -17,11 +17,9 @@ from ascpipe.augment import (
     fit_spectrum_profiles,
     mix_same_class,
     mixup_batch,
-    pitch_shift,
     pitch_shift_by,
     random_crop,
     reference_profile,
-    reverb_drc,
     rng_for_item,
     spec_augment,
     spectrum_correct,
@@ -302,7 +300,10 @@ class TestReverbDrc:
 
     def test_peak_restored(self, rng):
         clip = _noise_clip(rng)
-        out = reverb_drc(clip, np.random.default_rng(8), AugmentConfig())
+        draw = np.random.default_rng(8)
+        rt60 = float(draw.uniform(*AugmentConfig().rt60_range))
+        rir = synth_rir(rt60, clip.sample_rate, draw)
+        out = apply_reverb_drc(clip, rir, CompressorConfig())
         assert math.isclose(
             float(np.max(np.abs(out.samples))),
             float(np.max(np.abs(clip.samples))),
@@ -345,7 +346,8 @@ class TestPitchShift:
 
     def test_random_shift_preserves_length(self, rng):
         clip = _tone(330, 0.5, 22050)
-        out = pitch_shift(clip, rng, AugmentConfig())
+        bound = AugmentConfig().pitch_semitones
+        out = pitch_shift_by(clip, float(rng.uniform(-bound, bound)))
         assert out.n_samples == clip.n_samples
         assert out.sample_rate == clip.sample_rate
 
@@ -441,7 +443,9 @@ class TestDeterminism:
         for _ in range(2):
             item_rng = rng_for_item(7, 3)
             stage1 = add_noise(clip, 0.003, item_rng)
-            stage2 = reverb_drc(stage1, item_rng, AugmentConfig())
+            rt60 = float(item_rng.uniform(*AugmentConfig().rt60_range))
+            rir = synth_rir(rt60, stage1.sample_rate, item_rng)
+            stage2 = apply_reverb_drc(stage1, rir, CompressorConfig())
             outs.append(stage2.samples)
         assert np.array_equal(outs[0], outs[1])
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line and run configuration."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from ascpipe.audio import AudioClip, save_wav
 from ascpipe.cli import main, read_scores, write_scores
-from ascpipe.config import RunConfig, config_hash, load_config
+from ascpipe.config import _SCHEMA, RunConfig, config_hash, load_config
 from ascpipe.errors import ConfigError, DataError
 from ascpipe.featio import read_features, read_scale_stats
 from ascpipe.features import fit_scale01
@@ -173,6 +174,62 @@ class TestRunConfig:
         b.write_text("[run]\nseed = 2\n")
         assert config_hash(load_config(a)) == config_hash(load_config(a))
         assert config_hash(load_config(a)) != config_hash(load_config(b))
+
+    def test_every_key_at_its_default_gives_defaults(self, tmp_path):
+        def ini_text(value):
+            if isinstance(value, bool):
+                return "yes" if value else "no"
+            if isinstance(value, tuple):
+                return ", ".join(str(v) for v in value)
+            return "none" if value is None else str(value)
+
+        defaults = RunConfig()
+        lines = []
+        for section, keys in _SCHEMA.items():
+            lines.append(f"[{section}]")
+            for key, (attr, name) in keys.items():
+                owner = getattr(defaults, attr) if attr else defaults
+                lines.append(f"{key} = {ini_text(getattr(owner, name))}")
+        path = tmp_path / "all.ini"
+        path.write_text("\n".join(lines) + "\n")
+        cfg = load_config(path)
+        assert cfg == defaults
+        assert config_hash(cfg) == config_hash(defaults)
+
+    def test_every_field_has_a_key(self):
+        defaults = RunConfig()
+        fields = set()
+        for f in dataclasses.fields(RunConfig):
+            value = getattr(defaults, f.name)
+            if dataclasses.is_dataclass(value):
+                fields |= {(f.name, g.name) for g in dataclasses.fields(value)}
+            else:
+                fields.add(("", f.name))
+        reachable = {target for keys in _SCHEMA.values() for target in keys.values()}
+        assert reachable == fields
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("hop = 256", "hop = 0", "hop must be positive"),
+            ("[run]", "[augment]\nspeed_range = 1.5, 0.5\n\n[run]", "speed_range"),
+            ("batch_size = 4", "batch_size = 4\nmixup_alpha = -1", "mixup_alpha"),
+            ("batch_size = 4", "batch_size = 4\ncrop_len = -3", "crop_len"),
+            ("[run]", "[augment]\nrt60_range = 0.5, 0.1\n\n[run]", "rt60_range"),
+            ("[run]", "[augment]\nrt60_range = -1, 0\n\n[run]", "rt60_range"),
+            ("[run]", "[augment]\npitch_semitones = -5\n\n[run]", "pitch_semitones"),
+            ("[run]", "[augment]\nnoise_std = nan\n\n[run]", "noise_std"),
+            ("width_mult = 0.25", "width_mult = nan", "width_mult"),
+        ],
+    )
+    def test_out_of_range_value_exits_2(self, ws, tmp_path, capsys, old, new, message):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(INI_FAST.replace(old, new))
+        code = run_cli("train", "--manifest", ws.feats / "features.tsv",
+                       "--out", tmp_path / "m.ascm", "--config", ini)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(ini) in err and message in err
 
 
 class TestScoreFiles:

@@ -19,9 +19,7 @@ from ascpipe.nn import (
     initialize,
     load_checkpoint,
     predict,
-    predict_with_snapshots,
     save_checkpoint,
-    snapshot_average,
     train,
 )
 
@@ -188,7 +186,6 @@ class TestTrainLoop:
         xs, ys = _toy_dataset()
         result = train(g, xs, ys, self.SCHED, epochs=0, seed=0)
         assert result.loss_curve == []
-        assert result.snapshots == []
         for layer, store in before.items():
             for key, arr in store.items():
                 assert np.array_equal(g.params[layer][key], arr)
@@ -225,17 +222,6 @@ class TestTrainLoop:
             outs.append(g.params["fc"]["w"].copy())
         assert not np.array_equal(outs[0], outs[1])
 
-    def test_snapshot_taken_once_per_cycle_tail(self):
-        g = _toy_classifier(seed=5)
-        xs, ys = _toy_dataset(n=32)
-        # batch 16 -> 2 steps/epoch; cycle 0 spans steps 0..20
-        sched = ScheduleConfig(first_cycle_len=20, lr_max=0.05)
-        result = train(g, xs, ys, sched, epochs=11, seed=1, batch_size=16)
-        assert len(result.snapshots) == 1
-        result2 = train(g, xs, ys, sched, epochs=11, seed=1, batch_size=16,
-                        record_snapshots=False)
-        assert result2.snapshots == []
-
     def test_online_crop_feeds_reduced_time_axis(self):
         g = _toy_classifier(input_shape=(4, 4, 1), seed=6)
         xs, ys = _toy_dataset(shape=(6, 4, 1))
@@ -249,46 +235,6 @@ class TestTrainLoop:
         g = _toy_classifier()
         with pytest.raises(DataError, match="empty"):
             train(g, np.zeros((0, 6, 4, 1)), np.zeros((0, 3)), self.SCHED, epochs=1)
-
-
-class TestSnapshotAverage:
-    def test_single_snapshot_identity(self):
-        p = np.array([[0.2, 0.8]])
-        assert np.array_equal(snapshot_average([p]), p)
-
-    def test_two_snapshot_mean(self):
-        a = np.array([[0.2, 0.8]])
-        b = np.array([[0.6, 0.4]])
-        assert np.allclose(snapshot_average([a, b]), [[0.4, 0.6]], atol=1e-12)
-
-    def test_rows_remain_distributions(self):
-        rng = np.random.default_rng(0)
-        batches = []
-        for _ in range(3):
-            z = rng.random((5, 10))
-            batches.append(z / z.sum(axis=1, keepdims=True))
-        avg = snapshot_average(batches)
-        assert np.allclose(avg.sum(axis=1), 1.0, atol=1e-6)
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(DataError):
-            snapshot_average([])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            snapshot_average([np.zeros((2, 3)), np.zeros((2, 4))])
-
-    def test_predict_with_snapshots_averages_states(self):
-        g = _toy_classifier(seed=8)
-        x = np.random.default_rng(2).standard_normal((4, 6, 4, 1)).astype(np.float32)
-        snap_a = clone_params(g.params)
-        g2 = _toy_classifier(seed=9)
-        snap_b = clone_params(g2.params)
-        base = forward(g, x)
-        got = predict_with_snapshots(g, [snap_a, snap_b], x)
-        g.params = snap_b
-        other = forward(g, x)
-        assert np.allclose(got, (base + other) / 2, atol=1e-6)
 
 
 class TestPredict:

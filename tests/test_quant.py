@@ -390,8 +390,7 @@ class TestQuantizedForward:
         ]
         g = initialize(ModelGraph("toy", (16, 16, 1), layers), seed=1)
         schedule = ScheduleConfig(first_cycle_len=1000, lr_max=0.05)
-        result = train(g, xs, one_hot(ys, 3), schedule, epochs=8, seed=1,
-                       record_snapshots=False)
+        result = train(g, xs, one_hot(ys, 3), schedule, epochs=8, seed=1)
         qm = quantize_model(result.graph)
         ex, _ = spectro_corpus(200, n_classes=3, shape=(16, 16, 1), seed=77)
         float_top1 = np.argmax(predict(result.graph, ex), axis=1)
