@@ -18,6 +18,7 @@ import dataclasses
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .augment import (
     synth_rir,
 )
 from .config import RunConfig, config_hash, load_config
-from .errors import AscError, ConfigError, DataError
+from .errors import AscError, ConfigError, DataError, read_text
 from .evaluation import evaluate, render_report, report_from_json, report_to_json
 from .featio import (
     read_features,
@@ -43,14 +44,8 @@ from .featio import (
     write_scale_stats,
 )
 from .features import ScaleStats, apply_scale01, extract_clip_features, fit_scale01
-from .fusion import (
-    SCENE_LABELS,
-    SUPERCLASS_LABELS,
-    ClassHierarchy,
-    average_ensemble,
-    two_stage_fuse_batch,
-)
-from .manifest import DatasetManifest, ManifestRow, read_manifest, write_manifest
+from .fusion import ClassHierarchy, average_ensemble, two_stage_fuse_batch
+from .manifest import DatasetManifest, read_manifest, write_manifest
 from .nn import load_checkpoint, one_hot, predict, save_checkpoint, train
 from .quant import quantize_model, save_quantized, weight_blob_ratio
 from .zoo import ArchConfig, build
@@ -70,10 +65,7 @@ def write_scores(path: str | Path, scores: np.ndarray, classes) -> None:
 
 
 def read_scores(path: str | Path) -> tuple[np.ndarray, tuple[str, ...]]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read scores file {path}: {exc}") from exc
+    text = read_text(path, DataError, "scores file")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
         raise DataError(f"{path}: need a class header and at least one row")
@@ -95,21 +87,17 @@ def read_scores(path: str | Path) -> tuple[np.ndarray, tuple[str, ...]]:
 # ---------------------------------------------------------------------------
 # shared plumbing
 
+# command-line flag -> the RunConfig field it overrides
+_FLAG_FIELDS = {"seed": "seed", "workers": "workers", "arch": "arch", "width": "width_mult"}
+
 
 def _effective_config(args) -> RunConfig:
-    cfg = load_config(getattr(args, "config", None))
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        updates["workers"] = args.workers
-    if getattr(args, "arch", None) is not None:
-        updates["arch"] = args.arch
-    if getattr(args, "width", None) is not None:
-        updates["width_mult"] = args.width
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    return cfg
+    updates = {
+        name: getattr(args, flag)
+        for flag, name in _FLAG_FIELDS.items()
+        if getattr(args, flag, None) is not None
+    }
+    return dataclasses.replace(load_config(args.config), **updates)
 
 
 def _print_repro(command: str, cfg: RunConfig) -> None:
@@ -129,15 +117,6 @@ def _run_jobs(jobs, worker, n_workers: int):
         return list(pool.map(worker, jobs))
 
 
-def _classes_for(scene_labels) -> tuple[str, ...]:
-    seen = set(scene_labels)
-    if seen <= set(SCENE_LABELS):
-        return SCENE_LABELS
-    if seen <= set(SUPERCLASS_LABELS):
-        return SUPERCLASS_LABELS
-    return tuple(sorted(seen))
-
-
 def _split_indices(manifest: DatasetManifest, tag: str) -> tuple[int, ...]:
     """Rows tagged ``tag``, or every row when the manifest has no split tags."""
     if any(row.split for row in manifest.rows):
@@ -146,6 +125,43 @@ def _split_indices(manifest: DatasetManifest, tag: str) -> tuple[int, ...]:
             raise DataError(f"manifest has split tags but no rows tagged {tag}")
         return idx
     return tuple(range(len(manifest)))
+
+
+def _read_split(path, tag: str) -> tuple[Path, DatasetManifest]:
+    """The directory of feature manifest ``path`` and its rows for ``tag``."""
+    manifest = read_manifest(path)
+    rows = tuple(manifest.rows[i] for i in _split_indices(manifest, tag))
+    return Path(path).resolve().parent, DatasetManifest(rows)
+
+
+def _run_corpus(args, cfg: RunConfig, worker, name_of, *job_args):
+    """Run ``worker(i, wav_path, out_path, *job_args)`` on every row i of
+    the WAV manifest ``--manifest``; row i writes ``--out``/``name_of(i,
+    filename)``. Every failed row is printed, then the command fails.
+
+    Returns the manifest, the output directory, each row's output name
+    and each row's worker result.
+    """
+    manifest = read_manifest(args.manifest)
+    base = Path(args.manifest).resolve().parent
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    owner, jobs = {}, []
+    for i, row in enumerate(manifest.rows):
+        name = name_of(i, Path(row.filename))
+        # two jobs writing one file would race
+        if name in owner:
+            raise DataError(f"rows {owner[name]} and {i} both map to feature file {name}")
+        owner[name] = i
+        jobs.append((i, str(base / row.filename), str(out / name), *job_args))
+
+    outcomes = _run_jobs(jobs, partial(_guarded, worker), cfg.workers)
+    failures = [(i, err) for i, (err, _) in enumerate(outcomes) if err is not None]
+    for i, err in failures:
+        print(f"row {i} ({manifest.rows[i].filename}): {err}", file=sys.stderr)
+    if failures:
+        raise DataError(f"{len(failures)} of {len(jobs)} files failed")
+    return manifest, out, list(owner), [result for _, result in outcomes]
 
 
 def _load_feature_rows(base: Path, rows) -> list:
@@ -158,13 +174,6 @@ def _load_feature_rows(base: Path, rows) -> list:
 
 def _stats_sidecar(model_path: str | Path) -> Path:
     return Path(model_path).with_suffix(".stats.txt")
-
-
-def _fit_or_read_stats(base: Path, tensors) -> ScaleStats:
-    stats_path = base / "scale_stats.txt"
-    if stats_path.exists():
-        return read_scale_stats(stats_path)
-    return fit_scale01(tensors)
 
 
 def _crop_to_model(data: np.ndarray, t_model: int, row_name: str) -> np.ndarray:
@@ -198,170 +207,112 @@ def _reorder_columns(scores, names, wanted, path) -> np.ndarray:
 # worker jobs (module level so process pools can pickle them)
 
 
-def _extract_job(job):
-    index, wav_path, out_path, spectro = job
+def _guarded(worker, job):
+    """(error, None) when one corpus row fails, else (None, result)."""
     try:
-        clip = load_wav(wav_path)
-        feats = extract_clip_features(clip, spectro)
-        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-        write_features(out_path, feats)
-        data = feats.data
-        return (
-            index,
-            None,
-            data.min(axis=(0, 1)),
-            data.max(axis=(0, 1)),
-            feats.shape,
-        )
+        return None, worker(*job)
     except (AscError, OSError) as exc:
-        return (index, str(exc), None, None, None)
+        return str(exc), None
+
+
+def _write_clip_features(clip, out_path: str, spectro):
+    feats = extract_clip_features(clip, spectro)
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+    write_features(out_path, feats)
+    return feats
+
+
+def _extract_job(_index, wav_path, out_path, spectro):
+    data = _write_clip_features(load_wav(wav_path), out_path, spectro).data
+    return data.min(axis=(0, 1)), data.max(axis=(0, 1)), data.shape
 
 
 _AUG_OPS = ("pitch_shift", "speed_change", "add_noise", "reverb_drc")
 
 
-def _augment_job(job):
-    index, wav_path, out_path, seed, aug, spectro = job
-    try:
-        rng = rng_for_item(seed, index)
-        op = _AUG_OPS[int(rng.integers(0, len(_AUG_OPS)))]
-        clip = load_wav(wav_path)
-        if op == "pitch_shift":
-            semitones = float(rng.uniform(-aug.pitch_semitones, aug.pitch_semitones))
-            out_clip = pitch_shift_by(clip, semitones)
-            params = f"semitones={semitones!r}"
-        elif op == "speed_change":
-            ratio = float(rng.uniform(*aug.speed_range))
-            out_clip = speed_change_by(clip, ratio)
-            params = f"ratio={ratio!r}"
-        elif op == "add_noise":
-            out_clip = add_noise(clip, aug.noise_std, rng)
-            params = f"noise_std={aug.noise_std!r}"
-        else:
-            rt60 = float(rng.uniform(*aug.rt60_range))
-            rir = synth_rir(rt60, clip.sample_rate, rng)
-            out_clip = apply_reverb_drc(clip, rir, CompressorConfig())
-            params = f"rt60={rt60!r}"
-        feats = extract_clip_features(out_clip, spectro)
-        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-        write_features(out_path, feats)
-        return (index, None, op, params)
-    except (AscError, OSError) as exc:
-        return (index, str(exc), None, None)
+def _augment_job(index, wav_path, out_path, spectro, seed, aug):
+    rng = rng_for_item(seed, index)
+    op = _AUG_OPS[int(rng.integers(0, len(_AUG_OPS)))]
+    clip = load_wav(wav_path)
+    if op == "pitch_shift":
+        semitones = float(rng.uniform(-aug.pitch_semitones, aug.pitch_semitones))
+        out_clip = pitch_shift_by(clip, semitones)
+        params = f"semitones={semitones!r}"
+    elif op == "speed_change":
+        ratio = float(rng.uniform(*aug.speed_range))
+        out_clip = speed_change_by(clip, ratio)
+        params = f"ratio={ratio!r}"
+    elif op == "add_noise":
+        out_clip = add_noise(clip, aug.noise_std, rng)
+        params = f"noise_std={aug.noise_std!r}"
+    else:
+        rt60 = float(rng.uniform(*aug.rt60_range))
+        rir = synth_rir(rt60, clip.sample_rate, rng)
+        out_clip = apply_reverb_drc(clip, rir, CompressorConfig())
+        params = f"rt60={rt60!r}"
+    _write_clip_features(out_clip, out_path, spectro)
+    return op, params
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_extract(args) -> int:
-    cfg = _effective_config(args)
-    _print_repro("extract", cfg)
-    manifest = read_manifest(args.manifest)
-    base = Path(args.manifest).resolve().parent
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    jobs, rel_paths, seen = [], [], {}
-    for i, row in enumerate(manifest.rows):
-        src = Path(row.filename)
-        wav = src if src.is_absolute() else base / src
-        rel = src.with_suffix(".ascf").as_posix()
-        if rel in seen:
-            raise DataError(
-                f"rows {seen[rel]} and {i} both map to feature file {rel}"
-            )
-        seen[rel] = i
-        rel_paths.append(rel)
-        jobs.append((i, str(wav), str(out / rel), cfg.spectro))
-
-    results = _run_jobs(jobs, _extract_job, cfg.workers)
-    failures = [(r[0], r[1]) for r in results if r[1] is not None]
-    if failures:
-        for i, err in failures:
-            print(f"row {i} ({manifest.rows[i].filename}): {err}", file=sys.stderr)
-        raise DataError(f"{len(failures)} of {len(jobs)} files failed")
-
-    channel_counts = {r[4][2] for r in results}
+def cmd_extract(args, cfg: RunConfig) -> int:
+    manifest, out, names, results = _run_corpus(
+        args, cfg, _extract_job, lambda _i, src: src.with_suffix(".ascf").as_posix(),
+        cfg.spectro,
+    )
+    channel_counts = {shape[2] for _, _, shape in results}
     if len(channel_counts) != 1:
         raise DataError(f"mixed channel counts across corpus: {sorted(channel_counts)}")
 
     train_idx = _split_indices(manifest, "train")
     stats = ScaleStats(
-        np.minimum.reduce([results[i][2] for i in train_idx]),
-        np.maximum.reduce([results[i][3] for i in train_idx]),
+        np.minimum.reduce([results[i][0] for i in train_idx]),
+        np.maximum.reduce([results[i][1] for i in train_idx]),
     )
     write_scale_stats(out / "scale_stats.txt", stats)
+    write_manifest(
+        out / "features.tsv",
+        [dataclasses.replace(row, filename=name) for row, name in zip(manifest.rows, names)],
+    )
 
-    new_rows = [
-        ManifestRow(rel_paths[i], row.scene_label, row.source_label, row.split)
-        for i, row in enumerate(manifest.rows)
-    ]
-    write_manifest(out / "features.tsv", new_rows)
-
-    print(f"wrote {len(jobs)} feature files under {out}")
+    print(f"wrote {len(names)} feature files under {out}")
     print(f"scale stats from {len(train_idx)} training rows -> {out / 'scale_stats.txt'}")
     print(f"feature manifest -> {out / 'features.tsv'}")
     return 0
 
 
-def cmd_augment(args) -> int:
-    cfg = _effective_config(args)
-    _print_repro("augment", cfg)
-    manifest = read_manifest(args.manifest)
-    base = Path(args.manifest).resolve().parent
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    jobs, rel_paths = [], []
-    for i, row in enumerate(manifest.rows):
-        src = Path(row.filename)
-        wav = src if src.is_absolute() else base / src
-        rel = f"aug{i:05d}_{src.stem}.ascf"
-        rel_paths.append(rel)
-        jobs.append((i, str(wav), str(out / rel), cfg.seed, cfg.augment, cfg.spectro))
-
-    results = _run_jobs(jobs, _augment_job, cfg.workers)
-    failures = [(r[0], r[1]) for r in results if r[1] is not None]
-    if failures:
-        for i, err in failures:
-            print(f"row {i} ({manifest.rows[i].filename}): {err}", file=sys.stderr)
-        raise DataError(f"{len(failures)} of {len(jobs)} files failed")
-
-    header = "filename\tscene_label\tsource_label\tsource_file\taugmentation\tparameters"
-    lines = [header]
-    for i, row in enumerate(manifest.rows):
-        _, _, op, params = results[i]
+def cmd_augment(args, cfg: RunConfig) -> int:
+    manifest, out, names, results = _run_corpus(
+        args, cfg, _augment_job, lambda i, src: f"aug{i:05d}_{src.stem}.ascf",
+        cfg.spectro, cfg.seed, cfg.augment,
+    )
+    lines = ["filename\tscene_label\tsource_label\tsource_file\taugmentation\tparameters"]
+    for name, row, (op, params) in zip(names, manifest.rows, results):
         lines.append(
-            "\t".join(
-                (rel_paths[i], row.scene_label, row.source_label, row.filename, op, params)
-            )
+            "\t".join((name, row.scene_label, row.source_label, row.filename, op, params))
         )
     (out / "augmented.tsv").write_text("\n".join(lines) + "\n")
 
-    print(f"wrote {len(jobs)} augmented feature files under {out}")
+    print(f"wrote {len(names)} augmented feature files under {out}")
     print(f"provenance manifest -> {out / 'augmented.tsv'}")
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _effective_config(args)
-    _print_repro("train", cfg)
-    manifest = read_manifest(args.manifest)
-    base = Path(args.manifest).resolve().parent
-    idx = _split_indices(manifest, "train")
-    rows = [manifest.rows[i] for i in idx]
+def cmd_train(args, cfg: RunConfig) -> int:
+    base, subset = _read_split(args.manifest, "train")
+    classes = _hierarchy_from(cfg).label_set(subset.scene_labels())
+    ys = one_hot(subset.label_indices(classes), len(classes))
 
-    tensors = _load_feature_rows(base, rows)
+    tensors = _load_feature_rows(base, subset.rows)
     shapes = {t.shape for t in tensors}
     if len(shapes) != 1:
         raise DataError(f"training features must share one shape, got {sorted(shapes)}")
-    stats = _fit_or_read_stats(base, tensors)
+    stats_path = base / "scale_stats.txt"
+    stats = read_scale_stats(stats_path) if stats_path.exists() else fit_scale01(tensors)
     xs = np.stack([apply_scale01(t, stats).data for t in tensors])
-
-    classes = _classes_for(row.scene_label for row in rows)
-    labels = DatasetManifest(tuple(rows)).label_indices(classes)
-    ys = one_hot(labels, len(classes))
 
     t_dim = cfg.online.crop_len if cfg.online.crop_len else xs.shape[1]
     arch_cfg = ArchConfig(
@@ -398,9 +349,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _evaluate_scores(scores: np.ndarray, manifest_rows, out_dir, classes) -> int:
-    sub = DatasetManifest(tuple(manifest_rows))
-    report = evaluate(scores, sub, classes=classes)
+def _evaluate_scores(scores: np.ndarray, subset: DatasetManifest, out_dir, classes) -> int:
+    report = evaluate(scores, subset, classes=classes)
     text = render_report(report)
     print(text)
     if out_dir is not None:
@@ -413,41 +363,32 @@ def _evaluate_scores(scores: np.ndarray, manifest_rows, out_dir, classes) -> int
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _effective_config(args)
-    _print_repro("evaluate", cfg)
+def cmd_evaluate(args, cfg: RunConfig) -> int:
     graph = load_checkpoint(args.model)
     sidecar = _stats_sidecar(args.model)
     if not sidecar.exists():
         raise DataError(f"missing scale stats sidecar {sidecar}")
     stats = read_scale_stats(sidecar)
 
-    manifest = read_manifest(args.manifest)
-    base = Path(args.manifest).resolve().parent
-    idx = _split_indices(manifest, "test")
-    rows = [manifest.rows[i] for i in idx]
-    tensors = _load_feature_rows(base, rows)
-
+    base, subset = _read_split(args.manifest, "test")
+    classes = _hierarchy_from(cfg).label_set(subset.scene_labels())
+    tensors = _load_feature_rows(base, subset.rows)
     t_model = graph.input_shape[0]
     xs = np.stack(
         [
             _crop_to_model(apply_scale01(t, stats).data, t_model, row.filename)
-            for t, row in zip(tensors, rows)
+            for t, row in zip(tensors, subset.rows)
         ]
     )
     scores = predict(graph, xs)
-
-    classes = _classes_for(row.scene_label for row in rows)
     if len(classes) != scores.shape[1]:
         raise DataError(
             f"model emits {scores.shape[1]} classes but manifest labels need {len(classes)}"
         )
-    return _evaluate_scores(scores, rows, args.out, classes)
+    return _evaluate_scores(scores, subset, args.out, classes)
 
 
-def cmd_fuse(args) -> int:
-    cfg = _effective_config(args)
-    _print_repro("fuse", cfg)
+def cmd_fuse(args, cfg: RunConfig) -> int:
     hierarchy = _hierarchy_from(cfg)
     coarse, coarse_names = read_scores(args.coarse)
     fine, fine_names = read_scores(args.fine)
@@ -468,9 +409,7 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-def cmd_ensemble(args) -> int:
-    cfg = _effective_config(args)
-    _print_repro("ensemble", cfg)
+def cmd_ensemble(args, cfg: RunConfig) -> int:
     if len(args.scores) < 2:
         raise DataError("ensemble needs at least two score files")
     matrices, classes = [], None
@@ -490,9 +429,7 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
-def cmd_quantize(args) -> int:
-    cfg = _effective_config(args)
-    _print_repro("quantize", cfg)
+def cmd_quantize(args, cfg: RunConfig) -> int:
     graph = load_checkpoint(args.model)
     qm = quantize_model(graph)
     out = Path(args.out)
@@ -509,28 +446,20 @@ def cmd_quantize(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    cfg = _effective_config(args)
-    _print_repro("report", cfg)
+def cmd_report(args, cfg: RunConfig) -> int:
     path = Path(args.scores)
     if path.suffix == ".json":
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise DataError(f"cannot read report {path}: {exc}") from exc
-        print(render_report(report_from_json(text)))
+        print(render_report(report_from_json(read_text(path, DataError, "report"))))
         return 0
     if args.manifest is None:
         raise ConfigError("report on a scores file needs --manifest")
     scores, names = read_scores(path)
-    manifest = read_manifest(args.manifest)
-    idx = _split_indices(manifest, "test")
-    rows = [manifest.rows[i] for i in idx]
-    if len(rows) != len(scores):
+    _, subset = _read_split(args.manifest, "test")
+    if len(subset) != len(scores):
         raise DataError(
-            f"{len(scores)} score rows but {len(rows)} evaluated manifest rows"
+            f"{len(scores)} score rows but {len(subset)} evaluated manifest rows"
         )
-    return _evaluate_scores(scores, rows, args.out, names)
+    return _evaluate_scores(scores, subset, args.out, names)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _effective_config(args)
+        _print_repro(args.command, cfg)
+        return args.func(args, cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

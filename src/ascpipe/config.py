@@ -14,14 +14,15 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .augment import AugmentConfig
-from .errors import AscError, ConfigError
+from .errors import AscError, ConfigError, read_text
 from .features import SpectroConfig
 from .nn import OnlineAugment, ScheduleConfig
-from .zoo import ARCH_NAMES
+from .zoo import ArchConfig
 
 _TRUE = {"1", "yes", "true", "on"}
 _FALSE = {"0", "no", "false", "off"}
@@ -44,18 +45,15 @@ class RunConfig:
     hierarchy_path: str = ""
 
     def __post_init__(self):
-        if self.arch not in ARCH_NAMES:
-            raise ConfigError(
-                f"unknown architecture {self.arch!r}; pick from {ARCH_NAMES}"
-            )
-        if not self.width_mult > 0:
-            raise ConfigError("width_mult must be positive")
+        ArchConfig(self.arch, self.width_mult)  # checks arch and width_mult
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def _fields_of(attr: str, cls) -> dict[str, tuple[str, str]]:
@@ -79,8 +77,16 @@ _SCHEMA = {
 }
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _parse(raw: str, default):
-    """Read raw INI text as a value of the type of the field's default."""
+    """Read raw INI text as a value of the type of the field's default.
+    Every float must be finite."""
     low = raw.strip().lower()
     if isinstance(default, bool):
         if low not in _TRUE | _FALSE:
@@ -88,18 +94,17 @@ def _parse(raw: str, default):
         return low in _TRUE
     if isinstance(default, tuple):
         lo, hi = raw.replace(",", " ").split()
-        return (float(lo), float(hi))
+        return (_finite(lo), _finite(hi))
     if default is None:  # optional float; None means Nyquist
-        return None if low in ("none", "nyquist") else float(raw)
+        return None if low in ("none", "nyquist") else _finite(raw)
+    if isinstance(default, float):
+        return _finite(raw)
     return type(default)(raw)
 
 
 def _read_sections(path: str | Path) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser(interpolation=None)
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    text = read_text(path, ConfigError, "config file")
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
@@ -138,7 +143,7 @@ def load_config(path: str | Path | None) -> RunConfig:
                 value = _parse(raw, getattr(owner, name))
             except ValueError:
                 raise ConfigError(
-                    f"[{section}] {key} = {raw!r}: cannot parse value"
+                    f"{path}: [{section}] {key} = {raw!r}: cannot parse value"
                 ) from None
             (nested.setdefault(attr, {}) if attr else top)[name] = value
     try:

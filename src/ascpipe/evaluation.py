@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .fusion import SCENE_LABELS, SUPERCLASS_LABELS
+from .fusion import ClassHierarchy
 from .manifest import DatasetManifest
 
 DEVICE_GROUPS = (
@@ -52,19 +52,6 @@ def _group_of(source_label: str) -> str:
     return UNKNOWN_GROUP
 
 
-def _detect_classes(manifest: DatasetManifest) -> tuple[str, ...]:
-    present = set(manifest.scene_labels())
-    if present <= set(SCENE_LABELS):
-        return SCENE_LABELS
-    if present <= set(SUPERCLASS_LABELS):
-        return SUPERCLASS_LABELS
-    strays = sorted(present - set(SCENE_LABELS) - set(SUPERCLASS_LABELS))
-    raise DataError(
-        f"scene labels {strays} match neither the scene-class nor the "
-        "superclass label set; pass classes= explicitly"
-    )
-
-
 def evaluate(
     predictions: np.ndarray,
     manifest: DatasetManifest,
@@ -75,9 +62,12 @@ def evaluate(
     ``predictions`` holds one score row per manifest row, in manifest
     order. Rows are normalized to sum 1 before the cross-entropy loss, so
     fused (unnormalized) score vectors are accepted; the argmax is taken
-    on the raw rows.
+    on the raw rows. Without ``classes``, the default hierarchy's
+    ``label_set`` of the manifest labels names the columns.
     """
-    classes = tuple(classes) if classes is not None else _detect_classes(manifest)
+    if classes is None:
+        classes = ClassHierarchy.default().label_set(manifest.scene_labels())
+    classes = tuple(classes)
     preds = np.asarray(predictions, dtype=np.float64)
     if preds.ndim != 2 or preds.shape[0] != len(manifest):
         raise DataError(

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_text
 from .features import FeatureTensor, ScaleStats
 
 FEATURE_MAGIC = b"ASCF"
@@ -61,17 +61,16 @@ def write_scale_stats(path: str | Path, stats: ScaleStats) -> None:
 def read_scale_stats(path: str | Path) -> ScaleStats:
     mins: list[float] = []
     maxs: list[float] = []
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read scale stats {path}: {exc}") from exc
-    for ln, line in enumerate(text.splitlines()):
+    for ln, line in enumerate(read_text(path, DataError, "scale stats").splitlines()):
         if not line.strip():
             continue
         parts = line.split()
         if len(parts) != 3:
             raise DataError(f"{path}:{ln + 1}: expected 'channel min max'")
-        idx, lo, hi = int(parts[0]), float(parts[1]), float(parts[2])
+        try:
+            idx, lo, hi = int(parts[0]), float(parts[1]), float(parts[2])
+        except ValueError:
+            raise DataError(f"{path}:{ln + 1}: non-numeric field in {line!r}") from None
         if idx != len(mins):
             raise DataError(f"{path}:{ln + 1}: channel indices must be sequential")
         mins.append(lo)

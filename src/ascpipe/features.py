@@ -46,6 +46,10 @@ class SpectroConfig:
             raise DataError("n_mels must be positive")
         if self.log_floor <= 0:
             raise DataError("log_floor must be positive")
+        if not self.fmin >= 0:
+            raise DataError("fmin must be >= 0")
+        if self.fmax is not None and not self.fmin < self.fmax:
+            raise DataError("fmin must be below fmax")
 
     def resolve_fmax(self, sample_rate: int) -> float:
         return sample_rate / 2.0 if self.fmax is None else float(self.fmax)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_text
 
 # Canonical label orders used across the toolkit. Class index = position.
 SCENE_LABELS = (
@@ -101,6 +101,20 @@ class ClassHierarchy:
             raise DataError(f"unknown superclass {superclass!r}")
         return tuple(c for c in self.classes if self.parent[c] == superclass)
 
+    def label_set(self, labels) -> tuple[str, ...]:
+        """The class list that covers ``labels``: the classes if they hold
+        every label, else the superclasses if those do."""
+        seen = set(labels)
+        for names in (self.classes, self.superclasses):
+            if seen <= set(names):
+                return names
+        strays = sorted(seen - set(self.classes) - set(self.superclasses))
+        if strays:
+            raise DataError(
+                f"labels {strays} are neither classes nor superclasses of the hierarchy"
+            )
+        raise DataError(f"labels {sorted(seen)} mix classes and superclasses")
+
     @classmethod
     def default(cls) -> "ClassHierarchy":
         return cls(SCENE_LABELS, SUPERCLASS_LABELS, dict(_DEFAULT_PARENT))
@@ -114,10 +128,7 @@ class ClassHierarchy:
         are skipped. Class order follows line order; superclass order
         follows first appearance.
         """
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise DataError(f"cannot read hierarchy file {path}: {exc}") from exc
+        text = read_text(path, DataError, "hierarchy file")
         classes: list[str] = []
         supers: list[str] = []
         parent: dict[str, str] = {}

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_text
 
 REQUIRED_COLUMNS = ("filename", "scene_label", "source_label")
 
@@ -57,11 +57,7 @@ class DatasetManifest:
 
 
 def read_manifest(path: str | Path) -> DatasetManifest:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
-    lines = text.splitlines()
+    lines = read_text(path, DataError, "manifest").splitlines()
     if not lines:
         raise DataError(f"{path}: empty manifest")
     header = [h.strip() for h in lines[0].split("\t")]

@@ -26,6 +26,17 @@ class Tape:
     mode: str
 
 
+def check_finite(name: str, out: np.ndarray) -> None:
+    """Raise NumericError naming layer ``name`` and the batch rows of its
+    output that hold a non-finite value."""
+    if np.isfinite(out).all():
+        return
+    rows = np.flatnonzero(~np.isfinite(out).reshape(len(out), -1).all(axis=1))
+    raise NumericError(
+        f"non-finite activation at layer {name!r} in batch rows {rows.tolist()}"
+    )
+
+
 def run_forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=None):
     """Execute every layer; returns (output, Tape). NaN anywhere is an error."""
     if mode not in ("train", "eval"):
@@ -43,8 +54,7 @@ def run_forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=N
         ins = [acts[s] for s in spec.inputs]
         params = graph.params.get(spec.name, {})
         out, cache = OPS[spec.kind].forward(spec, params, ins, mode, [*seed, idx])
-        if not np.all(np.isfinite(out)):
-            raise NumericError(f"non-finite activation at layer {spec.name!r}")
+        check_finite(spec.name, out)
         acts[spec.name] = out
         caches[spec.name] = cache
     return acts[graph.layers[-1].name], Tape(acts, caches, mode)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DataError, GraphError
 from .nn.checkpoint import ContainerReader, encode_container
+from .nn.engine import check_finite
 from .nn.graph import INPUT, LayerSpec, ModelGraph
 from .nn.layers import BN_EPS
 from .nn.ops import OPS
@@ -193,7 +194,7 @@ def quantized_forward(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
     Integer products are accumulated in float64, which is exact for the
     value ranges admitted by check_mac_budget; the accumulator is then
     rescaled by activation-scale times weight-scale and the float bias is
-    added.
+    added. A non-finite layer output raises NumericError, as in run_forward.
     """
     graph = qm.graph
     x = np.asarray(x)
@@ -218,6 +219,7 @@ def quantized_forward(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
             out = out.astype(np.float32)
         else:
             out, _ = op.forward(spec, params, ins, "eval", None)
+        check_finite(spec.name, out)
         acts[spec.name] = out
     return acts[graph.layers[-1].name]
 

@@ -8,6 +8,7 @@ train at desk scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -45,8 +46,8 @@ class ArchConfig:
     def __post_init__(self):
         if self.arch not in ARCH_NAMES:
             raise ConfigError(f"unknown architecture {self.arch!r}; pick from {ARCH_NAMES}")
-        if self.width_mult <= 0:
-            raise ConfigError("width_mult must be positive")
+        if not 0 < self.width_mult < math.inf:
+            raise ConfigError("width_mult must be positive and finite")
         if self.n_classes not in (3, 10):
             raise ConfigError("n_classes must be 3 or 10")
 

@@ -220,6 +220,11 @@ class TestRunConfig:
             ("[run]", "[augment]\npitch_semitones = -5\n\n[run]", "pitch_semitones"),
             ("[run]", "[augment]\nnoise_std = nan\n\n[run]", "noise_std"),
             ("width_mult = 0.25", "width_mult = nan", "width_mult"),
+            ("lr_max = 0.02", "lr_max = inf", "lr_max"),
+            ("[run]", "[augment]\nrt60_range = 0.1, inf\n\n[run]", "rt60_range"),
+            ("n_mels = 32", "n_mels = 32\nfmin = 3000\nfmax = 1000", "fmin"),
+            ("n_mels = 32", "n_mels = 32\nlog_floor = nan", "log_floor"),
+            ("seed = 7", "seed = -1", "seed"),
         ],
     )
     def test_out_of_range_value_exits_2(self, ws, tmp_path, capsys, old, new, message):
@@ -230,6 +235,35 @@ class TestRunConfig:
         assert code == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and str(ini) in err and message in err
+
+
+# each command's arguments, reading its inputs from the workspace ``d``
+COMMAND_ARGS = {
+    "extract": lambda d, tmp: ["--manifest", d.manifest, "--out", tmp / "o"],
+    "augment": lambda d, tmp: ["--manifest", d.manifest, "--out", tmp / "o"],
+    "train": lambda d, tmp: ["--manifest", d.feats / "features.tsv", "--out", tmp / "m.ascm"],
+    "evaluate": lambda d, tmp: [d.model, "--manifest", d.feats / "features.tsv"],
+    "fuse": lambda d, tmp: [d.evald / "scores.tsv", tmp / "fine.tsv", "--out", tmp / "f.tsv"],
+    "ensemble": lambda d, tmp: [d.evald / "scores.tsv", d.evald / "scores.tsv", "--out", tmp / "e.tsv"],
+    "quantize": lambda d, tmp: [d.model, "--out", tmp / "q.ascq"],
+    "report": lambda d, tmp: [d.evald / "report.json"],
+}
+
+
+@pytest.mark.parametrize("missing_input", [False, True], ids=["ok", "missing-input"])
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_every_command_prints_the_reproducibility_block(ws, tmp_path, capsys, command, missing_input):
+    write_scores(tmp_path / "fine.tsv", np.full((3, 10), 0.1), SCENE_LABELS)
+    absent = tmp_path / "absent"
+    d = SimpleNamespace(manifest=absent / "meta.tsv", feats=absent, model=absent / "m.ascm",
+                        evald=absent) if missing_input else ws
+    code = run_cli(command, *COMMAND_ARGS[command](d, tmp_path), "--config", ws.ini_fast)
+    assert code == (3 if missing_input else 0)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"command: {command}"
+    assert lines[1].startswith("config hash: ")
+    assert lines[2] == "seed: 7"
+    assert lines[3].startswith("versions: ascpipe ")
 
 
 class TestScoreFiles:
@@ -511,6 +545,48 @@ class TestTrainEvaluate:
                        "--out", tmp_path / "m.ascm", "--config", ini)
         assert code == 3
         assert "6-channel" in capsys.readouterr().err
+
+
+# nine scene classes plus one the default hierarchy does not know, in an
+# order that is neither SCENE_LABELS nor sorted
+BEACH_CLASSES = ("beach",) + SCENE_LABELS[:9]
+
+
+class TestCustomLabels:
+    def write_manifest(self, ws, tmp_path):
+        """The workspace features relabelled: ten train rows, one per
+        class, and three test rows of classes other than beach."""
+        rows = read_manifest(ws.feats / "features.tsv").rows
+        tagged = [(row, label, "train") for row, label in zip(rows[:10], BEACH_CLASSES)]
+        tagged += [(row, label, "test") for row, label in zip(rows[9:], BEACH_CLASSES[1:4])]
+        lines = ["filename\tscene_label\tsource_label\tsplit"] + [
+            f"{ws.feats / row.filename}\t{label}\t{row.source_label}\t{split}"
+            for row, label, split in tagged
+        ]
+        manifest = tmp_path / "beach.tsv"
+        manifest.write_text("\n".join(lines) + "\n")
+        return manifest
+
+    def test_train_and_evaluate_use_the_hierarchy_order(self, ws, tmp_path):
+        manifest = self.write_manifest(ws, tmp_path)
+        parent = ClassHierarchy.default().parent
+        hier = tmp_path / "hier.txt"
+        hier.write_text("".join(f"{c} {parent.get(c, 'outdoor')}\n" for c in BEACH_CLASSES))
+        ini = tmp_path / "run.ini"
+        ini.write_text(INI_FAST + f"\n[paths]\nhierarchy = {hier}\n")
+        model = tmp_path / "m.ascm"
+        assert run_cli("train", "--manifest", manifest, "--out", model, "--config", ini) == 0
+        assert run_cli("evaluate", model, "--manifest", manifest, "--out", tmp_path / "eval",
+                       "--config", ini) == 0
+        _, classes = read_scores(tmp_path / "eval" / "scores.tsv")
+        assert classes == BEACH_CLASSES
+
+    def test_custom_labels_without_hierarchy_exit_3(self, ws, tmp_path, capsys):
+        manifest = self.write_manifest(ws, tmp_path)
+        code = run_cli("train", "--manifest", manifest, "--out", tmp_path / "m.ascm",
+                       "--config", ws.ini_fast)
+        assert code == 3
+        assert "['beach']" in capsys.readouterr().err
 
 
 class TestFuse:

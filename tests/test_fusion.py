@@ -114,6 +114,22 @@ class TestHierarchy:
         with pytest.raises(DataError, match="unknown superclass"):
             ClassHierarchy.default().group("underwater")
 
+    def test_label_set_is_classes_or_superclasses(self):
+        h = ClassHierarchy.default()
+        assert h.label_set(["bus", "park", "bus"]) == SCENE_LABELS
+        assert h.label_set(["transportation", "indoor"]) == SUPERCLASS_LABELS
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (["bus", "beach"], r"\['beach'\] are neither classes nor superclasses"),
+            (["airport", "indoor"], r"\['airport', 'indoor'\] mix classes and superclasses"),
+        ],
+    )
+    def test_label_set_rejects_labels_outside_one_list(self, labels, message):
+        with pytest.raises(DataError, match=message):
+            ClassHierarchy.default().label_set(labels)
+
     def test_to_super_labels(self):
         h = ClassHierarchy.default()
         labels = np.array([0, 6, 9, 2])

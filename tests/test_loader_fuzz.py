@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 
 from ascpipe.audio import AudioClip, load_wav, save_wav
+from ascpipe.cli import read_scores, write_scores
+from ascpipe.config import load_config
 from ascpipe.errors import AscError
-from ascpipe.featio import read_features, write_features
-from ascpipe.features import FeatureTensor
+from ascpipe.featio import read_features, read_scale_stats, write_features, write_scale_stats
+from ascpipe.features import FeatureTensor, ScaleStats
+from ascpipe.fusion import ClassHierarchy
+from ascpipe.manifest import read_manifest
 from ascpipe.nn import LayerSpec, ModelGraph, initialize, load_checkpoint, save_checkpoint
 from ascpipe.quant import load_quantized, quantize_model, save_quantized
 
@@ -34,6 +38,10 @@ def _wav(path):
     save_wav(path, AudioClip(0.5 * np.sin(2 * np.pi * 440.0 * t), 8000))
 
 
+def _text(text):
+    return lambda path: path.write_text(text)
+
+
 LOADERS = {
     "checkpoint": (lambda p: save_checkpoint(p, _model()), load_checkpoint),
     "quantized": (lambda p: save_quantized(p, quantize_model(_model())), load_quantized),
@@ -42,6 +50,17 @@ LOADERS = {
         read_features,
     ),
     "wav": (_wav, load_wav),
+    "scale_stats": (
+        lambda p: write_scale_stats(p, ScaleStats([0.0, -1.5], [1.0, 2.5])),
+        read_scale_stats,
+    ),
+    "manifest": (_text("filename\tscene_label\tsource_label\nx.wav\tbus\ta\n"), read_manifest),
+    "scores": (lambda p: write_scores(p, np.array([[0.25, 0.75]]), ("bus", "tram")), read_scores),
+    "hierarchy": (_text("bus transportation\npark outdoor\n"), ClassHierarchy.from_file),
+    "config": (
+        _text("[run]\nseed = 3\n[augment]\nspeed_range = 0.9, 1.1\n"),
+        load_config,
+    ),
 }
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from ascpipe.errors import GraphError, NumericError
 from ascpipe.nn import LayerSpec, ModelGraph, forward, initialize, run_forward
-from ascpipe.nn.engine import backward, cross_entropy
+from ascpipe.nn.engine import backward, check_finite, cross_entropy
 
 from gradcheck import LAYER_CASES, TOL, max_rel_error, max_rel_error_cross_entropy
 
@@ -103,8 +103,15 @@ class TestForwardContracts:
     def test_nan_activation_raises_numeric_error(self):
         g = self._head_graph()
         g.params["fc"]["w"][0, 0] = np.inf
-        with pytest.raises(NumericError, match="fc"):
+        with pytest.raises(NumericError, match=r"layer 'fc' in batch rows \[0\]"):
             forward(g, np.ones((1, 2, 2, 3)))
+
+    def test_finite_check_names_the_bad_rows(self):
+        out = np.zeros((4, 2, 3))
+        out[1, 0, 2] = np.nan
+        out[3, 1, 0] = -np.inf
+        with pytest.raises(NumericError, match=r"layer 'conv' in batch rows \[1, 3\]"):
+            check_finite("conv", out)
 
 
 class TestCrossEntropy:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ascpipe.errors import DataError, GraphError
+from ascpipe.errors import DataError, GraphError, NumericError
 from ascpipe.nn import (
     LayerSpec,
     ModelGraph,
@@ -373,6 +373,12 @@ class TestQuantizedForward:
         qm = quantize_model(conv_bn_net())
         with pytest.raises(DataError, match="expects input"):
             quantized_forward(qm, rng.normal(0.0, 1.0, (2, 8, 9, 2)))
+
+    def test_non_finite_activation_raises_numeric_error(self, rng):
+        qm = quantize_model(conv_bn_net())
+        qm.graph.params["fc"]["b"][1] = np.inf
+        with pytest.raises(NumericError, match=r"layer 'fc' in batch rows \[0\]"):
+            quantized_forward(qm, rng.normal(0.0, 1.0, (1, 8, 8, 2)))
 
     def test_agreement_with_float_on_trained_model(self):
         xs, ys = spectro_corpus(150, n_classes=3, shape=(16, 16, 1), seed=4)
