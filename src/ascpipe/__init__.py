@@ -22,7 +22,6 @@ from .evaluation import (
     DEVICE_GROUPS,
     EvalReport,
     evaluate,
-    prediction_overlap,
     render_report,
     report_from_json,
     report_to_json,
@@ -46,8 +45,6 @@ from .fusion import (
     SUPERCLASS_LABELS,
     ClassHierarchy,
     average_ensemble,
-    logistic_ensemble_apply,
-    logistic_ensemble_fit,
     two_stage_fuse,
     two_stage_fuse_batch,
 )
@@ -56,14 +53,12 @@ from .quant import (
     QuantizedModel,
     QuantizedTensor,
     QuantSizeReport,
-    dequantize_model,
     fold_batchnorm,
     load_quantized,
     quantize_model,
     quantize_tensor,
     quantized_forward,
     save_quantized,
-    size_report,
     weight_blob_ratio,
 )
 from .zoo import ARCH_NAMES, ArchConfig, build
@@ -102,16 +97,12 @@ __all__ = [
     "apply_scale01",
     "build",
     "config_hash",
-    "dequantize_model",
     "evaluate",
     "extract_clip_features",
     "fit_scale01",
     "fold_batchnorm",
     "load_quantized",
     "load_wav",
-    "logistic_ensemble_apply",
-    "logistic_ensemble_fit",
-    "prediction_overlap",
     "quantize_model",
     "quantize_tensor",
     "quantized_forward",
@@ -123,7 +114,6 @@ __all__ = [
     "report_to_json",
     "save_quantized",
     "save_wav",
-    "size_report",
     "two_stage_fuse",
     "two_stage_fuse_batch",
     "weight_blob_ratio",

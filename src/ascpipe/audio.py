@@ -55,10 +55,6 @@ class AudioClip:
     def channels(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.n_samples / self.sample_rate
-
     def channel(self, idx: int) -> np.ndarray:
         return self.samples[:, idx]
 

@@ -2,9 +2,8 @@
 
 Tensor-level (applied online during training): mixup, random cropping,
 channel confusion, time/frequency masking. Waveform-level (used to grow
-the corpus): spectrum correction toward a multi-device reference,
-reverberation + dynamic range compression, pitch shift, speed change,
-additive Gaussian noise, and same-class audio mixing.
+the corpus): reverberation + dynamic range compression, pitch shift,
+speed change and additive Gaussian noise.
 
 Every transform takes an explicit numpy Generator; identical seeds give
 bit-identical outputs. Per-item streams come from rng_for_item so files
@@ -15,15 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
 from .audio import AudioClip
 from .errors import DataError
 from .features import FeatureTensor, SpectroConfig, istft, stft_complex
-
-_PROFILE_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -152,64 +148,6 @@ def spec_augment(
         out[t0 : t0 + tw, :, c] = 0.0
         out[:, f0 : f0 + fw, c] = 0.0
     return FeatureTensor(out)
-
-
-# ---------------------------------------------------------------------------
-# spectrum correction
-
-
-def fit_spectrum_profiles(
-    clips_by_device: Mapping[str, Iterable[AudioClip]], cfg: SpectroConfig
-) -> dict[str, np.ndarray]:
-    """Mean magnitude spectrum per FFT bin for each device.
-
-    Profiles are floored at a small positive value so later ratios are
-    well defined.
-    """
-    profiles: dict[str, np.ndarray] = {}
-    for device, clips in clips_by_device.items():
-        total = None
-        frames = 0
-        for clip in clips:
-            for c in range(clip.channels):
-                mag = np.abs(stft_complex(clip.channel(c), cfg))
-                total = mag.sum(axis=0) if total is None else total + mag.sum(axis=0)
-                frames += mag.shape[0]
-        if total is None:
-            raise DataError(f"device {device!r} has no clips")
-        profiles[device] = np.maximum(total / frames, _PROFILE_FLOOR)
-    return profiles
-
-
-def reference_profile(
-    profiles: Mapping[str, np.ndarray], exclude: str = "a"
-) -> np.ndarray:
-    """Average profile over every device except the one being corrected."""
-    rest = [p for d, p in sorted(profiles.items()) if d != exclude]
-    if not rest:
-        raise DataError(f"no devices other than {exclude!r} to build a reference")
-    return np.maximum(np.mean(rest, axis=0), _PROFILE_FLOOR)
-
-
-def spectrum_correct(
-    clip: AudioClip,
-    profiles: Mapping[str, np.ndarray],
-    cfg: SpectroConfig,
-    source_device: str = "a",
-) -> AudioClip:
-    """Rescale each STFT bin toward the reference spectrum; phase untouched.
-
-    Resynthesis is least-squares overlap-add, so a correction coefficient
-    of 1 everywhere returns the input to float precision.
-    """
-    if source_device not in profiles:
-        raise DataError(f"no profile for source device {source_device!r}")
-    coef = reference_profile(profiles, exclude=source_device) / profiles[source_device]
-    out = np.empty_like(clip.samples)
-    for c in range(clip.channels):
-        spec = stft_complex(clip.channel(c), cfg) * coef
-        out[:, c] = istft(spec, cfg, clip.n_samples)
-    return AudioClip(out, clip.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -355,21 +293,3 @@ def add_noise(
         return clip
     noise = rng.normal(0.0, noise_std, size=clip.samples.shape)
     return AudioClip(clip.samples + noise, clip.sample_rate)
-
-
-def mix_same_class(
-    a: AudioClip,
-    b: AudioClip,
-    rng: np.random.Generator,
-    weight_range: tuple[float, float] = (0.4, 0.6),
-) -> AudioClip:
-    """Blend two clips of the same scene class; the label is unchanged.
-
-    The caller is responsible for only pairing clips with matching labels.
-    """
-    if a.n_samples != b.n_samples or a.sample_rate != b.sample_rate:
-        raise DataError("mix_same_class needs clips of equal length and rate")
-    if a.channels != b.channels:
-        raise DataError("mix_same_class needs matching channel counts")
-    w = float(rng.uniform(*weight_range))
-    return AudioClip(w * a.samples + (1.0 - w) * b.samples, a.sample_rate)

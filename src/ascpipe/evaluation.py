@@ -1,4 +1,4 @@
-"""Accuracy, loss, per-device breakdown, and prediction-overlap metrics.
+"""Accuracy, loss and per-device breakdown of a model's predictions.
 
 Test items are grouped by recording device: the reference device A, the
 real devices B and C together, and two trios of simulated devices. Any
@@ -135,20 +135,6 @@ def evaluate(
     )
 
 
-def prediction_overlap(preds_a: Sequence, preds_b: Sequence) -> float:
-    """Percentage of items on which two prediction lists agree."""
-    a = np.asarray(preds_a)
-    b = np.asarray(preds_b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DataError(
-            f"prediction lists must be 1-D and equal length, "
-            f"got {a.shape} and {b.shape}"
-        )
-    if a.size == 0:
-        raise DataError("empty prediction lists")
-    return float(np.mean(a == b) * 100.0)
-
-
 def _fmt(value: float, width: int) -> str:
     if math.isnan(value):
         return "-".rjust(width)
@@ -220,9 +206,21 @@ def report_from_json(text: str) -> EvalReport:
         raise DataError(f"bad report JSON: {exc}") from exc
     try:
         order = tuple(payload["group_order"])
+        classes = payload["classes"]
+        if not (isinstance(classes, list) and classes
+                and all(isinstance(c, str) for c in classes)):
+            raise DataError("bad report JSON: classes must be a non-empty list of strings")
+        k = len(classes)
+        confusion = np.array(payload["confusion"])
+        if not (confusion.shape == (k, k) and np.issubdtype(confusion.dtype, np.integer)
+                and (confusion >= 0).all()):
+            raise DataError(f"bad report JSON: confusion must be a {k}x{k} array of counts")
+        per_class = payload["per_class_accuracy"]
+        if not (isinstance(per_class, list) and len(per_class) == k):
+            raise DataError(f"bad report JSON: per_class_accuracy must have {k} entries")
         nan = math.nan
         return EvalReport(
-            classes=tuple(payload["classes"]),
+            classes=tuple(classes),
             group_order=order,
             group_counts={
                 name: int(payload["groups"][name]["count"]) for name in order
@@ -239,10 +237,9 @@ def report_from_json(text: str) -> EvalReport:
             avg_accuracy_items=float(payload["avg_accuracy_items"]),
             avg_accuracy_groups=float(payload["avg_accuracy_groups"]),
             per_class_accuracy=np.array(
-                [nan if v is None else float(v)
-                 for v in payload["per_class_accuracy"]]
+                [nan if v is None else float(v) for v in per_class]
             ),
-            confusion=np.array(payload["confusion"], dtype=np.int64),
+            confusion=confusion.astype(np.int64),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad report JSON: {exc}") from exc

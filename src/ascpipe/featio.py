@@ -71,6 +71,8 @@ def read_scale_stats(path: str | Path) -> ScaleStats:
             idx, lo, hi = int(parts[0]), float(parts[1]), float(parts[2])
         except ValueError:
             raise DataError(f"{path}:{ln + 1}: non-numeric field in {line!r}") from None
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise DataError(f"{path}:{ln + 1}: non-finite bound in {line!r}")
         if idx != len(mins):
             raise DataError(f"{path}:{ln + 1}: channel indices must be sequential")
         mins.append(lo)

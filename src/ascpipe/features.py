@@ -85,7 +85,9 @@ class ScaleStats:
         self.maxs = np.asarray(self.maxs, dtype=np.float64)
         if self.mins.shape != self.maxs.shape or self.mins.ndim != 1:
             raise DataError("scale stats must be matching 1-D min/max arrays")
-        if np.any(self.maxs <= self.mins):
+        if not (np.isfinite(self.mins).all() and np.isfinite(self.maxs).all()):
+            raise DataError("non-finite scale stats")
+        if not (self.maxs > self.mins).all():
             raise DataError("degenerate scale stats: max <= min for some channel")
 
 

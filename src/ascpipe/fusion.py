@@ -4,8 +4,7 @@ A coarse classifier scores each superclass (indoor / outdoor /
 transportation) and a fine classifier scores each scene class. The fused
 score of a scene class is the product of its own fine score and its
 parent's coarse score; the predicted class is the argmax of the fused
-vector. Ensembling combines the outputs of several fine classifiers,
-either by plain averaging or by a logistic-regression stacker.
+vector. Ensembling averages the outputs of several fine classifiers.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_text
+from .errors import DataError, read_text
 
 # Canonical label orders used across the toolkit. Class index = position.
 SCENE_LABELS = (
@@ -95,12 +94,6 @@ class ClassHierarchy:
         sup = {s: i for i, s in enumerate(self.superclasses)}
         return np.array([sup[self.parent[c]] for c in self.classes])
 
-    def group(self, superclass: str) -> tuple[str, ...]:
-        """Classes belonging to the given superclass, in class order."""
-        if superclass not in self.superclasses:
-            raise DataError(f"unknown superclass {superclass!r}")
-        return tuple(c for c in self.classes if self.parent[c] == superclass)
-
     def label_set(self, labels) -> tuple[str, ...]:
         """The class list that covers ``labels``: the classes if they hold
         every label, else the superclasses if those do."""
@@ -150,14 +143,6 @@ class ClassHierarchy:
             if sup not in supers:
                 supers.append(sup)
         return cls(tuple(classes), tuple(supers), parent)
-
-
-def to_super_labels(labels: np.ndarray, hierarchy: ClassHierarchy) -> np.ndarray:
-    """Map class-index labels onto superclass indices."""
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= hierarchy.n_classes):
-        raise DataError("class label out of range for hierarchy")
-    return hierarchy.parent_indices()[labels]
 
 
 def two_stage_fuse(
@@ -210,130 +195,3 @@ def average_ensemble(outputs: Sequence[np.ndarray]) -> np.ndarray:
                 f"member {i} has shape {a.shape}"
             )
     return np.mean(arrs, axis=0)
-
-
-def _stack_member_scores(member_scores) -> np.ndarray:
-    """Concatenate per-member score arrays into one (N, D) design matrix."""
-    if isinstance(member_scores, (list, tuple)):
-        if not member_scores:
-            raise DataError("no member scores")
-        arrs = [np.asarray(m, dtype=np.float64) for m in member_scores]
-        first = arrs[0].shape
-        for i, a in enumerate(arrs[1:], start=1):
-            if a.shape[: a.ndim - 1] != first[: len(first) - 1]:
-                raise DataError(
-                    f"member 0 has shape {first}, member {i} has shape {a.shape}"
-                )
-        x = np.concatenate(arrs, axis=-1)
-    else:
-        x = np.asarray(member_scores, dtype=np.float64)
-    return x
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def logistic_ensemble_fit(
-    member_scores,
-    labels: np.ndarray,
-    n_classes: int | None = None,
-    l2: float = 1e-4,
-    lr: float = 1.0,
-    max_iters: int = 5000,
-    tol: float = 1e-5,
-) -> np.ndarray:
-    """Fit a multinomial logistic-regression stacker on member scores.
-
-    member_scores: either a list of per-member (N, K) arrays, concatenated
-    along the feature axis, or a ready-made (N, D) matrix. Returns the
-    weight matrix of shape (D + 1, n_classes); the final row is the
-    intercept. Training is full-batch gradient descent (with backtracking
-    on the step size) run until the gradient norm falls below ``tol`` or
-    ``max_iters`` steps. The L2 penalty applies to weights only, not the
-    intercept.
-    """
-    if l2 < 0:
-        raise ConfigError(f"l2 penalty must be >= 0, got {l2}")
-    if lr <= 0:
-        raise ConfigError(f"learning rate must be > 0, got {lr}")
-    if max_iters < 1:
-        raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
-    x = _stack_member_scores(member_scores)
-    if x.ndim != 2:
-        raise DataError(f"expected a 2-D score matrix, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise DataError("non-finite member scores")
-    y = np.asarray(labels)
-    if y.ndim != 1 or y.shape[0] != x.shape[0]:
-        raise DataError(
-            f"labels shape {y.shape} does not match {x.shape[0]} score rows"
-        )
-    if y.size == 0:
-        raise DataError("empty training set")
-    if not np.issubdtype(y.dtype, np.integer):
-        raise DataError("labels must be integers")
-    if y.min() < 0:
-        raise DataError("negative class label")
-    present, counts = np.unique(y, return_counts=True)
-    if present.size < 2:
-        raise DataError("training labels contain a single class")
-    thin = present[counts < 2]
-    if thin.size:
-        raise DataError(f"classes with fewer than 2 training items: {thin.tolist()}")
-    k = int(n_classes) if n_classes is not None else int(y.max()) + 1
-    if k <= int(y.max()):
-        raise DataError(f"label {int(y.max())} out of range for {k} classes")
-
-    n, d = x.shape
-    xa = np.concatenate([x, np.ones((n, 1))], axis=1)
-    targets = np.zeros((n, k))
-    targets[np.arange(n), y] = 1.0
-
-    def loss_of(w: np.ndarray) -> float:
-        probs = _softmax_rows(xa @ w)
-        ce = -np.mean(np.log(probs[np.arange(n), y] + 1e-300))
-        return ce + 0.5 * l2 * float(np.sum(w[:-1] ** 2))
-
-    w = np.zeros((d + 1, k))
-    step = lr
-    loss = loss_of(w)
-    for _ in range(max_iters):
-        probs = _softmax_rows(xa @ w)
-        grad = xa.T @ (probs - targets) / n
-        grad[:-1] += l2 * w[:-1]
-        if np.linalg.norm(grad) < tol:
-            break
-        while step > 1e-12:
-            cand = w - step * grad
-            cand_loss = loss_of(cand)
-            if cand_loss <= loss:
-                break
-            step *= 0.5
-        w = w - step * grad
-        loss = loss_of(w)
-        step = min(step * 1.1, lr)
-    return w
-
-
-def logistic_ensemble_apply(weights: np.ndarray, member_scores) -> np.ndarray:
-    """Apply a fitted stacker: softmax over the learned linear map."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 2:
-        raise DataError(f"weight matrix must be 2-D, got shape {w.shape}")
-    x = _stack_member_scores(member_scores)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2:
-        raise DataError(f"expected 1-D or 2-D scores, got shape {x.shape}")
-    if x.shape[1] != w.shape[0] - 1:
-        raise DataError(
-            f"scores have {x.shape[1]} features but weights expect "
-            f"{w.shape[0] - 1}"
-        )
-    xa = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
-    probs = _softmax_rows(xa @ w)
-    return probs[0] if single else probs

@@ -176,18 +176,6 @@ def quantize_model(graph: ModelGraph) -> QuantizedModel:
     return QuantizedModel(folded, weights)
 
 
-def dequantize_model(qm: QuantizedModel) -> ModelGraph:
-    """Rebuild a float model with dequantized weights (for comparisons)."""
-    out = ModelGraph(qm.graph.name, qm.graph.input_shape, qm.graph.layers)
-    out.params = {
-        name: {k: v.copy() for k, v in store.items()}
-        for name, store in qm.graph.params.items()
-    }
-    for name, qt in qm.weights.items():
-        out.params.setdefault(name, {})["w"] = qt.dequantize()
-    return out
-
-
 def quantized_forward(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
     """Run inference with int8 weights and dynamically quantized activations.
 
@@ -224,38 +212,6 @@ def quantized_forward(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
     return acts[graph.layers[-1].name]
 
 
-def _serialize(qm: QuantizedModel) -> tuple[bytes, "QuantSizeReport"]:
-    """Container bytes; each record's format fields are a quantized flag
-    byte and, when it is set, the float32 scale of the int8 data."""
-    records = []
-    scale_bytes = int8_bytes = float_bytes = 0
-    for spec in qm.graph.layers:
-        store = qm.graph.params.get(spec.name, {})
-        qt = qm.weights.get(spec.name)
-        for key in sorted(set(store) | ({"w"} if qt is not None else set())):
-            name = f"{spec.name}/{key}"
-            if key == "w" and qt is not None:
-                records.append((name, struct.pack("<Bf", 1, qt.scale), qt.values, np.int8))
-                scale_bytes += 4
-                int8_bytes += qt.values.size
-            else:
-                records.append((name, b"\0", store[key], "<f4"))
-                float_bytes += 4 * store[key].size
-    blob = encode_container(MAGIC, VERSION, qm.graph, records)
-    header_bytes = 16
-    topology_bytes = struct.unpack_from("<I", blob, 8)[0]
-    report = QuantSizeReport(
-        header_bytes=header_bytes,
-        topology_bytes=topology_bytes,
-        record_header_bytes=len(blob) - header_bytes - topology_bytes
-        - scale_bytes - int8_bytes - float_bytes,
-        scale_bytes=scale_bytes,
-        int8_payload_bytes=int8_bytes,
-        float_payload_bytes=float_bytes,
-    )
-    return blob, report
-
-
 @dataclass(frozen=True)
 class QuantSizeReport:
     """Exact byte counts per section of a serialized quantized model."""
@@ -272,10 +228,6 @@ class QuantSizeReport:
         return sum(astuple(self))
 
 
-def size_report(qm: QuantizedModel) -> QuantSizeReport:
-    return _serialize(qm)[1]
-
-
 def weight_blob_ratio(qm: QuantizedModel) -> float:
     """Quantized weight-blob bytes over the float32 bytes of the same tensors."""
     if not qm.weights:
@@ -286,9 +238,36 @@ def weight_blob_ratio(qm: QuantizedModel) -> float:
 
 
 def save_quantized(path, qm: QuantizedModel) -> QuantSizeReport:
-    blob, report = _serialize(qm)
+    """Write the container and return its byte counts; each record's format
+    fields are a quantized flag byte and, when it is set, the float32 scale
+    of the int8 data."""
+    records = []
+    scale_bytes = int8_bytes = float_bytes = 0
+    for spec in qm.graph.layers:
+        store = qm.graph.params.get(spec.name, {})
+        qt = qm.weights.get(spec.name)
+        for key in sorted(set(store) | ({"w"} if qt is not None else set())):
+            name = f"{spec.name}/{key}"
+            if key == "w" and qt is not None:
+                records.append((name, struct.pack("<Bf", 1, qt.scale), qt.values, np.int8))
+                scale_bytes += 4
+                int8_bytes += qt.values.size
+            else:
+                records.append((name, b"\0", store[key], "<f4"))
+                float_bytes += 4 * store[key].size
+    blob = encode_container(MAGIC, VERSION, qm.graph, records)
     Path(path).write_bytes(blob)
-    return report
+    header_bytes = 16
+    topology_bytes = struct.unpack_from("<I", blob, 8)[0]
+    return QuantSizeReport(
+        header_bytes=header_bytes,
+        topology_bytes=topology_bytes,
+        record_header_bytes=len(blob) - header_bytes - topology_bytes
+        - scale_bytes - int8_bytes - float_bytes,
+        scale_bytes=scale_bytes,
+        int8_payload_bytes=int8_bytes,
+        float_payload_bytes=float_bytes,
+    )
 
 
 def load_quantized(path) -> QuantizedModel:

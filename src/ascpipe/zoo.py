@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import ConfigError
 from .nn import LayerSpec, ModelGraph, initialize
@@ -33,8 +34,6 @@ MOBNET_HEAD = 256
 SMALL_FCNN_BASE_WIDTH = 0.7  # keeps the float32 checkpoint under 2.9 MB
 DROPOUT_RATE = 0.3
 
-ARCH_NAMES = ("fcnn", "fsfcnn", "fsfcnn_s", "resnet", "resnet_d", "mobnet", "small_fcnn")
-
 
 @dataclass(frozen=True)
 class ArchConfig:
@@ -48,8 +47,8 @@ class ArchConfig:
             raise ConfigError(f"unknown architecture {self.arch!r}; pick from {ARCH_NAMES}")
         if not 0 < self.width_mult < math.inf:
             raise ConfigError("width_mult must be positive and finite")
-        if self.n_classes not in (3, 10):
-            raise ConfigError("n_classes must be 3 or 10")
+        if self.n_classes < 2:
+            raise ConfigError("n_classes must be at least 2")
 
 
 def _scale(channels: int, width: float) -> int:
@@ -210,15 +209,18 @@ def build_mobnet(cfg: ArchConfig, seed: int = 0) -> ModelGraph:
     return initialize(ModelGraph("mobnet", cfg.input_shape, layers), seed)
 
 
+BUILDERS = {
+    "fcnn": build_fcnn,
+    "fsfcnn": build_fsfcnn,
+    "fsfcnn_s": build_fsfcnn_s,
+    "resnet": build_resnet,
+    "resnet_d": partial(build_resnet, doubled=True),
+    "mobnet": build_mobnet,
+    "small_fcnn": build_small_fcnn,
+}
+ARCH_NAMES = tuple(BUILDERS)
+
+
 def build(cfg: ArchConfig, seed: int = 0) -> ModelGraph:
     """Build any zoo architecture by name (ArchConfig has checked it)."""
-    if cfg.arch in ("resnet", "resnet_d"):
-        return build_resnet(cfg, doubled=cfg.arch == "resnet_d", seed=seed)
-    builders = {
-        "fcnn": build_fcnn,
-        "small_fcnn": build_small_fcnn,
-        "fsfcnn": build_fsfcnn,
-        "fsfcnn_s": build_fsfcnn_s,
-        "mobnet": build_mobnet,
-    }
-    return builders[cfg.arch](cfg, seed)
+    return BUILDERS[cfg.arch](cfg, seed=seed)

@@ -14,15 +14,11 @@ from ascpipe.augment import (
     apply_reverb_drc,
     channel_confusion,
     dynamic_range_compress,
-    fit_spectrum_profiles,
-    mix_same_class,
     mixup_batch,
     pitch_shift_by,
     random_crop,
-    reference_profile,
     rng_for_item,
     spec_augment,
-    spectrum_correct,
     speed_change_by,
     synth_rir,
 )
@@ -200,63 +196,6 @@ def _noise_clip(rng, seconds=1.0, sr=22050, channels=1):
     return AudioClip(np.clip(samples, -1, 1), sr)
 
 
-class TestSpectrumCorrection:
-    CFG = SpectroConfig(n_fft=512, win_length=512, hop=256, n_mels=32)
-
-    def test_equal_profiles_give_identity(self, rng):
-        clip = _noise_clip(rng)
-        ones = np.ones(self.CFG.n_fft // 2 + 1)
-        profiles = {"a": ones, "b": ones.copy()}
-        out = spectrum_correct(clip, profiles, self.CFG, source_device="a")
-        assert np.allclose(out.samples, clip.samples, atol=1e-8)
-
-    def test_double_reference_doubles_waveform(self, rng):
-        clip = _noise_clip(rng)
-        ones = np.ones(self.CFG.n_fft // 2 + 1)
-        profiles = {"a": ones, "b": 2.0 * ones}
-        out = spectrum_correct(clip, profiles, self.CFG, source_device="a")
-        assert np.allclose(out.samples, 2.0 * clip.samples, atol=1e-8)
-
-    def test_corrected_profile_tracks_reference(self, rng):
-        clip = _noise_clip(rng, seconds=2.0)
-        pa = fit_spectrum_profiles({"a": [clip]}, self.CFG)["a"]
-        bins = np.arange(len(pa))
-        curve = 1.0 + 0.5 * np.sin(2 * np.pi * bins / len(bins))
-        profiles = {"a": pa, "b": pa * curve}
-        out = spectrum_correct(clip, profiles, self.CFG, source_device="a")
-        got = fit_spectrum_profiles({"x": [out]}, self.CFG)["x"]
-        strong = pa > 1e-3 * pa.max()
-        rel = np.abs(got[strong] - profiles["b"][strong]) / profiles["b"][strong]
-        assert float(np.median(rel)) < 0.05
-
-    def test_phase_untouched(self, rng):
-        clip = _noise_clip(rng)
-        ones = np.ones(self.CFG.n_fft // 2 + 1)
-        profiles = {"a": ones, "b": 3.0 * ones}
-        out = spectrum_correct(clip, profiles, self.CFG, source_device="a")
-        sa = stft_complex(clip.channel(0), self.CFG)
-        sb = stft_complex(out.channel(0), self.CFG)
-        mask = np.abs(sa) > 1e-3
-        da = np.angle(sa[mask])
-        db = np.angle(sb[mask])
-        diff = np.angle(np.exp(1j * (da - db)))
-        assert float(np.abs(diff).max()) < 1e-6
-
-    def test_single_other_device_is_enough(self, rng):
-        profiles = {"a": np.ones(257), "b": np.full(257, 2.0)}
-        ref = reference_profile(profiles, exclude="a")
-        assert np.allclose(ref, 2.0)
-
-    def test_no_reference_devices_rejected(self):
-        with pytest.raises(DataError):
-            reference_profile({"a": np.ones(257)}, exclude="a")
-
-    def test_missing_source_profile_rejected(self, rng):
-        clip = _noise_clip(rng)
-        with pytest.raises(DataError):
-            spectrum_correct(clip, {"b": np.ones(257)}, self.CFG, source_device="a")
-
-
 class TestReverbDrc:
     def test_delta_rir_unit_ratio_is_identity(self, rng):
         clip = _noise_clip(rng)
@@ -403,37 +342,6 @@ class TestNoise:
     def test_negative_std_rejected(self, rng):
         with pytest.raises(DataError):
             add_noise(_tone(100, 0.1, 8000), -0.1, rng)
-
-
-class TestMixSameClass:
-    def test_self_mix_is_identity(self, rng):
-        a = _tone(200, 0.2, 8000)
-        out = mix_same_class(a, a, rng)
-        assert np.allclose(out.samples, a.samples, atol=1e-12)
-
-    def test_weight_one_returns_first(self, rng):
-        a = _tone(200, 0.2, 8000)
-        b = _tone(300, 0.2, 8000)
-        out = mix_same_class(a, b, rng, weight_range=(1.0, 1.0))
-        assert np.array_equal(out.samples, a.samples)
-
-    def test_stft_is_linear_in_the_mix(self, rng):
-        a = _noise_clip(rng, seconds=0.5)
-        b = _noise_clip(rng, seconds=0.5)
-        out = mix_same_class(a, b, rng, weight_range=(0.45, 0.45))
-        cfg = SpectroConfig(n_fft=256, win_length=256, hop=128)
-        sa = stft_complex(a.channel(0), cfg)
-        sb = stft_complex(b.channel(0), cfg)
-        sm = stft_complex(out.channel(0), cfg)
-        assert np.allclose(sm, 0.45 * sa + 0.55 * sb, atol=1e-6)
-
-    def test_length_mismatch_rejected(self, rng):
-        with pytest.raises(DataError):
-            mix_same_class(_tone(200, 0.2, 8000), _tone(200, 0.3, 8000), rng)
-
-    def test_rate_mismatch_rejected(self, rng):
-        with pytest.raises(DataError):
-            mix_same_class(_tone(200, 0.2, 8000), _tone(200, 0.2, 16000), rng)
 
 
 class TestDeterminism:

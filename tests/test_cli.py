@@ -1,6 +1,7 @@
 """End-to-end tests for the command line and run configuration."""
 
 import dataclasses
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -517,6 +518,16 @@ class TestTrainEvaluate:
         assert code == 3
         assert "stats sidecar" in capsys.readouterr().err
 
+    def test_non_finite_stats_sidecar_names_its_line(self, ws, tmp_path, capsys):
+        model = tmp_path / "nan.ascm"
+        model.write_bytes(ws.model.read_bytes())
+        lines = ws.model.with_suffix(".stats.txt").read_text().splitlines()
+        sidecar = model.with_suffix(".stats.txt")
+        sidecar.write_text("\n".join(["0 nan 1.0"] + lines[1:]) + "\n")
+        code = run_cli("evaluate", model, "--manifest", ws.feats / "features.tsv")
+        assert code == 3
+        assert f"{sidecar}:1: non-finite" in capsys.readouterr().err
+
     def test_evaluate_without_test_rows(self, ws, tmp_path, capsys):
         manifest = tmp_path / "train_only.tsv"
         lines = (ws.feats / "features.tsv").read_text().splitlines()
@@ -553,33 +564,42 @@ BEACH_CLASSES = ("beach",) + SCENE_LABELS[:9]
 
 
 class TestCustomLabels:
-    def write_manifest(self, ws, tmp_path):
-        """The workspace features relabelled: ten train rows, one per
-        class, and three test rows of classes other than beach."""
+    def write_manifest(self, ws, tmp_path, classes=BEACH_CLASSES):
+        """The workspace features relabelled: one train row per class and
+        three test rows of the second to fourth class."""
         rows = read_manifest(ws.feats / "features.tsv").rows
-        tagged = [(row, label, "train") for row, label in zip(rows[:10], BEACH_CLASSES)]
-        tagged += [(row, label, "test") for row, label in zip(rows[9:], BEACH_CLASSES[1:4])]
+        n = len(classes)
+        tagged = [(row, label, "train") for row, label in zip(rows[:n], classes)]
+        tagged += [(row, label, "test") for row, label in zip(rows[n - 1:], classes[1:4])]
         lines = ["filename\tscene_label\tsource_label\tsplit"] + [
             f"{ws.feats / row.filename}\t{label}\t{row.source_label}\t{split}"
             for row, label, split in tagged
         ]
-        manifest = tmp_path / "beach.tsv"
+        manifest = tmp_path / "custom.tsv"
         manifest.write_text("\n".join(lines) + "\n")
         return manifest
 
-    def test_train_and_evaluate_use_the_hierarchy_order(self, ws, tmp_path):
-        manifest = self.write_manifest(ws, tmp_path)
+    def scores_header(self, ws, tmp_path, classes):
+        """Train and evaluate under a hierarchy of ``classes`` (default
+        parents, unknown classes outdoor); the class header of scores.tsv."""
+        manifest = self.write_manifest(ws, tmp_path, classes)
         parent = ClassHierarchy.default().parent
         hier = tmp_path / "hier.txt"
-        hier.write_text("".join(f"{c} {parent.get(c, 'outdoor')}\n" for c in BEACH_CLASSES))
+        hier.write_text("".join(f"{c} {parent.get(c, 'outdoor')}\n" for c in classes))
         ini = tmp_path / "run.ini"
         ini.write_text(INI_FAST + f"\n[paths]\nhierarchy = {hier}\n")
         model = tmp_path / "m.ascm"
         assert run_cli("train", "--manifest", manifest, "--out", model, "--config", ini) == 0
         assert run_cli("evaluate", model, "--manifest", manifest, "--out", tmp_path / "eval",
                        "--config", ini) == 0
-        _, classes = read_scores(tmp_path / "eval" / "scores.tsv")
-        assert classes == BEACH_CLASSES
+        return read_scores(tmp_path / "eval" / "scores.tsv")[1]
+
+    def test_train_and_evaluate_use_the_hierarchy_order(self, ws, tmp_path):
+        assert self.scores_header(ws, tmp_path, BEACH_CLASSES) == BEACH_CLASSES
+
+    def test_four_class_hierarchy_trains_and_evaluates(self, ws, tmp_path):
+        classes = ("airport", "park", "bus", "tram")  # under three superclasses
+        assert self.scores_header(ws, tmp_path, classes) == classes
 
     def test_custom_labels_without_hierarchy_exit_3(self, ws, tmp_path, capsys):
         manifest = self.write_manifest(ws, tmp_path)
@@ -731,6 +751,23 @@ class TestReport:
         text = capsys.readouterr().out
         assert "A acc. %" in text
         assert "confusion matrix" in text
+
+    @pytest.mark.parametrize(
+        "field, damage",
+        [
+            ("confusion", lambda conf: [[1]]),
+            ("classes", lambda classes: []),
+            ("confusion", lambda conf: [[[n, n] for n in row] for row in conf]),
+        ],
+        ids=["confusion-1x1", "no-classes", "confusion-3d"],
+    )
+    def test_malformed_json_exit_3(self, ws, tmp_path, capsys, field, damage):
+        payload = json.loads((ws.evald / "report.json").read_text())
+        payload[field] = damage(payload[field])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli("report", bad) == 3
+        assert "bad report JSON" in capsys.readouterr().err
 
     def test_scores_without_manifest(self, ws, capsys):
         code = run_cli("report", ws.evald / "scores.tsv")

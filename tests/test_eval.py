@@ -9,7 +9,6 @@ from ascpipe.errors import DataError
 from ascpipe.evaluation import (
     EvalReport,
     evaluate,
-    prediction_overlap,
     render_report,
     report_from_json,
     report_to_json,
@@ -280,38 +279,6 @@ class TestEvaluate:
             np.array([[0.9, 0.1]]), m, classes=("hallway", "basement")
         )
         assert report.avg_accuracy_items == 100.0
-
-
-class TestPredictionOverlap:
-    def test_identical_lists(self):
-        preds = np.array([1, 2, 3, 4])
-        assert prediction_overlap(preds, preds) == 100.0
-
-    def test_disjoint_lists(self):
-        assert prediction_overlap([0, 1, 2], [1, 2, 0]) == 0.0
-
-    def test_77_of_100(self, rng):
-        a = rng.integers(0, 10, 100)
-        b = a.copy()
-        flip = rng.choice(100, size=23, replace=False)
-        b[flip] = (a[flip] + 1) % 10
-        assert prediction_overlap(a, b) == 77.0
-
-    def test_symmetry(self, rng):
-        a = rng.integers(0, 10, 50)
-        b = rng.integers(0, 10, 50)
-        assert prediction_overlap(a, b) == prediction_overlap(b, a)
-
-    def test_string_labels(self):
-        assert prediction_overlap(["bus", "tram"], ["bus", "metro"]) == 50.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError, match="equal length"):
-            prediction_overlap([1, 2], [1, 2, 3])
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError, match="empty"):
-            prediction_overlap([], [])
 
 
 class TestReportSerialization:

@@ -67,6 +67,14 @@ class TestStft:
         y = istft(spec, CFG, len(x))
         np.testing.assert_allclose(y, x, atol=1e-9)
 
+    def test_stft_is_linear_in_the_mix(self, rng):
+        a = rng.normal(0.0, 0.1, 11025)
+        b = rng.normal(0.0, 0.1, 11025)
+        cfg = SpectroConfig(n_fft=256, win_length=256, hop=128)
+        mixed = stft_complex(0.45 * a + 0.55 * b, cfg)
+        parts = 0.45 * stft_complex(a, cfg) + 0.55 * stft_complex(b, cfg)
+        np.testing.assert_allclose(mixed, parts, atol=1e-6)
+
 
 class TestMelFilterbank:
     def test_htk_formula_at_700hz(self):

@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
-from ascpipe.errors import ConfigError, DataError
+from ascpipe.errors import DataError
 from ascpipe.fusion import (
     SCENE_LABELS,
     SUPERCLASS_LABELS,
     ClassHierarchy,
     average_ensemble,
-    logistic_ensemble_apply,
-    logistic_ensemble_fit,
-    to_super_labels,
     two_stage_fuse,
     two_stage_fuse_batch,
 )
@@ -43,20 +40,18 @@ class TestHierarchy:
 
     def test_default_memberships(self):
         h = ClassHierarchy.default()
-        assert h.group("indoor") == ("airport", "shopping_mall", "metro_station")
-        assert h.group("transportation") == ("tram", "bus", "metro")
-        assert h.group("outdoor") == (
-            "street_pedestrian",
-            "public_square",
-            "street_traffic",
-            "park",
-        )
+        members = {s: [c for c in h.classes if h.parent[c] == s] for s in h.superclasses}
+        assert members == {
+            "indoor": ["airport", "shopping_mall", "metro_station"],
+            "outdoor": ["street_pedestrian", "public_square", "street_traffic", "park"],
+            "transportation": ["tram", "bus", "metro"],
+        }
 
     def test_groups_partition_classes(self):
         h = ClassHierarchy.default()
-        seen = [c for s in h.superclasses for c in h.group(s)]
-        assert sorted(seen) == sorted(h.classes)
-        assert len(seen) == len(set(seen))
+        idx = h.parent_indices()
+        assert idx.shape == (h.n_classes,)
+        assert sorted(set(idx.tolist())) == list(range(h.n_superclasses))
 
     def test_parent_indices_match_parent_map(self):
         h = ClassHierarchy.default()
@@ -110,10 +105,6 @@ class TestHierarchy:
         with pytest.raises(DataError, match="no members"):
             ClassHierarchy(("a",), ("s", "empty"), {"a": "s"})
 
-    def test_unknown_group_lookup(self):
-        with pytest.raises(DataError, match="unknown superclass"):
-            ClassHierarchy.default().group("underwater")
-
     def test_label_set_is_classes_or_superclasses(self):
         h = ClassHierarchy.default()
         assert h.label_set(["bus", "park", "bus"]) == SCENE_LABELS
@@ -129,15 +120,6 @@ class TestHierarchy:
     def test_label_set_rejects_labels_outside_one_list(self, labels, message):
         with pytest.raises(DataError, match=message):
             ClassHierarchy.default().label_set(labels)
-
-    def test_to_super_labels(self):
-        h = ClassHierarchy.default()
-        labels = np.array([0, 6, 9, 2])
-        assert np.array_equal(to_super_labels(labels, h), [0, 2, 1, 0])
-
-    def test_to_super_labels_out_of_range(self):
-        with pytest.raises(DataError, match="out of range"):
-            to_super_labels(np.array([10]), ClassHierarchy.default())
 
 
 class TestTwoStageFuse:
@@ -314,109 +296,3 @@ class TestAverageEnsemble:
         with pytest.raises(DataError, match="shape"):
             average_ensemble([np.zeros(10), np.zeros(9)])
 
-
-def _toy_member_scores(rng, n_per_class=40, n_classes=3, strength=3.0, noise=1.0):
-    """Member scores whose accuracy is controlled by strength vs noise."""
-    labels = np.repeat(np.arange(n_classes), n_per_class)
-    logits = rng.normal(0.0, noise, (labels.size, n_classes))
-    logits[np.arange(labels.size), labels] += strength
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True), labels
-
-
-class TestLogisticEnsemble:
-    def test_perfect_members_reach_full_train_accuracy(self):
-        labels = np.tile(np.arange(3), 10)
-        member = np.zeros((30, 3))
-        member[np.arange(30), labels] = 1.0
-        w = logistic_ensemble_fit([member, member.copy()], labels)
-        probs = logistic_ensemble_apply(w, [member, member.copy()])
-        assert np.array_equal(np.argmax(probs, axis=1), labels)
-
-    def test_zero_weights_give_uniform_output(self, rng):
-        scores = rng.random((5, 6))
-        w = np.zeros((7, 4))
-        probs = logistic_ensemble_apply(w, scores)
-        assert np.allclose(probs, 0.25)
-
-    def test_fit_beats_weaker_member_with_tiny_penalty(self, rng):
-        strong, labels = _toy_member_scores(rng, strength=2.5, noise=1.0)
-        weak = rng.dirichlet(np.ones(3), size=labels.size)
-        w = logistic_ensemble_fit([strong, weak], labels, l2=1e-10)
-        probs = logistic_ensemble_apply(w, [strong, weak])
-        fit_acc = np.mean(np.argmax(probs, axis=1) == labels)
-        strong_acc = np.mean(np.argmax(strong, axis=1) == labels)
-        weak_acc = np.mean(np.argmax(weak, axis=1) == labels)
-        assert fit_acc >= max(strong_acc, weak_acc)
-
-    def test_fit_is_deterministic(self, rng):
-        members, labels = _toy_member_scores(rng)
-        w1 = logistic_ensemble_fit(members, labels)
-        w2 = logistic_ensemble_fit(members.copy(), labels.copy())
-        assert np.array_equal(w1, w2)
-
-    def test_apply_single_vector(self, rng):
-        members, labels = _toy_member_scores(rng)
-        w = logistic_ensemble_fit(members, labels)
-        batch = logistic_ensemble_apply(w, members[:1])
-        single = logistic_ensemble_apply(w, members[0])
-        assert single.shape == (3,)
-        assert np.allclose(single, batch[0])
-
-    def test_intercept_is_last_row(self):
-        labels = np.tile(np.arange(2), 8)
-        scores = np.zeros((16, 2))
-        scores[np.arange(16), labels] = 1.0
-        w = logistic_ensemble_fit(scores, labels)
-        assert w.shape == (3, 2)
-
-    def test_matrix_input_equivalent_to_member_list(self, rng):
-        a, labels = _toy_member_scores(rng)
-        b = rng.dirichlet(np.ones(3), size=labels.size)
-        w_list = logistic_ensemble_fit([a, b], labels)
-        w_mat = logistic_ensemble_fit(np.concatenate([a, b], axis=1), labels)
-        assert np.array_equal(w_list, w_mat)
-
-    def test_single_class_labels_rejected(self):
-        scores = np.full((6, 3), 1 / 3)
-        with pytest.raises(DataError, match="single class"):
-            logistic_ensemble_fit(scores, np.zeros(6, dtype=int))
-
-    def test_thin_class_rejected(self):
-        scores = np.full((5, 3), 1 / 3)
-        labels = np.array([0, 0, 1, 1, 2])
-        with pytest.raises(DataError, match="fewer than 2"):
-            logistic_ensemble_fit(scores, labels)
-
-    def test_non_finite_scores_rejected(self):
-        scores = np.full((6, 3), 1 / 3)
-        scores[2, 1] = np.inf
-        labels = np.tile(np.arange(3), 2)
-        with pytest.raises(DataError, match="non-finite"):
-            logistic_ensemble_fit(scores, labels)
-
-    def test_label_length_mismatch(self):
-        scores = np.full((6, 3), 1 / 3)
-        with pytest.raises(DataError, match="labels shape"):
-            logistic_ensemble_fit(scores, np.tile(np.arange(3), 3))
-
-    def test_float_labels_rejected(self):
-        scores = np.full((6, 3), 1 / 3)
-        with pytest.raises(DataError, match="integers"):
-            logistic_ensemble_fit(scores, np.tile(np.arange(3), 2).astype(float))
-
-    def test_apply_feature_count_mismatch(self, rng):
-        w = np.zeros((7, 3))
-        with pytest.raises(DataError, match="features"):
-            logistic_ensemble_apply(w, rng.random((4, 5)))
-
-    def test_bad_hyperparameters_rejected(self):
-        scores = np.full((6, 3), 1 / 3)
-        labels = np.tile(np.arange(3), 2)
-        with pytest.raises(ConfigError, match="l2"):
-            logistic_ensemble_fit(scores, labels, l2=-1.0)
-        with pytest.raises(ConfigError, match="max_iters"):
-            logistic_ensemble_fit(scores, labels, max_iters=0)
-        with pytest.raises(ConfigError, match="learning rate"):
-            logistic_ensemble_fit(scores, labels, lr=0.0)

@@ -12,7 +12,8 @@ import pytest
 from ascpipe.audio import AudioClip, load_wav, save_wav
 from ascpipe.cli import read_scores, write_scores
 from ascpipe.config import load_config
-from ascpipe.errors import AscError
+from ascpipe.errors import AscError, DataError, read_text
+from ascpipe.evaluation import EvalReport, render_report, report_from_json, report_to_json
 from ascpipe.featio import read_features, read_scale_stats, write_features, write_scale_stats
 from ascpipe.features import FeatureTensor, ScaleStats
 from ascpipe.fusion import ClassHierarchy
@@ -38,6 +39,21 @@ def _wav(path):
     save_wav(path, AudioClip(0.5 * np.sin(2 * np.pi * 440.0 * t), 8000))
 
 
+def _report_json(path):
+    report = EvalReport(
+        classes=("bus", "tram"),
+        group_order=("A",),
+        group_counts={"A": 3},
+        group_accuracy={"A": 200 / 3},
+        val_loss=0.5,
+        avg_accuracy_items=200 / 3,
+        avg_accuracy_groups=200 / 3,
+        per_class_accuracy=np.array([50.0, 100.0]),
+        confusion=np.array([[1, 1], [0, 1]]),
+    )
+    path.write_text(report_to_json(report))
+
+
 def _text(text):
     return lambda path: path.write_text(text)
 
@@ -57,6 +73,10 @@ LOADERS = {
     "manifest": (_text("filename\tscene_label\tsource_label\nx.wav\tbus\ta\n"), read_manifest),
     "scores": (lambda p: write_scores(p, np.array([[0.25, 0.75]]), ("bus", "tram")), read_scores),
     "hierarchy": (_text("bus transportation\npark outdoor\n"), ClassHierarchy.from_file),
+    "report": (
+        _report_json,
+        lambda p: render_report(report_from_json(read_text(p, DataError, "report"))),
+    ),
     "config": (
         _text("[run]\nseed = 3\n[augment]\nspeed_range = 0.9, 1.1\n"),
         load_config,

@@ -19,14 +19,12 @@ from ascpipe.quant import (
     MAX_MACS_PER_OUTPUT,
     QuantizedModel,
     check_mac_budget,
-    dequantize_model,
     fold_batchnorm,
     load_quantized,
     quantize_model,
     quantize_tensor,
     quantized_forward,
     save_quantized,
-    size_report,
     weight_blob_ratio,
 )
 from ascpipe.synthetic import spectro_corpus
@@ -259,17 +257,6 @@ class TestQuantizeModel:
         assert set(attn) == {"w1", "b1", "w2", "b2"}
         assert all(v.dtype == np.float32 for v in attn.values())
 
-    def test_requantization_is_idempotent(self, rng):
-        g = conv_bn_net()
-        randomize_bn(g, rng)
-        first = quantize_model(g)
-        second = quantize_model(dequantize_model(first))
-        for name, qt in first.weights.items():
-            assert np.array_equal(qt.values, second.weights[name].values)
-            assert second.weights[name].scale == pytest.approx(
-                qt.scale, rel=1e-6
-            )
-
     def test_uninitialized_rejected(self):
         g = conv_bn_net()
         g.params = {}
@@ -475,7 +462,6 @@ class TestSerialization:
         path = tmp_path / "model.ascq"
         report = save_quantized(path, qm)
         assert report.total_bytes == path.stat().st_size
-        assert report == size_report(qm)
         assert report.int8_payload_bytes == sum(
             qt.values.size for qt in qm.weights.values()
         )

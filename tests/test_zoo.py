@@ -55,7 +55,7 @@ class TestFcnn:
         assert tail == ["channel_attention", "global_avg_pool", "dense", "softmax"]
 
     def test_output_length_matches_classes(self):
-        for k in (3, 10):
+        for k in (3, 4, 10):
             g = build_fcnn(ArchConfig("fcnn", n_classes=k, input_shape=CROPPED))
             assert g.output_shape == (k,)
 
@@ -214,4 +214,4 @@ class TestAllBuilders:
         with pytest.raises(ConfigError):
             ArchConfig("fcnn", width_mult=0.0)
         with pytest.raises(ConfigError):
-            ArchConfig("fcnn", n_classes=7)
+            ArchConfig("fcnn", n_classes=1)
