@@ -8,8 +8,9 @@ Both model formats share one layout, all integers little-endian uint32:
 A checkpoint ("ASCM") has no format fields and float32 data; the int8
 format in ``quant`` puts its own fields there. Records are written in
 graph layer order with parameter keys sorted, so a save/load/save round
-trip is byte-identical. Every read is bounds-checked and every record's
-shape must match the one its topology gives, so a damaged file raises
+trip is byte-identical. Every read is bounds-checked, every record's
+shape must match the one its topology gives, and every parameter of the
+topology must come from exactly one record, so a damaged file raises
 DataError.
 """
 
@@ -88,6 +89,7 @@ class ContainerReader:
             # ValueError covers bad utf-8 and bad JSON
             raise DataError(f"{path}: bad topology block: {exc!r}") from exc
         self.layers = {spec.name: spec for spec in self.graph.layers}
+        self.seen: set[tuple[str, str]] = set()
         (self.count,) = self.unpack("<I")
 
     def take(self, n: int, what: str) -> bytes:
@@ -109,6 +111,9 @@ class ContainerReader:
         rule = param_rules(self.graph, spec).get(key) if spec else None
         if rule is None:
             raise DataError(f"{self.path}: record {raw!r} names no parameter of the topology")
+        if (layer, key) in self.seen:
+            raise DataError(f"{self.path}: record {raw!r} appears twice")
+        self.seen.add((layer, key))
         return spec, key, rule[0]
 
     def array(self, name: str, shape: tuple, dtype) -> np.ndarray:
@@ -123,6 +128,10 @@ class ContainerReader:
     def finish(self) -> None:
         if self.pos != len(self.data):
             raise DataError(f"{self.path}: {len(self.data) - self.pos} trailing bytes")
+        missing = [f"{s.name}/{k}" for s in self.graph.layers for k in param_rules(self.graph, s)
+                   if (s.name, k) not in self.seen]
+        if missing:
+            raise DataError(f"{self.path}: no record for {', '.join(missing)}")
 
 
 def save_checkpoint(path, graph: ModelGraph) -> None:

@@ -37,8 +37,13 @@ def check_finite(name: str, out: np.ndarray) -> None:
     )
 
 
-def run_forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=None):
-    """Execute every layer; returns (output, Tape). NaN anywhere is an error."""
+def run_forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=None,
+                layer_forward=None):
+    """Execute every layer; returns (output, Tape). NaN anywhere is an error.
+
+    ``layer_forward`` takes the op table's forward signature and replaces
+    ``OPS[spec.kind].forward`` for every layer (the int8 path uses it).
+    """
     if mode not in ("train", "eval"):
         raise GraphError(f"mode must be train or eval, not {mode!r}")
     x = np.asarray(x)
@@ -53,7 +58,7 @@ def run_forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=N
     for idx, spec in enumerate(graph.layers):
         ins = [acts[s] for s in spec.inputs]
         params = graph.params.get(spec.name, {})
-        out, cache = OPS[spec.kind].forward(spec, params, ins, mode, [*seed, idx])
+        out, cache = (layer_forward or OPS[spec.kind].forward)(spec, params, ins, mode, [*seed, idx])
         check_finite(spec.name, out)
         acts[spec.name] = out
         caches[spec.name] = cache

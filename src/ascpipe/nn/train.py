@@ -121,12 +121,8 @@ def train(
 
 
 def predict(graph: ModelGraph, tensors: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Eval-mode class probabilities; inputs longer in time are center-cropped."""
+    """Eval-mode class probabilities in batches of ``batch_size``."""
     tensors = np.asarray(tensors, dtype=np.float32)
-    want_t = graph.input_shape[0]
-    if tensors.shape[1] > want_t:
-        lo = (tensors.shape[1] - want_t) // 2
-        tensors = tensors[:, lo : lo + want_t]
     outs = [
         forward(graph, tensors[i : i + batch_size], "eval")
         for i in range(0, len(tensors), batch_size)

@@ -4,14 +4,17 @@ Weights of conv / depthwise-conv / dense layers are mapped to signed
 8-bit integers with one symmetric scale per tensor (zero-point 0).
 Batchnorm is folded into the preceding layer first, so the quantized
 graph carries no normalization layers. Biases and channel-attention
-parameters stay float32. At inference, activations feeding a quantized
-layer are quantized on the fly with a per-batch scale; multiply-
-accumulate runs on exact integer values, and the result is rescaled by
-the product of the two scales before the bias add.
+parameters stay float32. Inference runs on the engine's ``run_forward``
+with an int8 per-layer forward: activations feeding a quantized layer
+are quantized on the fly with one scale per item, so an item's scores do
+not depend on its batch; multiply-accumulate runs on exact integer
+values, and the result is rescaled by the product of the two scales
+before the bias add.
 
 Integer accumulation is exact by construction: products are bounded by
-127 * 127 and a validation check caps multiply-accumulates per output at
-2**23, which keeps every accumulator within a 32-bit budget.
+127 * 127, and a validation check caps multiply-accumulates per output at
+2**23, so every accumulator stays below 2**37, far inside the 2**53 range
+where float64 holds integers exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .errors import DataError, GraphError
 from .nn.checkpoint import ContainerReader, encode_container
-from .nn.engine import check_finite
+from .nn.engine import run_forward
 from .nn.graph import INPUT, LayerSpec, ModelGraph
 from .nn.layers import BN_EPS
 from .nn.ops import OPS
@@ -36,7 +39,7 @@ VERSION = 1
 # the kinds with a MAC count carry the int8 weights and absorb batchnorm
 QUANT_KINDS = tuple(kind for kind, op in OPS.items() if op.macs)
 
-# per-output multiply-accumulate budget that keeps int32 accumulation safe
+# per-output multiply-accumulate budget that keeps float64 accumulation exact
 MAX_MACS_PER_OUTPUT = 2**23
 
 _QMAX = 127
@@ -68,12 +71,20 @@ class QuantizedModel:
     weights: dict[str, QuantizedTensor]
 
 
-def _symmetric(arr: np.ndarray) -> tuple[np.ndarray, float]:
-    """Integer values (as float64) and scale, max|arr| mapping to 127."""
-    amax = float(np.max(np.abs(arr))) if arr.size else 0.0
-    scale = amax / _QMAX if amax > 0 else 1.0
-    q = np.asarray(arr, dtype=np.float64) / scale
-    return np.clip(np.sign(q) * np.floor(np.abs(q) + 0.5), -_QMAX, _QMAX), scale
+def _to_int(arr: np.ndarray, scale) -> np.ndarray:
+    """arr / scale rounded half away from zero and clipped to +-127, as float64."""
+    q = np.array(arr, dtype=np.float64)
+    q /= scale  # in place: dividing by per-item scales into a new array is over 2x slower
+    return np.clip(np.sign(q) * np.floor(np.abs(q) + 0.5), -_QMAX, _QMAX)
+
+
+def _quantize_activation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer values of x with one scale per item (max|item| maps to 127),
+    and the scales shaped to broadcast over x. Its temporaries are freed
+    before the caller's layer kernel runs."""
+    amax = np.abs(x).max(axis=tuple(range(1, x.ndim)), keepdims=True).astype(np.float64)
+    scale = np.where(amax > 0, amax / _QMAX, 1.0)
+    return _to_int(x, scale), scale
 
 
 def quantize_tensor(w: np.ndarray) -> QuantizedTensor:
@@ -87,12 +98,13 @@ def quantize_tensor(w: np.ndarray) -> QuantizedTensor:
         raise DataError("cannot quantize an empty tensor")
     if not np.isfinite(arr).all():
         raise DataError("cannot quantize non-finite values")
-    q, scale = _symmetric(arr)
-    return QuantizedTensor(q.astype(np.int8), scale)
+    # rounded to the float32 the file stores, so a reloaded model scores the same
+    scale = float(np.float32(np.max(np.abs(arr)) / _QMAX)) or 1.0
+    return QuantizedTensor(_to_int(arr, scale).astype(np.int8), scale)
 
 
 def check_mac_budget(graph: ModelGraph) -> None:
-    """Reject graphs whose integer accumulators could exceed 32 bits."""
+    """Reject graphs with more than MAX_MACS_PER_OUTPUT per output element."""
     for spec in graph.layers:
         count = OPS[spec.kind].macs
         if count is None:
@@ -182,34 +194,24 @@ def quantized_forward(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
     Integer products are accumulated in float64, which is exact for the
     value ranges admitted by check_mac_budget; the accumulator is then
     rescaled by activation-scale times weight-scale and the float bias is
-    added. A non-finite layer output raises NumericError, as in run_forward.
+    added. The other kinds run the op table's eval forward. A wrong input
+    shape or a non-finite layer output raises as in run_forward.
     """
-    graph = qm.graph
-    x = np.asarray(x)
-    if x.ndim != 4 or x.shape[1:] != graph.input_shape:
-        raise DataError(
-            f"model {graph.name!r} expects input (B, "
-            + ", ".join(str(d) for d in graph.input_shape)
-            + f"), got {x.shape}"
-        )
-    acts: dict[str, np.ndarray] = {INPUT: x.astype(np.float32)}
-    for spec in graph.layers:
+
+    def layer(spec, params, ins, mode, seed):
         op = OPS[spec.kind]
-        ins = [acts[name] for name in spec.inputs]
-        params = graph.params.get(spec.name, {})
-        if op.macs:
-            qt = qm.weights[spec.name]
-            qa, a_scale = _symmetric(ins[0])
-            acc, _ = op.forward(spec, {"w": qt.values.astype(np.float64)}, [qa], "eval", None)
-            out = acc * (a_scale * qt.scale)
-            if "b" in params:
-                out = out + params["b"]
-            out = out.astype(np.float32)
-        else:
-            out, _ = op.forward(spec, params, ins, "eval", None)
-        check_finite(spec.name, out)
-        acts[spec.name] = out
-    return acts[graph.layers[-1].name]
+        if not op.macs:
+            return op.forward(spec, params, ins, mode, seed)[0], None
+        qt = qm.weights[spec.name]
+        qa, a_scale = _quantize_activation(ins[0])
+        acc = op.forward(spec, {"w": qt.values.astype(np.float64)}, [qa], mode, None)[0]
+        acc *= a_scale * qt.scale  # in place: the kernel's output is a fresh array
+        if "b" in params:
+            acc += params["b"]
+        return acc.astype(np.float32), None
+
+    out, _ = run_forward(qm.graph, np.asarray(x, dtype=np.float32), layer_forward=layer)
+    return out
 
 
 @dataclass(frozen=True)
@@ -287,9 +289,9 @@ def load_quantized(path) -> QuantizedModel:
         if not 0 < scale < math.inf:
             raise DataError(f"{path}: record {name!r} has scale {scale}")
         weights[spec.name] = QuantizedTensor(reader.array(name, shape, np.int8), float(scale))
-    reader.finish()
     for spec in graph.layers:
         if spec.kind in QUANT_KINDS and spec.name not in weights:
             raise DataError(f"{path}: missing quantized weights for {spec.name!r}")
+    reader.finish()
     check_mac_budget(graph)
     return QuantizedModel(graph, weights)

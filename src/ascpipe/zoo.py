@@ -1,9 +1,10 @@
-"""Model zoo: builders for the six CNN architectures.
+"""Model zoo: the layer lists of the six CNN architectures.
 
-All builders share the conv+batchnorm+relu block vocabulary and emit a
-validated ModelGraph with freshly initialized parameters. Channel
-progressions are scaled by a width multiplier so the same topology can
-train at desk scale.
+Each architecture is a function from ArchConfig to its layer list, built
+from the shared conv+batchnorm+relu block vocabulary. ``build`` is the
+one place a list becomes a validated ModelGraph, named after its arch,
+with freshly initialized parameters. Channel progressions are scaled by
+a width multiplier so the same topology can train at desk scale.
 """
 
 from __future__ import annotations
@@ -71,9 +72,12 @@ def _head(layers, src, n_classes):
     layers.append(_spec("global_avg_pool", "gap", src))
     layers.append(_spec("dense", "fc", "gap", units=n_classes))
     layers.append(_spec("softmax", "probs", "fc"))
+    return layers
 
 
-def _fcnn_layers(cfg: ArchConfig, width: float):
+def _fcnn(cfg: ArchConfig, base_width: float = 1.0):
+    """9 conv blocks, 2x2 pools after blocks 2/4/8, dropout on 5-9, SE gate."""
+    width = cfg.width_mult * base_width
     layers = []
     src = "input"
     for i, base in enumerate(FCNN_CHANNELS, start=1):
@@ -85,21 +89,7 @@ def _fcnn_layers(cfg: ArchConfig, width: float):
             layers.append(_spec("dropout", f"drop{i}", src, rate=DROPOUT_RATE))
             src = f"drop{i}"
     layers.append(_spec("channel_attention", "se", src, reduction=4))
-    _head(layers, "se", cfg.n_classes)
-    return layers
-
-
-def build_fcnn(cfg: ArchConfig, seed: int = 0) -> ModelGraph:
-    """9 conv blocks, 2x2 pools after blocks 2/4/8, dropout on 5-9, SE gate."""
-    graph = ModelGraph("fcnn", cfg.input_shape, _fcnn_layers(cfg, cfg.width_mult))
-    return initialize(graph, seed)
-
-
-def build_small_fcnn(cfg: ArchConfig, seed: int = 0) -> ModelGraph:
-    """The fcnn topology at a reduced base width."""
-    width = cfg.width_mult * SMALL_FCNN_BASE_WIDTH
-    graph = ModelGraph("small_fcnn", cfg.input_shape, _fcnn_layers(cfg, width))
-    return initialize(graph, seed)
+    return _head(layers, "se", cfg.n_classes)
 
 
 def _fsfcnn_trunk(layers, prefix, src, width):
@@ -118,19 +108,16 @@ def _fsfcnn_trunk(layers, prefix, src, width):
     return src
 
 
-def build_fsfcnn(cfg: ArchConfig, seed: int = 0) -> ModelGraph:
+def _fsfcnn(cfg: ArchConfig):
     """11 conv blocks; frequency is pooled twice more than time."""
     layers = []
     src = _fsfcnn_trunk(layers, "", "input", cfg.width_mult)
     layers.append(_spec("channel_attention", "se", src, reduction=4))
-    _head(layers, "se", cfg.n_classes)
-    return initialize(ModelGraph("fsfcnn", cfg.input_shape, layers), seed)
+    return _head(layers, "se", cfg.n_classes)
 
 
-def build_fsfcnn_s(cfg: ArchConfig, seed: int = 0) -> ModelGraph:
+def _fsfcnn_s(cfg: ArchConfig):
     """Two independent trunks on the low and high frequency halves."""
-    if cfg.input_shape[1] % 2:
-        raise ConfigError("fsfcnn_s needs an even number of frequency bins")
     layers = [
         _spec("freq_split", "band_lo", "input", part=0),
         _spec("freq_split", "band_hi", "input", part=1),
@@ -141,17 +128,14 @@ def build_fsfcnn_s(cfg: ArchConfig, seed: int = 0) -> ModelGraph:
     merged = _scale(FSFCNN_CHANNELS[-1], cfg.width_mult)
     src = _conv_block(layers, "12", "merge", merged)
     src = _conv_block(layers, "13", src, merged)
-    _head(layers, src, cfg.n_classes)
-    return initialize(ModelGraph("fsfcnn_s", cfg.input_shape, layers), seed)
+    return _head(layers, src, cfg.n_classes)
 
 
-def build_resnet(cfg: ArchConfig, doubled: bool = False, seed: int = 0) -> ModelGraph:
+def _resnet(cfg: ArchConfig, doubled: bool = False):
     """Entry conv + two per-band stacks of 4 identity-shortcut blocks.
 
     17 convolutions in total and no layer subsamples time or frequency.
     """
-    if cfg.input_shape[1] % 2:
-        raise ConfigError("resnet needs an even number of frequency bins")
     filters = _scale(RESNET_BASE_FILTERS * (2 if doubled else 1), cfg.width_mult)
     layers = []
     src = _conv_block(layers, "_in", "input", filters)
@@ -168,9 +152,7 @@ def build_resnet(cfg: ArchConfig, doubled: bool = False, seed: int = 0) -> Model
             layers.append(_spec("relu", f"relu{tag}", f"add{tag}"))
             src = f"relu{tag}"
     layers.append(_spec("concat", "merge", ("relulo4", "reluhi4"), axis="freq"))
-    _head(layers, "merge", cfg.n_classes)
-    name = "resnet_d" if doubled else "resnet"
-    return initialize(ModelGraph(name, cfg.input_shape, layers), seed)
+    return _head(layers, "merge", cfg.n_classes)
 
 
 def _inverted_residual(layers, name, src, c_in, c_out, stride):
@@ -191,7 +173,7 @@ def _inverted_residual(layers, name, src, c_in, c_out, stride):
     return f"bn{name}p"
 
 
-def build_mobnet(cfg: ArchConfig, seed: int = 0) -> ModelGraph:
+def _mobnet(cfg: ArchConfig):
     """Inverted-residual stack: 1x1 expand, depthwise 3x3, 1x1 project."""
     w = cfg.width_mult
     layers = []
@@ -205,22 +187,22 @@ def build_mobnet(cfg: ArchConfig, seed: int = 0) -> ModelGraph:
     layers.append(_spec("conv2d", "conv_head", src, filters=_scale(MOBNET_HEAD, w), kernel=(1, 1)))
     layers.append(_spec("batchnorm", "bn_head", "conv_head"))
     layers.append(_spec("relu", "relu_head", "bn_head"))
-    _head(layers, "relu_head", cfg.n_classes)
-    return initialize(ModelGraph("mobnet", cfg.input_shape, layers), seed)
+    return _head(layers, "relu_head", cfg.n_classes)
 
 
-BUILDERS = {
-    "fcnn": build_fcnn,
-    "fsfcnn": build_fsfcnn,
-    "fsfcnn_s": build_fsfcnn_s,
-    "resnet": build_resnet,
-    "resnet_d": partial(build_resnet, doubled=True),
-    "mobnet": build_mobnet,
-    "small_fcnn": build_small_fcnn,
+LAYERS = {
+    "fcnn": _fcnn,
+    "fsfcnn": _fsfcnn,
+    "fsfcnn_s": _fsfcnn_s,
+    "resnet": _resnet,
+    "resnet_d": partial(_resnet, doubled=True),
+    "mobnet": _mobnet,
+    "small_fcnn": partial(_fcnn, base_width=SMALL_FCNN_BASE_WIDTH),
 }
-ARCH_NAMES = tuple(BUILDERS)
+ARCH_NAMES = tuple(LAYERS)
 
 
 def build(cfg: ArchConfig, seed: int = 0) -> ModelGraph:
-    """Build any zoo architecture by name (ArchConfig has checked it)."""
-    return BUILDERS[cfg.arch](cfg, seed=seed)
+    """The validated, freshly initialized graph of ``cfg.arch`` (ArchConfig
+    has checked the name); the graph is named after its arch."""
+    return initialize(ModelGraph(cfg.arch, cfg.input_shape, LAYERS[cfg.arch](cfg)), seed)

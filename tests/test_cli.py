@@ -558,6 +558,18 @@ class TestTrainEvaluate:
         assert "6-channel" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("arch", ["resnet", "fsfcnn_s"])
+    def test_odd_mel_bins_for_a_band_split_arch_exit_3(self, ws, tmp_path, capsys, arch):
+        ini = tmp_path / "odd.ini"
+        ini.write_text(INI_FAST.replace("n_mels = 32", "n_mels = 31"))
+        feats = tmp_path / "feats"
+        assert run_cli("extract", "--manifest", ws.manifest, "--out", feats,
+                       "--config", ini) == 0
+        code = run_cli("train", "--manifest", feats / "features.tsv",
+                       "--out", tmp_path / "m.ascm", "--config", ini, "--arch", arch)
+        assert code == 3
+        assert "layer 'band_lo': cannot halve odd frequency extent 31" in capsys.readouterr().err
+
 # nine scene classes plus one the default hierarchy does not know, in an
 # order that is neither SCENE_LABELS nor sorted
 BEACH_CLASSES = ("beach",) + SCENE_LABELS[:9]

@@ -9,6 +9,7 @@ anything but AscError.
 import numpy as np
 import pytest
 
+from ascpipe import quant
 from ascpipe.audio import AudioClip, load_wav, save_wav
 from ascpipe.cli import read_scores, write_scores
 from ascpipe.config import load_config
@@ -18,7 +19,7 @@ from ascpipe.featio import read_features, read_scale_stats, write_features, writ
 from ascpipe.features import FeatureTensor, ScaleStats
 from ascpipe.fusion import ClassHierarchy
 from ascpipe.manifest import read_manifest
-from ascpipe.nn import LayerSpec, ModelGraph, initialize, load_checkpoint, save_checkpoint
+from ascpipe.nn import LayerSpec, ModelGraph, checkpoint, initialize, load_checkpoint, save_checkpoint
 from ascpipe.quant import load_quantized, quantize_model, save_quantized
 
 
@@ -111,3 +112,23 @@ def test_damaged_files_raise_only_asc_error(kind, tmp_path):
         except Exception as exc:  # noqa: BLE001 - any other exception is the failure
             leaks.append(f"{what}: {exc!r}")
     assert not leaks, f"{len(leaks)} leaks, first: {leaks[:5]}"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda records: [r for r in records if r[0] != "fc/b"], "no record for fc/b"),
+        (lambda records: records + records[-1:], "'fc/w' appears twice"),
+    ],
+    ids=["missing", "duplicated"],
+)
+@pytest.mark.parametrize("kind", ["checkpoint", "quantized"])
+def test_every_parameter_comes_from_exactly_one_record(kind, edit, message, tmp_path, monkeypatch):
+    module = {"checkpoint": checkpoint, "quantized": quant}[kind]
+    encode = module.encode_container
+    # the writer drops or repeats a record; the count it writes stays consistent
+    monkeypatch.setattr(module, "encode_container", lambda *args: encode(*args[:3], edit(args[3])))
+    write, load = LOADERS[kind]
+    write(tmp_path / "model")
+    with pytest.raises(DataError, match=message):
+        load(tmp_path / "model")

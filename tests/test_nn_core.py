@@ -236,11 +236,3 @@ class TestTrainLoop:
         with pytest.raises(DataError, match="empty"):
             train(g, np.zeros((0, 6, 4, 1)), np.zeros((0, 3)), self.SCHED, epochs=1)
 
-
-class TestPredict:
-    def test_longer_inputs_center_cropped(self):
-        g = _toy_classifier(input_shape=(4, 4, 1), seed=3)
-        x = np.random.default_rng(1).standard_normal((2, 10, 4, 1)).astype(np.float32)
-        got = predict(g, x)
-        want = forward(g, x[:, 3:7])
-        assert np.array_equal(got, want)

@@ -367,6 +367,18 @@ class TestQuantizedForward:
         with pytest.raises(NumericError, match=r"layer 'fc' in batch rows \[0\]"):
             quantized_forward(qm, rng.normal(0.0, 1.0, (1, 8, 8, 2)))
 
+    @pytest.mark.parametrize("arch", ["small_fcnn", "mobnet", "resnet"])
+    def test_item_scores_do_not_depend_on_the_batch(self, arch, rng):
+        from ascpipe.zoo import ArchConfig, build
+
+        g = build(ArchConfig(arch, width_mult=0.25, n_classes=3, input_shape=(16, 32, 3)), seed=2)
+        qm = quantize_model(g)
+        x = rng.normal(0.0, 1.0, (3, 16, 32, 3)).astype(np.float32)
+        x[1] *= 3.0  # a louder item shares the batch
+        batch = quantized_forward(qm, x)
+        for i in range(len(x)):
+            assert np.allclose(quantized_forward(qm, x[i : i + 1])[0], batch[i], rtol=0, atol=1e-6)
+
     def test_agreement_with_float_on_trained_model(self):
         xs, ys = spectro_corpus(150, n_classes=3, shape=(16, 16, 1), seed=4)
         layers = [
@@ -417,6 +429,16 @@ class TestSerialization:
         x = rng.normal(0.0, 1.0, (3, 8, 8, 2)).astype(np.float32)
         assert np.array_equal(quantized_forward(loaded, x),
                               quantized_forward(qm, x))
+
+    def test_reloaded_model_scores_like_the_one_in_memory(self, tmp_path):
+        path = tmp_path / "model.ascq"
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            qm = self.make_model(rng)
+            save_quantized(path, qm)
+            x = rng.normal(0.0, 1.0, (3, 8, 8, 2)).astype(np.float32)
+            assert np.array_equal(quantized_forward(load_quantized(path), x),
+                                  quantized_forward(qm, x)), seed
 
     def test_save_load_save_is_byte_identical(self, tmp_path, rng):
         qm = self.make_model(rng)

@@ -3,18 +3,9 @@
 import numpy as np
 import pytest
 
-from ascpipe.errors import ConfigError
+from ascpipe.errors import ConfigError, GraphError
 from ascpipe.nn import forward, save_checkpoint
-from ascpipe.zoo import (
-    ArchConfig,
-    build,
-    build_fcnn,
-    build_fsfcnn,
-    build_fsfcnn_s,
-    build_mobnet,
-    build_resnet,
-    build_small_fcnn,
-)
+from ascpipe.zoo import ArchConfig, build
 
 MONO = (423, 128, 3)
 STEREO = (461, 128, 6)
@@ -33,7 +24,7 @@ def _float_ckpt_bytes(tmp_path, graph):
 
 class TestFcnn:
     def test_conv_and_pool_audit(self):
-        g = build_fcnn(ArchConfig("fcnn", input_shape=CROPPED))
+        g = build(ArchConfig("fcnn", input_shape=CROPPED))
         assert len(_kinds(g, "conv2d")) == 9
         pools = _kinds(g, "maxpool")
         assert len(pools) == 3
@@ -41,32 +32,32 @@ class TestFcnn:
         assert [p.name for p in pools] == ["pool2", "pool4", "pool8"]
 
     def test_three_halvings_before_head(self):
-        g = build_fcnn(ArchConfig("fcnn", input_shape=CROPPED))
+        g = build(ArchConfig("fcnn", input_shape=CROPPED))
         assert g.shapes["pool8"][:2] == (50, 16)
 
     def test_dropout_on_late_convs_only(self):
-        g = build_fcnn(ArchConfig("fcnn", input_shape=CROPPED))
+        g = build(ArchConfig("fcnn", input_shape=CROPPED))
         drops = [s.name for s in _kinds(g, "dropout")]
         assert drops == ["drop5", "drop6", "drop7", "drop8", "drop9"]
 
     def test_attention_then_pool_then_softmax_head(self):
-        g = build_fcnn(ArchConfig("fcnn", input_shape=CROPPED))
+        g = build(ArchConfig("fcnn", input_shape=CROPPED))
         tail = [s.kind for s in g.layers[-4:]]
         assert tail == ["channel_attention", "global_avg_pool", "dense", "softmax"]
 
     def test_output_length_matches_classes(self):
         for k in (3, 4, 10):
-            g = build_fcnn(ArchConfig("fcnn", n_classes=k, input_shape=CROPPED))
+            g = build(ArchConfig("fcnn", n_classes=k, input_shape=CROPPED))
             assert g.output_shape == (k,)
 
     def test_too_small_input_rejected(self):
         with pytest.raises(Exception):
-            build_fcnn(ArchConfig("fcnn", input_shape=(6, 6, 3)))
+            build(ArchConfig("fcnn", input_shape=(6, 6, 3)))
 
 
 class TestFsfcnn:
     def test_conv_count_and_pool_schedule(self):
-        g = build_fsfcnn(ArchConfig("fsfcnn", input_shape=CROPPED))
+        g = build(ArchConfig("fsfcnn", input_shape=CROPPED))
         assert len(_kinds(g, "conv2d")) == 11
         pools = {p.name: tuple(p.attrs["pool"]) for p in _kinds(g, "maxpool")}
         assert pools == {
@@ -77,13 +68,13 @@ class TestFsfcnn:
         }
 
     def test_frequency_pooled_twice_more_than_time(self):
-        g = build_fsfcnn(ArchConfig("fsfcnn", input_shape=CROPPED))
+        g = build(ArchConfig("fsfcnn", input_shape=CROPPED))
         last_conv_shape = g.shapes["relu11"]
         assert last_conv_shape[:2] == (100, 8)
 
     def test_fewer_time_poolings_than_fcnn(self):
-        fs = build_fsfcnn(ArchConfig("fsfcnn", input_shape=CROPPED))
-        fc = build_fcnn(ArchConfig("fcnn", input_shape=CROPPED))
+        fs = build(ArchConfig("fsfcnn", input_shape=CROPPED))
+        fc = build(ArchConfig("fcnn", input_shape=CROPPED))
         def time_pools(g):
             return sum(1 for p in _kinds(g, "maxpool") if p.attrs["pool"][0] > 1)
         assert time_pools(fs) == 2
@@ -92,7 +83,7 @@ class TestFsfcnn:
 
 class TestFsfcnnSplit:
     def test_split_concat_structure(self):
-        g = build_fsfcnn_s(ArchConfig("fsfcnn_s", input_shape=CROPPED))
+        g = build(ArchConfig("fsfcnn_s", input_shape=CROPPED))
         splits = _kinds(g, "freq_split")
         assert len(splits) == 2
         assert {s.attrs["part"] for s in splits} == {0, 1}
@@ -101,45 +92,43 @@ class TestFsfcnnSplit:
         assert merge.attrs["axis"] == "channel"
 
     def test_two_post_concat_convs(self):
-        g = build_fsfcnn_s(ArchConfig("fsfcnn_s", input_shape=CROPPED))
+        g = build(ArchConfig("fsfcnn_s", input_shape=CROPPED))
         names = [s.name for s in g.layers]
         after = names[names.index("merge") :]
         assert sum(1 for n in after if n.startswith("conv")) == 2
 
     def test_branches_have_independent_weights(self):
-        g = build_fsfcnn_s(ArchConfig("fsfcnn_s", width_mult=0.1, input_shape=CROPPED))
+        g = build(ArchConfig("fsfcnn_s", width_mult=0.1, input_shape=CROPPED))
         assert not np.array_equal(g.params["convlo1"]["w"], g.params["convhi1"]["w"])
 
     def test_odd_frequency_rejected(self):
-        with pytest.raises(Exception):
-            build_fsfcnn_s(ArchConfig("fsfcnn_s", input_shape=(400, 127, 3)))
+        with pytest.raises(GraphError, match="'band_lo': cannot halve odd frequency extent 127"):
+            build(ArchConfig("fsfcnn_s", input_shape=(400, 127, 3)))
 
 
 class TestResnet:
     def test_seventeen_convs(self):
-        g = build_resnet(ArchConfig("resnet", input_shape=CROPPED))
+        g = build(ArchConfig("resnet", input_shape=CROPPED))
         assert len(_kinds(g, "conv2d")) == 17
 
     def test_no_layer_subsamples_frequency(self):
-        g = build_resnet(ArchConfig("resnet", input_shape=CROPPED))
+        g = build(ArchConfig("resnet", input_shape=CROPPED))
         assert not _kinds(g, "maxpool")
         for s in _kinds(g, "conv2d"):
             sh, sw = np.broadcast_to(s.attrs.get("stride", (1, 1)), (2,))
             assert (sh, sw) == (1, 1)
 
     def test_branches_merge_to_full_band(self):
-        g = build_resnet(ArchConfig("resnet", width_mult=0.25, input_shape=CROPPED))
+        g = build(ArchConfig("resnet", width_mult=0.25, input_shape=CROPPED))
         assert g.shapes["merge"][1] == 128
 
     def test_identity_shortcuts_pair_up(self):
-        g = build_resnet(ArchConfig("resnet", input_shape=CROPPED))
+        g = build(ArchConfig("resnet", input_shape=CROPPED))
         assert len(_kinds(g, "residual_add")) == 8
 
     def test_doubled_filters_quadruple_params(self):
-        base = build_resnet(ArchConfig("resnet", width_mult=0.5, input_shape=CROPPED))
-        dbl = build_resnet(
-            ArchConfig("resnet", width_mult=0.5, input_shape=CROPPED), doubled=True
-        )
+        base = build(ArchConfig("resnet", width_mult=0.5, input_shape=CROPPED))
+        dbl = build(ArchConfig("resnet_d", width_mult=0.5, input_shape=CROPPED))
         ratio = dbl.param_count(trainable_only=True) / base.param_count(trainable_only=True)
         assert 3.5 <= ratio <= 4.05
 
@@ -149,11 +138,11 @@ class TestResnet:
 
 class TestMobnet:
     def test_depthwise_blocks_present(self):
-        g = build_mobnet(ArchConfig("mobnet", input_shape=MONO))
+        g = build(ArchConfig("mobnet", input_shape=MONO))
         assert len(_kinds(g, "depthwise_conv2d")) == 8
 
     def test_depthwise_param_count_is_kkc(self):
-        g = build_mobnet(ArchConfig("mobnet", input_shape=MONO))
+        g = build(ArchConfig("mobnet", input_shape=MONO))
         dw = _kinds(g, "depthwise_conv2d")[0]
         w = g.params[dw.name]["w"]
         c_in = g.shapes[dw.inputs[0]][2]
@@ -161,27 +150,27 @@ class TestMobnet:
         assert w.size == 9 * c_in
 
     def test_residuals_only_on_matching_stride1_blocks(self):
-        g = build_mobnet(ArchConfig("mobnet", input_shape=MONO))
+        g = build(ArchConfig("mobnet", input_shape=MONO))
         adds = [s.name for s in _kinds(g, "residual_add")]
         assert adds == ["addb1", "addb3", "addb5", "addb7"]
 
     def test_stem_halves_both_axes(self):
-        g = build_mobnet(ArchConfig("mobnet", input_shape=MONO))
+        g = build(ArchConfig("mobnet", input_shape=MONO))
         assert g.shapes["relu_stem"][:2] == (212, 64)
 
     def test_float_checkpoint_under_budget(self, tmp_path):
-        g = build_mobnet(ArchConfig("mobnet", input_shape=MONO))
+        g = build(ArchConfig("mobnet", input_shape=MONO))
         assert _float_ckpt_bytes(tmp_path, g) < 3.3 * 1024 * 1024
 
 
 class TestSmallFcnn:
     def test_float_checkpoint_under_budget(self, tmp_path):
-        g = build_small_fcnn(ArchConfig("small_fcnn", input_shape=CROPPED))
+        g = build(ArchConfig("small_fcnn", input_shape=CROPPED))
         assert _float_ckpt_bytes(tmp_path, g) < 2.9 * 1024 * 1024
 
     def test_same_topology_as_fcnn_fewer_params(self):
-        small = build_small_fcnn(ArchConfig("small_fcnn", input_shape=CROPPED))
-        full = build_fcnn(ArchConfig("fcnn", input_shape=CROPPED))
+        small = build(ArchConfig("small_fcnn", input_shape=CROPPED))
+        full = build(ArchConfig("fcnn", input_shape=CROPPED))
         assert [s.kind for s in small.layers] == [s.kind for s in full.layers]
         assert small.param_count() < full.param_count()
 
