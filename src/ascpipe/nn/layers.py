@@ -33,14 +33,12 @@ def _windows(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(xp, shape, strides)
 
 
-def _scatter_windows(dwin: np.ndarray, xp_shape, sh: int, sw: int) -> np.ndarray:
-    """Adjoint of _windows: accumulate window gradients into the padded input."""
-    b, ho, wo, kh, kw, c = dwin.shape
-    dxp = np.zeros(xp_shape, dtype=dwin.dtype)
+def _taps(kh: int, kw: int, sh: int, sw: int, ho: int, wo: int):
+    """Yield (i, j, index) per kernel tap, row-major; ``xp[index]`` is the
+    (B, Ho, Wo, C) strided slice of the padded input that tap (i, j) reads."""
     for i in range(kh):
         for j in range(kw):
-            dxp[:, i : i + ho * sh : sh, j : j + wo * sw : sw, :] += dwin[:, :, :, i, j, :]
-    return dxp
+            yield i, j, (slice(None), slice(i, i + ho * sh, sh), slice(j, j + wo * sw, sw))
 
 
 def _conv_geometry(x_shape, kernel, stride, padding):
@@ -52,53 +50,68 @@ def _conv_geometry(x_shape, kernel, stride, padding):
     return kh, kw, sh, sw, ph, pw
 
 
+def _unpad(dxp, ph, pw):
+    return dxp[:, ph[0] : dxp.shape[1] - ph[1], pw[0] : dxp.shape[2] - pw[1], :]
+
+
 def conv2d_forward(x, w, b, stride, padding):
-    kh, kw, sh, sw, ph, pw = _conv_geometry(x.shape, w.shape[:2], stride, padding)
-    xp = np.pad(x, ((0, 0), ph, pw, (0, 0)))
-    win = _windows(xp, kh, kw, sh, sw)
-    cols = win.reshape(win.shape[0], win.shape[1], win.shape[2], -1)
+    geom = kh, kw, sh, sw, ph, pw = _conv_geometry(x.shape, w.shape[:2], stride, padding)
+    if (kh, kw, sh, sw) == (1, 1, 1, 1):
+        # pointwise: the input already is its im2col matrix
+        cols, xp_shape = x, x.shape
+    else:
+        xp = np.pad(x, ((0, 0), ph, pw, (0, 0)))
+        win = _windows(xp, kh, kw, sh, sw)
+        cols, xp_shape = win.reshape(win.shape[0], win.shape[1], win.shape[2], -1), xp.shape
     out = cols @ w.reshape(-1, w.shape[3])
     if b is not None:
         out = out + b
-    cache = (cols, xp.shape, x.shape, (kh, kw, sh, sw, ph, pw), w.shape)
-    return out, cache
+    return out, (cols, xp_shape, geom, w.shape)
 
 
 def conv2d_backward(dout, w, cache):
-    cols, xp_shape, x_shape, (kh, kw, sh, sw, ph, pw), w_shape = cache
+    cols, xp_shape, (kh, kw, sh, sw, ph, pw), w_shape = cache
     cout = w_shape[3]
     dw = cols.reshape(-1, cols.shape[-1]).T @ dout.reshape(-1, cout)
     dcols = dout @ w.reshape(-1, cout).T
-    dwin = dcols.reshape(dout.shape[0], dout.shape[1], dout.shape[2], kh, kw, -1)
-    dxp = _scatter_windows(dwin, xp_shape, sh, sw)
-    dx = dxp[:, ph[0] : xp_shape[1] - ph[1], pw[0] : xp_shape[2] - pw[1], :]
     db = dout.sum(axis=(0, 1, 2))
-    return dx, dw.reshape(w_shape), db
+    if (kh, kw, sh, sw) == (1, 1, 1, 1):
+        return dcols, dw.reshape(w_shape), db
+    bsz, ho, wo = dout.shape[:3]
+    dwin = dcols.reshape(bsz, ho, wo, kh, kw, -1)
+    dxp = np.zeros(xp_shape, dtype=dwin.dtype)
+    for i, j, tap in _taps(kh, kw, sh, sw, ho, wo):
+        dxp[tap] += dwin[:, :, :, i, j, :]
+    return _unpad(dxp, ph, pw), dw.reshape(w_shape), db
 
 
 def depthwise_forward(x, w, b, stride, padding):
-    kh, kw, sh, sw, ph, pw = _conv_geometry(x.shape, w.shape[:2], stride, padding)
+    geom = kh, kw, sh, sw, ph, pw = _conv_geometry(x.shape, w.shape[:2], stride, padding)
     xp = np.pad(x, ((0, 0), ph, pw, (0, 0)))
-    win = _windows(xp, kh, kw, sh, sw)
-    out = np.einsum("bijpqc,pqcm->bijcm", win, w, optimize=True)
-    bsz, ho, wo = out.shape[:3]
-    out = out.reshape(bsz, ho, wo, -1)
+    bsz, ho, wo = x.shape[0], (xp.shape[1] - kh) // sh + 1, (xp.shape[2] - kw) // sw + 1
+    # (B, Ho, Wo, C, multiplier): one product per tap, summed in tap order
+    acc = np.zeros((bsz, ho, wo) + w.shape[2:], dtype=np.result_type(x, w))
+    prod = np.empty_like(acc)
+    for i, j, tap in _taps(kh, kw, sh, sw, ho, wo):
+        np.multiply(xp[tap][..., None], w[i, j], out=prod)
+        acc += prod
+    out = acc.reshape(bsz, ho, wo, -1)
     if b is not None:
         out = out + b
-    cache = (np.ascontiguousarray(win), xp.shape, x.shape, (kh, kw, sh, sw, ph, pw), w.shape)
-    return out, cache
+    return out, (xp, geom, w.shape)
 
 
 def depthwise_backward(dout, w, cache):
-    win, xp_shape, x_shape, (kh, kw, sh, sw, ph, pw), w_shape = cache
-    mult = w_shape[3]
-    dout5 = dout.reshape(dout.shape[0], dout.shape[1], dout.shape[2], -1, mult)
-    dw = np.einsum("bijpqc,bijcm->pqcm", win, dout5, optimize=True)
-    dwin = np.einsum("bijcm,pqcm->bijpqc", dout5, w, optimize=True)
-    dxp = _scatter_windows(dwin, xp_shape, sh, sw)
-    dx = dxp[:, ph[0] : xp_shape[1] - ph[1], pw[0] : xp_shape[2] - pw[1], :]
+    xp, (kh, kw, sh, sw, ph, pw), w_shape = cache
+    bsz, ho, wo = dout.shape[:3]
+    dout5 = dout.reshape(bsz, ho, wo, -1, w_shape[3])
+    dw = np.empty(w_shape, dtype=np.result_type(xp, dout))
+    dxp = np.zeros(xp.shape, dtype=np.result_type(dout, w))
+    for i, j, tap in _taps(kh, kw, sh, sw, ho, wo):
+        dw[i, j] = np.einsum("bhwc,bhwcm->cm", xp[tap], dout5)
+        dxp[tap] += np.einsum("bhwcm,cm->bhwc", dout5, w[i, j])
     db = dout.sum(axis=(0, 1, 2))
-    return dx, dw, db
+    return _unpad(dxp, ph, pw), dw, db
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode, momentum=0.9):

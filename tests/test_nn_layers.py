@@ -11,6 +11,7 @@ import pytest
 
 from ascpipe.errors import GraphError, NumericError
 from ascpipe.nn import LayerSpec, ModelGraph, forward, initialize, run_forward
+from ascpipe.nn import layers as L
 from ascpipe.nn.engine import backward, check_finite, cross_entropy
 
 from gradcheck import LAYER_CASES, TOL, max_rel_error, max_rel_error_cross_entropy
@@ -311,3 +312,165 @@ def test_backward_requires_softmax_head():
     )
     with pytest.raises(GraphError, match="softmax"):
         backward(g, np.zeros((1, 2, 2, 1)), np.zeros((1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# conv2d and depthwise kernels against the formulas they replaced: the
+# 6-D einsum depthwise and the general im2col conv, kept here as references
+
+
+def _ref_windows(xp, kh, kw, sh, sw):
+    b, hp, wp, c = xp.shape
+    shape = (b, (hp - kh) // sh + 1, (wp - kw) // sw + 1, kh, kw, c)
+    sb, s1, s2, sc = xp.strides
+    return np.lib.stride_tricks.as_strided(xp, shape, (sb, s1 * sh, s2 * sw, s1, s2, sc))
+
+
+def _ref_pad(x, kh, kw, stride, padding):
+    pads = []
+    for n, k, s in zip(x.shape[1:3], (kh, kw), stride):
+        total = 0 if padding == "valid" else max((-(-n // s) - 1) * s + k - n, 0)
+        pads.append((total // 2, total - total // 2))
+    return np.pad(x, ((0, 0), *pads, (0, 0))), pads
+
+
+def _ref_scatter(dwin, xp, pads, sh, sw):
+    b, ho, wo, kh, kw, c = dwin.shape
+    dxp = np.zeros(xp.shape, dtype=dwin.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i : i + ho * sh : sh, j : j + wo * sw : sw, :] += dwin[:, :, :, i, j, :]
+    (t0, t1), (f0, f1) = pads
+    return dxp[:, t0 : xp.shape[1] - t1, f0 : xp.shape[2] - f1, :]
+
+
+def _ref_conv2d(x, w, b, stride, padding, dout):
+    """(out, dx, dw, db) of the general im2col conv."""
+    kh, kw, _, cout = w.shape
+    xp, pads = _ref_pad(x, kh, kw, stride, padding)
+    win = _ref_windows(xp, kh, kw, *stride)
+    cols = win.reshape(win.shape[0], win.shape[1], win.shape[2], -1)
+    out = cols @ w.reshape(-1, cout) + b
+    dw = cols.reshape(-1, cols.shape[-1]).T @ dout.reshape(-1, cout)
+    dwin = (dout @ w.reshape(-1, cout).T).reshape(win.shape)
+    return out, _ref_scatter(dwin, xp, pads, *stride), dw.reshape(w.shape), dout.sum(axis=(0, 1, 2))
+
+
+def _ref_depthwise(x, w, b, stride, padding, dout):
+    """(out, dx, dw, db) of the 6-D einsum depthwise."""
+    kh, kw, _, mult = w.shape
+    xp, pads = _ref_pad(x, kh, kw, stride, padding)
+    win = _ref_windows(xp, kh, kw, *stride)
+    out = np.einsum("bijpqc,pqcm->bijcm", win, w, optimize=True)
+    out = out.reshape(out.shape[0], out.shape[1], out.shape[2], -1) + b
+    dout5 = dout.reshape(dout.shape[0], dout.shape[1], dout.shape[2], -1, mult)
+    dw = np.einsum("bijpqc,bijcm->pqcm", win, dout5, optimize=True)
+    dwin = np.einsum("bijcm,pqcm->bijpqc", dout5, w, optimize=True)
+    return out, _ref_scatter(dwin, xp, pads, *stride), dw, dout.sum(axis=(0, 1, 2))
+
+
+def _run_kernel(kind, x, w, b, stride, padding, dout):
+    fwd, bwd = {
+        "conv2d": (L.conv2d_forward, L.conv2d_backward),
+        "depthwise": (L.depthwise_forward, L.depthwise_backward),
+    }[kind]
+    out, cache = fwd(x, w, b, stride, padding)
+    return (out, *bwd(dout, w, cache))
+
+
+def _kernel_inputs(kind, stride, padding, mult, dtype, integer, kernel=(3, 3)):
+    """Seeded (x, w, b, dout); integer=True draws whole numbers in -127..127."""
+    rng = np.random.default_rng([len(kind), *stride, len(padding), mult, int(integer)])
+    draw = (lambda s: rng.integers(-127, 128, s)) if integer else rng.standard_normal
+    x = draw((2, 7, 6, 3)).astype(dtype)
+    cout = 3 * mult if kind == "depthwise" else 4
+    w = draw((*kernel, 3, mult if kind == "depthwise" else cout)).astype(dtype)
+    b = draw((cout,)).astype(dtype)
+    xp, _ = _ref_pad(x, *kernel, stride, padding)
+    ho, wo = ((n - k) // s + 1 for n, k, s in zip(xp.shape[1:3], kernel, stride))
+    return x, w, b, draw((2, ho, wo, cout)).astype(dtype)
+
+
+KERNEL_GEOMETRY = [
+    (stride, padding)
+    for stride in ((1, 1), (2, 2), (1, 2))
+    for padding in ("same", "valid")
+]
+GEOMETRY_IDS = [f"stride{sh}{sw}-{padding}" for (sh, sw), padding in KERNEL_GEOMETRY]
+
+
+@pytest.mark.parametrize("stride,padding", KERNEL_GEOMETRY, ids=GEOMETRY_IDS)
+@pytest.mark.parametrize("mult", [1, 2], ids=["mult1", "mult2"])
+def test_depthwise_matches_the_einsum_formula(stride, padding, mult):
+    args = _kernel_inputs("depthwise", stride, padding, mult, np.float32, integer=False)
+    got = _run_kernel("depthwise", *args[:3], stride, padding, args[3])
+    want = _ref_depthwise(*args[:3], stride, padding, args[3])
+    for g, r in zip(got, want):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        np.testing.assert_allclose(g, r, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("stride,padding", KERNEL_GEOMETRY, ids=GEOMETRY_IDS)
+@pytest.mark.parametrize("mult", [1, 2], ids=["mult1", "mult2"])
+def test_depthwise_is_exact_on_integer_valued_float64(stride, padding, mult):
+    # quant.py's exact-accumulation promise rests on this
+    args = _kernel_inputs("depthwise", stride, padding, mult, np.float64, integer=True)
+    got = _run_kernel("depthwise", *args[:3], stride, padding, args[3])
+    want = _ref_depthwise(*args[:3], stride, padding, args[3])
+    for g, r in zip(got, want):
+        assert np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("stride,padding", KERNEL_GEOMETRY, ids=GEOMETRY_IDS)
+@pytest.mark.parametrize("kernel", [(3, 3), (1, 1)], ids=["3x3", "1x1"])
+def test_conv2d_is_bit_identical_to_im2col(kernel, stride, padding):
+    # a 1x1 stride-1 kernel takes the pointwise path, every other the general one
+    args = _kernel_inputs("conv2d", stride, padding, 1, np.float32, integer=False, kernel=kernel)
+    got = _run_kernel("conv2d", *args[:3], stride, padding, args[3])
+    want = _ref_conv2d(*args[:3], stride, padding, args[3])
+    for g, r in zip(got, want):
+        assert g.dtype == r.dtype and np.array_equal(g, r)
+
+
+def _cache_arrays(cache):
+    todo, found = [cache], []
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+    return found
+
+
+def test_depthwise_cache_holds_only_the_padded_input():
+    x = np.random.default_rng(8).standard_normal((2, 7, 6, 3)).astype(np.float32)
+    w = np.ones((3, 3, 3, 2), dtype=np.float32)
+    _, cache = L.depthwise_forward(x, w, None, (1, 1), "same")
+    # one (2, 9, 8, 3) float32 array; the window copy was 9x the input
+    assert [a.nbytes for a in _cache_arrays(cache)] == [2 * 9 * 8 * 3 * 4]
+
+
+def test_pointwise_conv2d_caches_its_input_itself():
+    x = np.random.default_rng(9).standard_normal((2, 7, 6, 3)).astype(np.float32)
+    w = np.ones((1, 1, 3, 4), dtype=np.float32)
+    _, cache = L.conv2d_forward(x, w, None, (1, 1), "same")
+    assert cache[0] is x
+    assert [a.nbytes for a in _cache_arrays(cache)] == [x.nbytes]
+
+
+GRADCHECK_CASES = [
+    ("pointwise_conv2d_bias", "conv2d", dict(filters=4, kernel=(1, 1), use_bias=True)),
+    ("strided_1x1_conv2d", "conv2d", dict(filters=4, kernel=(1, 1), stride=(2, 2))),
+    (
+        "depthwise_strided_valid", "depthwise_conv2d",
+        dict(kernel=(3, 3), stride=(2, 2), padding="valid", multiplier=1),
+    ),
+]
+
+
+@pytest.mark.parametrize("label,kind,attrs", GRADCHECK_CASES, ids=[c[0] for c in GRADCHECK_CASES])
+def test_gradients_of_the_conv_paths(label, kind, attrs):
+    g = initialize(ModelGraph(label, (7, 6, 3), [_spec(kind, "k", ("input",), **attrs)]), 0)
+    rng = np.random.default_rng(zlib.crc32(label.encode()))
+    assert max_rel_error(g, rng.standard_normal((2, 7, 6, 3)), rng, mode="eval") <= TOL

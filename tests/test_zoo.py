@@ -162,6 +162,14 @@ class TestMobnet:
         g = build(ArchConfig("mobnet", input_shape=MONO))
         assert _float_ckpt_bytes(tmp_path, g) < 3.3 * 1024 * 1024
 
+    def test_eval_scores_do_not_depend_on_the_batch(self):
+        g = build(ArchConfig("mobnet", width_mult=0.25, n_classes=3, input_shape=(16, 32, 3)), seed=2)
+        x = np.random.default_rng(20200701).normal(0.0, 1.0, (3, 16, 32, 3)).astype(np.float32)
+        x[1] *= 3.0  # a louder item shares the batch
+        batch = forward(g, x, "eval")
+        for i in range(len(x)):
+            assert np.allclose(forward(g, x[i : i + 1], "eval")[0], batch[i], rtol=0, atol=1e-6)
+
 
 class TestSmallFcnn:
     def test_float_checkpoint_under_budget(self, tmp_path):
