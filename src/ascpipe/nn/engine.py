@@ -19,7 +19,14 @@ from .ops import OPS
 
 @dataclass
 class Tape:
-    """Cached activations and per-layer caches from one training forward."""
+    """What one ``run_forward`` call leaves for ``run_backward``.
+
+    ``caches`` maps every layer name to what its backward reads, or to
+    ``None`` where the ``layer_forward`` keeps no cache (``forward`` and
+    the int8 path). ``acts`` maps the final layer's name to the graph
+    output: every other activation was dropped once its last reader had
+    run, and lives on only where a cache holds it.
+    """
 
     acts: dict
     caches: dict
@@ -41,8 +48,14 @@ def run_forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=N
                 layer_forward=None):
     """Execute every layer; returns (output, Tape). NaN anywhere is an error.
 
+    Each activation is dropped once the last layer that reads it has run,
+    so at any point only the activations some later layer still reads are
+    held, plus the caches. The returned tape holds the output and every
+    layer's cache.
+
     ``layer_forward`` takes the op table's forward signature and replaces
-    ``OPS[spec.kind].forward`` for every layer (the int8 path uses it).
+    ``OPS[spec.kind].forward`` for every layer (``forward`` and the int8
+    path use it to keep no caches).
     """
     if mode not in ("train", "eval"):
         raise GraphError(f"mode must be train or eval, not {mode!r}")
@@ -51,22 +64,32 @@ def run_forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=N
         raise GraphError(
             f"graph {graph.name!r} expects input (B,)+{graph.input_shape}, got {x.shape}"
         )
+    last_reader = {src: idx for idx, spec in enumerate(graph.layers) for src in spec.inputs}
     acts = {INPUT: x}
     caches = {}
     # dropout seeds its mask from (drop_key..., layer index)
     seed = [] if drop_key is None else [int(k) for k in np.atleast_1d(drop_key)]
     for idx, spec in enumerate(graph.layers):
         ins = [acts[s] for s in spec.inputs]
+        for src in spec.inputs:
+            if last_reader[src] == idx:
+                acts.pop(src, None)  # a layer may read one activation twice
         params = graph.params.get(spec.name, {})
         out, cache = (layer_forward or OPS[spec.kind].forward)(spec, params, ins, mode, [*seed, idx])
         check_finite(spec.name, out)
         acts[spec.name] = out
         caches[spec.name] = cache
-    return acts[graph.layers[-1].name], Tape(acts, caches, mode)
+    return out, Tape(acts, caches, mode)
+
+
+def _output_only(spec, params, ins, mode, seed):
+    return OPS[spec.kind].forward(spec, params, ins, mode, seed)[0], None
 
 
 def forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=None):
-    out, _ = run_forward(graph, x, mode, drop_key)
+    """The graph output, keeping no caches: besides the layer that runs,
+    only the activations a later layer reads are held."""
+    out, _ = run_forward(graph, x, mode, drop_key, _output_only)
     return out
 
 

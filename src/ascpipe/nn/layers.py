@@ -54,32 +54,39 @@ def _unpad(dxp, ph, pw):
     return dxp[:, ph[0] : dxp.shape[1] - ph[1], pw[0] : dxp.shape[2] - pw[1], :]
 
 
+def _im2col(xp, kh, kw, sh, sw):
+    """(B, Ho, Wo, kh*kw*C) copy of the windows over a padded input; a 1x1
+    stride-1 kernel reads the input itself."""
+    if (kh, kw, sh, sw) == (1, 1, 1, 1):
+        return xp
+    win = _windows(xp, kh, kw, sh, sw)
+    return win.reshape(win.shape[0], win.shape[1], win.shape[2], -1)
+
+
 def conv2d_forward(x, w, b, stride, padding):
     geom = kh, kw, sh, sw, ph, pw = _conv_geometry(x.shape, w.shape[:2], stride, padding)
-    if (kh, kw, sh, sw) == (1, 1, 1, 1):
-        # pointwise: the input already is its im2col matrix
-        cols, xp_shape = x, x.shape
-    else:
-        xp = np.pad(x, ((0, 0), ph, pw, (0, 0)))
-        win = _windows(xp, kh, kw, sh, sw)
-        cols, xp_shape = win.reshape(win.shape[0], win.shape[1], win.shape[2], -1), xp.shape
+    xp = np.pad(x, ((0, 0), ph, pw, (0, 0))) if any(ph + pw) else x
+    cols = _im2col(xp, kh, kw, sh, sw)
     out = cols @ w.reshape(-1, w.shape[3])
+    del cols  # the backward rebuilds it from xp, 1/(kh*kw) of its bytes
     if b is not None:
         out = out + b
-    return out, (cols, xp_shape, geom, w.shape)
+    return out, (xp, geom, w.shape)
 
 
 def conv2d_backward(dout, w, cache):
-    cols, xp_shape, (kh, kw, sh, sw, ph, pw), w_shape = cache
+    xp, (kh, kw, sh, sw, ph, pw), w_shape = cache
     cout = w_shape[3]
+    cols = _im2col(xp, kh, kw, sh, sw)
     dw = cols.reshape(-1, cols.shape[-1]).T @ dout.reshape(-1, cout)
+    del cols
     dcols = dout @ w.reshape(-1, cout).T
     db = dout.sum(axis=(0, 1, 2))
     if (kh, kw, sh, sw) == (1, 1, 1, 1):
         return dcols, dw.reshape(w_shape), db
     bsz, ho, wo = dout.shape[:3]
     dwin = dcols.reshape(bsz, ho, wo, kh, kw, -1)
-    dxp = np.zeros(xp_shape, dtype=dwin.dtype)
+    dxp = np.zeros(xp.shape, dtype=dwin.dtype)
     for i, j, tap in _taps(kh, kw, sh, sw, ho, wo):
         dxp[tap] += dwin[:, :, :, i, j, :]
     return _unpad(dxp, ph, pw), dw.reshape(w_shape), db
@@ -125,22 +132,30 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode, momentum=
         mean, var = running_mean, running_var
         new_rm, new_rv = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    x_hat = (x - mean) * inv_std
-    out = gamma * x_hat + beta
-    cache = (x_hat, inv_std, gamma, mode, axes)
+    # one output array, the ops of gamma * ((x - mean) * inv_std) + beta
+    out = x - mean
+    out *= inv_std
+    out *= gamma
+    out += beta
+    cache = (x, mean, inv_std, gamma, mode, axes)
     return out, cache, new_rm.astype(running_mean.dtype), new_rv.astype(running_var.dtype)
 
 
 def batchnorm_backward(dout, cache):
-    x_hat, inv_std, gamma, mode, axes = cache
+    x, mean, inv_std, gamma, mode, axes = cache
+    x_hat = x - mean
+    x_hat *= inv_std
     dgamma = (dout * x_hat).sum(axis=axes)
     dbeta = dout.sum(axis=axes)
     if mode == "eval":
         return dout * gamma * inv_std, dgamma, dbeta
     n = dout.size // dout.shape[-1]
-    dx = (gamma * inv_std / n) * (
-        n * dout - dbeta - x_hat * dgamma
-    )
+    # (gamma * inv_std / n) * (n * dout - dbeta - x_hat * dgamma) in one array
+    dx = n * dout
+    dx -= dbeta
+    x_hat *= dgamma
+    dx -= x_hat
+    dx *= gamma * inv_std / n
     return dx, dgamma, dbeta
 
 

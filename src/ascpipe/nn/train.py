@@ -111,7 +111,7 @@ def train(
             idx = order[start : start + batch_size]
             batch = _augment_batch(tensors[idx], labels[idx], online, rng)
             lr = cosine_restart_lr(step, schedule)
-            loss, grads, _ = backward(graph, batch.tensors, batch.labels, (seed, step))
+            loss, grads = backward(graph, batch.tensors, batch.labels, (seed, step))[:2]
             opt.step(graph, grads, lr)
             epoch_losses.append(loss)
             result.lr_curve.append(lr)

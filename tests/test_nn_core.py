@@ -1,10 +1,12 @@
-"""Schedule, optimizer, checkpoint, and training-loop tests."""
+"""Schedule, optimizer, checkpoint, training-loop and executor tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ascpipe import zoo
 from ascpipe.errors import ConfigError, DataError
 from ascpipe.nn import (
     LayerSpec,
@@ -19,9 +21,12 @@ from ascpipe.nn import (
     initialize,
     load_checkpoint,
     predict,
+    run_backward,
+    run_forward,
     save_checkpoint,
     train,
 )
+from ascpipe.nn import engine
 
 
 def _spec(kind, name, inputs, **attrs):
@@ -236,3 +241,110 @@ class TestTrainLoop:
         with pytest.raises(DataError, match="empty"):
             train(g, np.zeros((0, 6, 4, 1)), np.zeros((0, 3)), self.SCHED, epochs=1)
 
+
+def _zoo_graph(arch, width, shape):
+    return zoo.build(zoo.ArchConfig(arch, width, 10, shape), 0)
+
+
+def _batch(shape, n, seed=0):
+    x = np.random.default_rng(seed).standard_normal((n, *shape)).astype(np.float32)
+    return x, np.eye(10, dtype=np.float32)[np.arange(n) % 10]
+
+
+class TestExecutor:
+    SHAPE = (48, 64, 3)
+
+    @pytest.mark.parametrize("arch", zoo.ARCH_NAMES)
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_forward_equals_run_forward_whose_tape_holds_only_the_output(self, arch, mode):
+        # the zoo has activations with several readers: residual shortcuts,
+        # the input of both freq_split halves, concat operands
+        g = _zoo_graph(arch, 0.25, self.SHAPE)
+        x, _ = _batch(self.SHAPE, 2)
+        out, tape = run_forward(g, x, mode, (3, 1))
+        assert list(tape.acts) == [g.layers[-1].name] and tape.acts[g.layers[-1].name] is out
+        assert np.array_equal(forward(g, x, mode, (3, 1)), out)
+
+    def test_forward_keeps_no_caches(self, monkeypatch):
+        tapes = []
+        run = engine.run_forward
+
+        def spy(*args, **kwargs):
+            out, tape = run(*args, **kwargs)
+            tapes.append(tape)
+            return out, tape
+
+        monkeypatch.setattr(engine, "run_forward", spy)
+        g = _zoo_graph("small_fcnn", 0.25, self.SHAPE)
+        forward(g, _batch(self.SHAPE, 2)[0], "eval")
+        (tape,) = tapes
+        assert list(tape.caches) == [s.name for s in g.layers]
+        assert all(cache is None for cache in tape.caches.values())
+
+    def test_a_layer_may_read_one_activation_twice(self):
+        g = initialize(
+            ModelGraph(
+                "twice",
+                (6, 4, 1),
+                [
+                    _spec("conv2d", "conv1", ("input",), filters=4),
+                    _spec("residual_add", "add", ("conv1", "conv1")),
+                    _spec("global_avg_pool", "gap", ("add",)),
+                    _spec("dense", "fc", ("gap",), units=3),
+                    _spec("softmax", "probs", ("fc",)),
+                ],
+            ),
+            0,
+        )
+        x, _ = _toy_dataset(n=4)
+        out, tape = run_forward(g, x, "eval")
+        assert list(tape.acts) == ["probs"]
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=1e-6)
+        grads, dx = run_backward(g, tape, np.ones_like(out))
+        assert grads["conv1"]["w"].shape == g.params["conv1"]["w"].shape
+        assert dx.shape == x.shape
+
+
+def _traced_peak_mib(fn) -> float:
+    """Peak MiB allocated while fn runs, above what was allocated when it
+    started. numpy reports its buffers to tracemalloc, so this repeats
+    exactly."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+# arch, then (old traced peak in MiB, share of it allowed) for one train-mode
+# backward and for one eval forward; width 0.5, B=2, input (64, 128, 3). The
+# old peaks are those of the executor that kept every activation, every
+# cache and conv2d's im2col matrix. This one measures backward 16.0 / 25.6 /
+# 27.2 MiB and eval forward 8.3 / 6.4 / 7.5 MiB. Mobnet's backward cannot go
+# below its 20 MiB of caches plus the depthwise backward's working set, nor
+# small_fcnn's eval forward below conv2's 6.2 MiB im2col matrix plus its
+# input, padded input and output.
+MEMORY_CASES = [
+    ("small_fcnn", (42.6, 0.5), (32.9, 0.27)),
+    ("mobnet", (47.4, 0.6), (41.8, 0.25)),
+    ("resnet", (124.2, 0.5), (117.2, 0.25)),
+]
+
+
+@pytest.mark.parametrize("arch,backward_peak,eval_peak", MEMORY_CASES, ids=[c[0] for c in MEMORY_CASES])
+def test_executor_memory_stays_bounded(arch, backward_peak, eval_peak):
+    shape = (64, 128, 3)
+    g = _zoo_graph(arch, 0.5, shape)
+    x, t = _batch(shape, 2)
+    old, share = backward_peak
+    assert _traced_peak_mib(lambda: engine.backward(g, x, t, (0, 0))) <= share * old
+    old, share = eval_peak
+    assert _traced_peak_mib(lambda: forward(g, x, "eval")) <= share * old
+    xs, ys = _batch(shape, 6, seed=1)
+    sched = ScheduleConfig(first_cycle_len=10)
+    one = _traced_peak_mib(lambda: train(g, xs[:2], ys[:2], sched, 1, batch_size=2))
+    # a step must not hold the previous step's tape
+    three = _traced_peak_mib(lambda: train(g, xs, ys, sched, 1, batch_size=2))
+    assert three <= 1.2 * one

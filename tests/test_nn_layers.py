@@ -451,6 +451,14 @@ def test_depthwise_cache_holds_only_the_padded_input():
     assert [a.nbytes for a in _cache_arrays(cache)] == [2 * 9 * 8 * 3 * 4]
 
 
+def test_conv2d_cache_holds_only_the_padded_input():
+    x = np.random.default_rng(10).standard_normal((2, 7, 6, 3)).astype(np.float32)
+    w = np.ones((3, 3, 3, 4), dtype=np.float32)
+    _, cache = L.conv2d_forward(x, w, None, (1, 1), "same")
+    # one (2, 9, 8, 3) float32 array; the im2col copy was 9x the input
+    assert [a.nbytes for a in _cache_arrays(cache)] == [2 * 9 * 8 * 3 * 4]
+
+
 def test_pointwise_conv2d_caches_its_input_itself():
     x = np.random.default_rng(9).standard_normal((2, 7, 6, 3)).astype(np.float32)
     w = np.ones((1, 1, 3, 4), dtype=np.float32)
