@@ -24,19 +24,19 @@ _FORMAT_IEEE_FLOAT = 0x0003
 class AudioClip:
     """Decoded audio: samples per channel in [-1, 1].
 
-    samples has shape (n_samples, channels); channels is 1 or 2.
+    samples has shape (n_samples, channels); channels is 1 or 2. A 1-D
+    array is taken as one channel.
     """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
+        self.samples = np.asarray(self.samples, dtype=np.float64)
+        if self.samples.ndim == 1:
+            self.samples = self.samples[:, None]
         if self.samples.ndim != 2:
             raise DataError("samples must be a 1-D or (n, channels) array")
-        if self.samples.shape[0] < self.samples.shape[1]:
-            # accept (channels, n) layout and normalize it
-            self.samples = self.samples.T
         if self.samples.shape[1] not in (1, 2):
             raise DataError(f"unsupported channel count {self.samples.shape[1]}")
         if self.samples.shape[0] == 0:

@@ -66,12 +66,13 @@ def write_scores(path: str | Path, scores: np.ndarray, classes) -> None:
 
 def read_scores(path: str | Path) -> tuple[np.ndarray, tuple[str, ...]]:
     text = read_text(path, DataError, "scores file")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # (file line number, line) of every non-blank line
+    lines = [(ln, line) for ln, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if len(lines) < 2:
         raise DataError(f"{path}: need a class header and at least one row")
-    classes = tuple(lines[0].split("\t"))
+    classes = tuple(lines[0][1].split("\t"))
     rows = []
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in lines[1:]:
         parts = line.split("\t")
         if len(parts) != len(classes):
             raise DataError(
@@ -374,13 +375,11 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     classes = _hierarchy_from(cfg).label_set(subset.scene_labels())
     tensors = _load_feature_rows(base, subset.rows)
     t_model = graph.input_shape[0]
-    xs = np.stack(
-        [
-            _crop_to_model(apply_scale01(t, stats).data, t_model, row.filename)
-            for t, row in zip(tensors, subset.rows)
-        ]
-    )
-    scores = predict(graph, xs)
+    # scaled and cropped one item at a time, as predict scores it
+    scores = predict(graph, (
+        _crop_to_model(apply_scale01(t, stats).data, t_model, row.filename)
+        for t, row in zip(tensors, subset.rows)
+    ))
     if len(classes) != scores.shape[1]:
         raise DataError(
             f"model emits {scores.shape[1]} classes but manifest labels need {len(classes)}"

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, GraphError
 from .graph import LayerSpec, ModelGraph, param_rules
 
 MAGIC = b"ASCM"
@@ -88,6 +88,8 @@ class ContainerReader:
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             # ValueError covers bad utf-8 and bad JSON
             raise DataError(f"{path}: bad topology block: {exc!r}") from exc
+        except GraphError as exc:
+            raise GraphError(f"{path}: {exc}") from exc
         self.layers = {spec.name: spec for spec in self.graph.layers}
         self.seen: set[tuple[str, str]] = set()
         (self.count,) = self.unpack("<I")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import GraphError, NumericError
+from ..errors import DataError, GraphError, NumericError
 from .graph import INPUT, ModelGraph
 from .ops import OPS
 
@@ -91,6 +91,20 @@ def forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=None)
     only the activations a later layer reads are held."""
     out, _ = run_forward(graph, x, mode, drop_key, _output_only)
     return out
+
+
+def per_item(run, items) -> np.ndarray:
+    """``run`` on each item of ``items`` as a float32 batch of one, the
+    outputs concatenated in item order; a NumericError names the item."""
+    outs = []
+    for i, item in enumerate(items):
+        try:
+            outs.append(run(np.asarray(item, dtype=np.float32)[None]))
+        except NumericError as exc:
+            raise NumericError(f"input item {i}: {exc}") from exc
+    if not outs:
+        raise DataError("no items to score")
+    return np.concatenate(outs)
 
 
 def run_backward(graph: ModelGraph, tape: Tape, dout: np.ndarray, skip_last: bool = False):

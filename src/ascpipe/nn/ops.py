@@ -14,6 +14,7 @@ count calls) reaches every caller.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,10 +34,37 @@ class Op:
     macs: Callable | None = None  # (spec, input shape) -> MACs per output element
 
 
-def _pair(v) -> tuple[int, int]:
-    if isinstance(v, (tuple, list)):
-        return int(v[0]), int(v[1])
-    return int(v), int(v)
+def _is_count(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_count, v))
+
+
+def _is_rate(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 <= v < 1
+
+
+def _checked(spec, key: str, default, ok: Callable, want: str):
+    """Attribute ``key`` of ``spec`` (or ``default``), which ``ok`` accepts."""
+    v = spec.attr(key, default)
+    if not ok(v):
+        raise GraphError(f"layer {spec.name!r}: attribute {key!r} must be {want}, got {v!r}")
+    return v
+
+
+def _count(spec, key: str, default=None) -> int:
+    return int(_checked(spec, key, default, _is_count, "a positive integer"))
+
+
+def _pair(spec, key: str, default=None) -> tuple[int, int]:
+    a, b = _checked(spec, key, default, _is_pair, "a pair of positive integers")
+    return int(a), int(b)
+
+
+def _rate(spec) -> float:
+    return float(_checked(spec, "rate", 0.3, _is_rate, "a number in [0, 1)"))
 
 
 def _conv_axis(n: int, k: int, s: int, padding: str, layer: str) -> int:
@@ -56,11 +84,11 @@ def _rank(spec, x: tuple, r: int) -> tuple:
 
 
 def _kernel(spec) -> tuple[int, int]:
-    return _pair(spec.attr("kernel", (3, 3)))
+    return _pair(spec, "kernel", (3, 3))
 
 
 def _stride(spec) -> tuple[int, int]:
-    return _pair(spec.attr("stride", (1, 1)))
+    return _pair(spec, "stride", (1, 1))
 
 
 def _window(spec, x: tuple) -> tuple[int, int]:
@@ -102,18 +130,18 @@ def _weight_grads(p, dx, dw, db):
 
 def _conv_params(spec, x):
     kh, kw = _kernel(spec)
-    filters = int(spec.attr("filters"))
+    filters = _count(spec, "filters")
     return _weights(spec, (kh, kw, x[2], filters), kh * kw * x[2], filters)
 
 
 def _depthwise_params(spec, x):
     kh, kw = _kernel(spec)
-    mult = int(spec.attr("multiplier", 1))
+    mult = _count(spec, "multiplier", 1)
     return _weights(spec, (kh, kw, x[2], mult), kh * kw * x[2], x[2] * mult)
 
 
 def _dense_params(spec, x):
-    units = int(spec.attr("units"))
+    units = _count(spec, "units")
     return {"w": ((x[0], units), _he(x[0])), "b": ((units,), _zeros)}
 
 
@@ -129,7 +157,7 @@ def _batchnorm_params(spec, x):
 
 def _attention_params(spec, x):
     c = x[2]
-    hidden = max(c // int(spec.attr("reduction", 4)), 1)
+    hidden = max(c // _count(spec, "reduction", 4), 1)
     return {
         "w1": ((c, hidden), _he(c)),
         "b1": ((hidden,), _zeros),
@@ -155,7 +183,7 @@ def _batchnorm_backward(spec, p, cache, dout):
 
 def _dropout_forward(spec, p, ins, mode, seed):
     rng = np.random.default_rng(seed) if mode == "train" else None
-    return L.dropout_forward(ins[0], float(spec.attr("rate", 0.3)), mode, rng)
+    return L.dropout_forward(ins[0], _rate(spec), mode, rng)
 
 
 def _attention_backward(spec, p, cache, dout):
@@ -165,16 +193,26 @@ def _attention_backward(spec, p, cache, dout):
 
 def _maxpool_infer(spec, shapes):
     x = _rank(spec, shapes[0], 3)
-    ph, pw = _pair(spec.attr("pool"))
+    ph, pw = _pair(spec, "pool")
     if x[0] < ph or x[1] < pw:
         raise GraphError(f"layer {spec.name!r}: pool {ph}x{pw} exceeds map {x[0]}x{x[1]}")
     # non-overlapping windows; a remainder that cannot fill one is dropped
     return (x[0] // ph, x[1] // pw, x[2])
 
 
+def _dropout_infer(spec, shapes):
+    _rate(spec)
+    return shapes[0]
+
+
+def _attention_infer(spec, shapes):
+    _count(spec, "reduction", 4)
+    return _rank(spec, shapes[0], 3)
+
+
 def _dense_infer(spec, shapes):
     _rank(spec, shapes[0], 1)
-    return (int(spec.attr("units")),)
+    return (_count(spec, "units"),)
 
 
 def _residual_infer(spec, shapes):
@@ -189,7 +227,7 @@ def _freq_split_infer(spec, shapes):
     x = _rank(spec, shapes[0], 3)
     if x[1] % 2:
         raise GraphError(f"layer {spec.name!r}: cannot halve odd frequency extent {x[1]}")
-    if int(spec.attr("part")) not in (0, 1):
+    if spec.attr("part") not in (0, 1):
         raise GraphError(f"layer {spec.name!r}: part must be 0 or 1")
     return (x[0], x[1] // 2, x[2])
 
@@ -217,7 +255,7 @@ def _concat_infer(spec, shapes):
 OPS: dict[str, Op] = {
     "conv2d": Op(
         1,
-        lambda s, xs: (*_window(s, xs[0]), int(s.attr("filters"))),
+        lambda s, xs: (*_window(s, xs[0]), _count(s, "filters")),
         lambda s, p, ins, mode, seed: L.conv2d_forward(
             ins[0], p["w"], p.get("b"), _stride(s), s.attr("padding", "same")
         ),
@@ -227,7 +265,7 @@ OPS: dict[str, Op] = {
     ),
     "depthwise_conv2d": Op(
         1,
-        lambda s, xs: (*_window(s, xs[0]), xs[0][2] * int(s.attr("multiplier", 1))),
+        lambda s, xs: (*_window(s, xs[0]), xs[0][2] * _count(s, "multiplier", 1)),
         lambda s, p, ins, mode, seed: L.depthwise_forward(
             ins[0], p["w"], p.get("b"), _stride(s), s.attr("padding", "same")
         ),
@@ -245,7 +283,7 @@ OPS: dict[str, Op] = {
     "maxpool": Op(
         1,
         _maxpool_infer,
-        lambda s, p, ins, mode, seed: L.maxpool_forward(ins[0], *_pair(s.attr("pool"))),
+        lambda s, p, ins, mode, seed: L.maxpool_forward(ins[0], *_pair(s, "pool")),
         lambda s, p, cache, d: ([L.maxpool_backward(d, cache)], {}),
     ),
     "global_avg_pool": Op(
@@ -270,13 +308,13 @@ OPS: dict[str, Op] = {
     ),
     "dropout": Op(
         1,
-        _same,
+        _dropout_infer,
         _dropout_forward,
         lambda s, p, cache, d: ([L.dropout_backward(d, cache)], {}),
     ),
     "channel_attention": Op(
         1,
-        lambda s, xs: _rank(s, xs[0], 3),
+        _attention_infer,
         lambda s, p, ins, mode, seed: L.channel_attention_forward(
             ins[0], p["w1"], p["b1"], p["w2"], p["b2"]
         ),

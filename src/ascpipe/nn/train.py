@@ -15,7 +15,7 @@ from ..augment import (
 )
 from ..errors import ConfigError, DataError
 from ..features import FeatureTensor
-from .engine import backward, forward
+from .engine import backward, forward, per_item
 from .graph import ModelGraph
 from .optim import SgdMomentum
 from .schedule import ScheduleConfig, cosine_restart_lr
@@ -120,12 +120,9 @@ def train(
     return result
 
 
-def predict(graph: ModelGraph, tensors: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Eval-mode class probabilities in batches of ``batch_size``."""
-    tensors = np.asarray(tensors, dtype=np.float32)
-    outs = [
-        forward(graph, tensors[i : i + batch_size], "eval")
-        for i in range(0, len(tensors), batch_size)
-    ]
-    return np.concatenate(outs, axis=0)
+def predict(graph: ModelGraph, items) -> np.ndarray:
+    """Eval-mode class probabilities, one row per item of ``items`` (an
+    (N, T, F, C) array or any iterable of (T, F, C) items), each item
+    scored on its own."""
+    return per_item(lambda x: forward(graph, x, "eval"), items)
 

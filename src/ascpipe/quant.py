@@ -5,11 +5,11 @@ Weights of conv / depthwise-conv / dense layers are mapped to signed
 Batchnorm is folded into the preceding layer first, so the quantized
 graph carries no normalization layers. Biases and channel-attention
 parameters stay float32. Inference runs on the engine's ``run_forward``
-with an int8 per-layer forward: activations feeding a quantized layer
-are quantized on the fly with one scale per item, so an item's scores do
-not depend on its batch; multiply-accumulate runs on exact integer
-values, and the result is rescaled by the product of the two scales
-before the bias add.
+with an int8 per-layer forward, one item at a time: activations feeding a
+quantized layer are quantized on the fly with one scale per tensor (Jacob
+et al. 2018), so an item's scores do not depend on the other items;
+multiply-accumulate runs on exact integer values, and the result is
+rescaled by the product of the two scales before the bias add.
 
 Integer accumulation is exact by construction: products are bounded by
 127 * 127, and a validation check caps multiply-accumulates per output at
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DataError, GraphError
 from .nn.checkpoint import ContainerReader, encode_container
-from .nn.engine import run_forward
+from .nn.engine import per_item, run_forward
 from .nn.graph import INPUT, LayerSpec, ModelGraph
 from .nn.layers import BN_EPS
 from .nn.ops import OPS
@@ -71,19 +71,19 @@ class QuantizedModel:
     weights: dict[str, QuantizedTensor]
 
 
-def _to_int(arr: np.ndarray, scale) -> np.ndarray:
-    """arr / scale rounded half away from zero and clipped to +-127, as float64."""
+def _to_int(arr: np.ndarray, scale: float) -> np.ndarray:
+    """arr / scale rounded half away from zero and clipped to +-127, as float64;
+    ``scale`` is the tensor's one scale."""
     q = np.array(arr, dtype=np.float64)
-    q /= scale  # in place: dividing by per-item scales into a new array is over 2x slower
+    q /= scale  # in place on the float64 copy
     return np.clip(np.sign(q) * np.floor(np.abs(q) + 0.5), -_QMAX, _QMAX)
 
 
-def _quantize_activation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer values of x with one scale per item (max|item| maps to 127),
-    and the scales shaped to broadcast over x. Its temporaries are freed
-    before the caller's layer kernel runs."""
-    amax = np.abs(x).max(axis=tuple(range(1, x.ndim)), keepdims=True).astype(np.float64)
-    scale = np.where(amax > 0, amax / _QMAX, 1.0)
+def _quantize_activation(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Integer values of x and its one scale (max|x| maps to 127). Its
+    temporaries are freed before the caller's layer kernel runs."""
+    amax = float(np.abs(x).max())
+    scale = amax / _QMAX if amax > 0 else 1.0
     return _to_int(x, scale), scale
 
 
@@ -189,7 +189,8 @@ def quantize_model(graph: ModelGraph) -> QuantizedModel:
 
 
 def quantized_forward(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
-    """Run inference with int8 weights and dynamically quantized activations.
+    """Run inference with int8 weights and dynamically quantized activations,
+    each item of ``x`` scored on its own.
 
     Integer products are accumulated in float64, which is exact for the
     value ranges admitted by check_mac_budget; the accumulator is then
@@ -210,8 +211,7 @@ def quantized_forward(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
             acc += params["b"]
         return acc.astype(np.float32), None
 
-    out, _ = run_forward(qm.graph, np.asarray(x, dtype=np.float32), layer_forward=layer)
-    return out
+    return per_item(lambda item: run_forward(qm.graph, item, layer_forward=layer)[0], x)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ from .errors import ConfigError
 from .nn import LayerSpec, ModelGraph, initialize
 
 FCNN_CHANNELS = (32, 32, 64, 64, 128, 128, 128, 256, 256)
+FCNN_POOLS = {2: (2, 2), 4: (2, 2), 8: (2, 2)}  # block -> maxpool after it
 FSFCNN_CHANNELS = (32, 32, 64, 64, 128, 128, 256, 256, 256, 256, 256)
+FSFCNN_POOLS = {2: (2, 2), 4: (2, 2), 6: (1, 2), 8: (1, 2)}
 RESNET_BASE_FILTERS = 32
 MOBNET_STEM = 32
 MOBNET_BLOCKS = (  # (out_channels, depthwise stride)
@@ -75,32 +77,13 @@ def _head(layers, src, n_classes):
     return layers
 
 
-def _fcnn(cfg: ArchConfig, base_width: float = 1.0):
-    """9 conv blocks, 2x2 pools after blocks 2/4/8, dropout on 5-9, SE gate."""
-    width = cfg.width_mult * base_width
-    layers = []
-    src = "input"
-    for i, base in enumerate(FCNN_CHANNELS, start=1):
-        src = _conv_block(layers, str(i), src, _scale(base, width))
-        if i in (2, 4, 8):
-            layers.append(_spec("maxpool", f"pool{i}", src, pool=(2, 2)))
-            src = f"pool{i}"
-        if i >= 5:
-            layers.append(_spec("dropout", f"drop{i}", src, rate=DROPOUT_RATE))
-            src = f"drop{i}"
-    layers.append(_spec("channel_attention", "se", src, reduction=4))
-    return _head(layers, "se", cfg.n_classes)
-
-
-def _fsfcnn_trunk(layers, prefix, src, width):
-    """11 conv blocks; 2x2 pools after 2/4, 1x2 pools after 6/8, dropout 5-11."""
-    for i, base in enumerate(FSFCNN_CHANNELS, start=1):
+def _trunk(layers, prefix, src, width, channels, pools):
+    """One conv block per entry of ``channels``, a maxpool of ``pools[i]``
+    after block i, and dropout after blocks 5 on."""
+    for i, base in enumerate(channels, start=1):
         src = _conv_block(layers, f"{prefix}{i}", src, _scale(base, width))
-        if i in (2, 4):
-            layers.append(_spec("maxpool", f"pool{prefix}{i}", src, pool=(2, 2)))
-            src = f"pool{prefix}{i}"
-        elif i in (6, 8):
-            layers.append(_spec("maxpool", f"pool{prefix}{i}", src, pool=(1, 2)))
+        if i in pools:
+            layers.append(_spec("maxpool", f"pool{prefix}{i}", src, pool=pools[i]))
             src = f"pool{prefix}{i}"
         if i >= 5:
             layers.append(_spec("dropout", f"drop{prefix}{i}", src, rate=DROPOUT_RATE))
@@ -108,10 +91,12 @@ def _fsfcnn_trunk(layers, prefix, src, width):
     return src
 
 
-def _fsfcnn(cfg: ArchConfig):
-    """11 conv blocks; frequency is pooled twice more than time."""
+def _fcnn(cfg: ArchConfig, channels=FCNN_CHANNELS, pools=FCNN_POOLS, base_width: float = 1.0):
+    """The conv-block trunk, an SE gate and the head. FCNN: 9 blocks and
+    2x2 pools; FS-FCNN: 11 blocks, and frequency is pooled twice more
+    than time."""
     layers = []
-    src = _fsfcnn_trunk(layers, "", "input", cfg.width_mult)
+    src = _trunk(layers, "", "input", cfg.width_mult * base_width, channels, pools)
     layers.append(_spec("channel_attention", "se", src, reduction=4))
     return _head(layers, "se", cfg.n_classes)
 
@@ -122,8 +107,8 @@ def _fsfcnn_s(cfg: ArchConfig):
         _spec("freq_split", "band_lo", "input", part=0),
         _spec("freq_split", "band_hi", "input", part=1),
     ]
-    lo = _fsfcnn_trunk(layers, "lo", "band_lo", cfg.width_mult)
-    hi = _fsfcnn_trunk(layers, "hi", "band_hi", cfg.width_mult)
+    lo = _trunk(layers, "lo", "band_lo", cfg.width_mult, FSFCNN_CHANNELS, FSFCNN_POOLS)
+    hi = _trunk(layers, "hi", "band_hi", cfg.width_mult, FSFCNN_CHANNELS, FSFCNN_POOLS)
     layers.append(_spec("concat", "merge", (lo, hi), axis="channel"))
     merged = _scale(FSFCNN_CHANNELS[-1], cfg.width_mult)
     src = _conv_block(layers, "12", "merge", merged)
@@ -192,7 +177,7 @@ def _mobnet(cfg: ArchConfig):
 
 LAYERS = {
     "fcnn": _fcnn,
-    "fsfcnn": _fsfcnn,
+    "fsfcnn": partial(_fcnn, channels=FSFCNN_CHANNELS, pools=FSFCNN_POOLS),
     "fsfcnn_s": _fsfcnn_s,
     "resnet": _resnet,
     "resnet_d": partial(_resnet, doubled=True),

@@ -116,6 +116,18 @@ def test_clip_invariants():
         AudioClip(np.array([np.nan, 0.0]), 44100)
     with pytest.raises(DataError):
         AudioClip(np.zeros(10), 0)
+    with pytest.raises(DataError, match="channel count 100"):  # (n, channels) only
+        AudioClip(np.zeros((2, 100)), 8000)
+
+
+def test_one_frame_stereo_wav_keeps_its_two_channels(tmp_path):
+    fmt = struct.pack("<HHIIHH", 1, 2, 8000, 8000 * 4, 4, 16)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt
+            + b"data" + struct.pack("<I", 4) + struct.pack("<hh", 8192, -16384))
+    path = tmp_path / "one_frame.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    clip = load_wav(path)
+    assert clip.samples.tolist() == [[0.25, -0.5]]
 
 
 def test_downmix_averages_channels():

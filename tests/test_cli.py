@@ -295,6 +295,12 @@ class TestScoreFiles:
         with pytest.raises(DataError, match="non-numeric"):
             read_scores(path)
 
+    def test_errors_name_the_line_of_the_file(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        path.write_text("a\tb\n\n0.5\t0.5\n\n0.5\thigh\n")
+        with pytest.raises(DataError, match=r"scores\.tsv:5: non-numeric"):
+            read_scores(path)
+
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "scores.tsv"
         path.write_text("a\tb\n")

@@ -3,17 +3,21 @@
 Each loader reads a tiny valid file cut at every offset and with one
 seeded single-byte flip at every offset. A damaged file may still load
 (a flip inside a float payload is undetectable); it must not raise
-anything but AscError.
+anything but AscError. Model files whose topology is well-formed but
+holds a bad attribute value must fail to load with a GraphError.
 """
+
+import json
+import struct
 
 import numpy as np
 import pytest
 
-from ascpipe import quant
+from ascpipe import quant, zoo
 from ascpipe.audio import AudioClip, load_wav, save_wav
-from ascpipe.cli import read_scores, write_scores
+from ascpipe.cli import main, read_scores, write_scores
 from ascpipe.config import load_config
-from ascpipe.errors import AscError, DataError, read_text
+from ascpipe.errors import AscError, DataError, GraphError, read_text
 from ascpipe.evaluation import EvalReport, render_report, report_from_json, report_to_json
 from ascpipe.featio import read_features, read_scale_stats, write_features, write_scale_stats
 from ascpipe.features import FeatureTensor, ScaleStats
@@ -132,3 +136,64 @@ def test_every_parameter_comes_from_exactly_one_record(kind, edit, message, tmp_
     write(tmp_path / "model")
     with pytest.raises(DataError, match=message):
         load(tmp_path / "model")
+
+
+# (layer, attribute, value) edits of a small_fcnn topology, each one a
+# value that graph validation must reject
+BAD_ATTRS = [
+    ("conv1", "stride", [0, 0]),
+    ("conv1", "kernel", [3]),
+    ("conv1", "filters", 0),
+    ("pool2", "pool", [0, 0]),
+    ("pool2", "pool", [2, 2.5]),
+    ("se", "reduction", 0),
+    ("se", "reduction", "x"),
+    ("drop5", "rate", "x"),
+    ("drop5", "rate", 1.5),
+    ("fc", "units", True),
+]
+
+
+def _small_fcnn():
+    return zoo.build(zoo.ArchConfig("small_fcnn", 0.25, 3, (16, 32, 3)), seed=0)
+
+
+def _edit_topology(path, layer, key, value):
+    """Rewrite one attribute in the topology JSON of a model container."""
+    blob = path.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 8)
+    topo = json.loads(blob[12 : 12 + n])
+    next(sp for sp in topo["layers"] if sp["name"] == layer)["attrs"][key] = value
+    raw = json.dumps(topo, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + n :])
+
+
+@pytest.mark.parametrize("layer, key, value", BAD_ATTRS, ids=[f"{k}={v}" for _, k, v in BAD_ATTRS])
+@pytest.mark.parametrize("kind", ["checkpoint", "quantized"])
+def test_bad_attribute_values_fail_closed(kind, layer, key, value, tmp_path):
+    path = tmp_path / "model"
+    if kind == "checkpoint":
+        save_checkpoint(path, _small_fcnn())
+    else:
+        save_quantized(path, quantize_model(_small_fcnn()))
+    _edit_topology(path, layer, key, value)
+    with pytest.raises(GraphError, match=f"layer '{layer}': attribute '{key}'"):
+        (load_checkpoint if kind == "checkpoint" else load_quantized)(path)
+
+
+def test_evaluate_rejects_a_bad_dropout_rate(tmp_path, capsys):
+    """Loaded, this checkpoint would fail at its first dropout forward."""
+    rng = np.random.default_rng(0)
+    lines = ["filename\tscene_label\tsource_label"]
+    for i, scene in enumerate(("indoor", "outdoor", "transportation")):
+        write_features(tmp_path / f"f{i}.feat", FeatureTensor(rng.random((16, 32, 3))))
+        lines.append(f"f{i}.feat\t{scene}\ta")
+    (tmp_path / "features.tsv").write_text("\n".join(lines) + "\n")
+    model = tmp_path / "model.ascm"
+    save_checkpoint(model, _small_fcnn())
+    write_scale_stats(tmp_path / "model.stats.txt", ScaleStats([0.0] * 3, [1.0] * 3))
+    assert main(["evaluate", str(model), "--manifest", str(tmp_path / "features.tsv")]) == 0
+    _edit_topology(model, "drop5", "rate", "x")
+    capsys.readouterr()
+    assert main(["evaluate", str(model), "--manifest", str(tmp_path / "features.tsv")]) == 3
+    assert f"data error: {model}: layer 'drop5': attribute 'rate'" in capsys.readouterr().err

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ascpipe import zoo
-from ascpipe.errors import ConfigError, DataError
+from ascpipe import quant, zoo
+from ascpipe.errors import ConfigError, DataError, NumericError
 from ascpipe.nn import (
     LayerSpec,
     ModelGraph,
@@ -348,3 +348,47 @@ def test_executor_memory_stays_bounded(arch, backward_peak, eval_peak):
     # a step must not hold the previous step's tape
     three = _traced_peak_mib(lambda: train(g, xs, ys, sched, 1, batch_size=2))
     assert three <= 1.2 * one
+
+
+class TestPerItemScoring:
+    """predict and quantized_forward score every item as a batch of one."""
+
+    SHAPE = (16, 32, 3)
+
+    def _scorer(self, arch, int8):
+        g = zoo.build(zoo.ArchConfig(arch, width_mult=0.25, n_classes=3, input_shape=self.SHAPE), seed=2)
+        if int8:
+            qm = quant.quantize_model(g)
+            return lambda xs: quant.quantized_forward(qm, xs)
+        return lambda xs: predict(g, xs)
+
+    @pytest.mark.parametrize("int8", [False, True], ids=["float", "int8"])
+    @pytest.mark.parametrize("arch", zoo.ARCH_NAMES)
+    def test_an_item_scores_the_same_alone(self, arch, int8):
+        score = self._scorer(arch, int8)
+        x = np.random.default_rng(5).standard_normal((3, *self.SHAPE)).astype(np.float32)
+        x[1] *= 3.0  # a louder item shares the batch
+        batch = score(x)
+        for i in range(len(x)):
+            assert np.array_equal(score(x[i : i + 1]), batch[i : i + 1])
+
+    @pytest.mark.parametrize("int8", [False, True], ids=["float", "int8"])
+    def test_a_non_finite_item_is_named(self, int8):
+        score = self._scorer("small_fcnn", int8)
+        x = np.ones((3, *self.SHAPE), dtype=np.float32)
+        x[1, 4, 5, 0] = np.inf
+        with pytest.raises(NumericError, match=r"input item 1: non-finite activation at layer 'conv1'"):
+            score(x)
+
+    def test_no_items_is_a_data_error(self):
+        with pytest.raises(DataError, match="no items"):
+            self._scorer("small_fcnn", False)([])
+
+    def test_predict_memory_does_not_grow_with_item_count(self):
+        # traced peaks, width 0.5: 4.2 MiB for 1 item and 4.2 MiB for 8;
+        # one batch of 8 took 33.1 MiB
+        shape = (64, 128, 3)
+        g = _zoo_graph("small_fcnn", 0.5, shape)
+        xs, _ = _batch(shape, 8)
+        one = _traced_peak_mib(lambda: predict(g, xs[:1]))
+        assert _traced_peak_mib(lambda: predict(g, xs)) <= 1.2 * one

@@ -50,7 +50,8 @@ def test_every_layer_reaches_its_kernel_through_the_module(arch, calls):
     qm = quant.quantize_model(graph)
     calls.clear()
     quant.quantized_forward(qm, x)
-    assert calls == Counter(f"{_kernel(s.kind)}_forward" for s in qm.graph.layers)
+    # one forward per item, each item reaching every layer's kernel once
+    assert calls == Counter(f"{_kernel(s.kind)}_forward" for s in qm.graph.layers for _ in x)
 
 
 def test_the_dispatch_test_covers_every_kind():
