@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import platform
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -47,7 +48,13 @@ from .features import ScaleStats, apply_scale01, extract_clip_features, fit_scal
 from .fusion import ClassHierarchy, average_ensemble, two_stage_fuse_batch
 from .manifest import DatasetManifest, read_manifest, write_manifest
 from .nn import load_checkpoint, one_hot, predict, save_checkpoint, train
-from .quant import quantize_model, save_quantized, weight_blob_ratio
+from .quant import (
+    load_quantized,
+    quantize_model,
+    quantized_forward,
+    save_quantized,
+    weight_blob_ratio,
+)
 from .zoo import ArchConfig, build
 
 # ---------------------------------------------------------------------------
@@ -364,8 +371,30 @@ def _evaluate_scores(scores: np.ndarray, subset: DatasetManifest, out_dir, class
     return 0
 
 
+def _scored_items(base: Path, rows, stats: ScaleStats, t_model: int):
+    """Each row's features, read, checked against the first row's mel and
+    channel dims, scaled and cropped only when the row is scored."""
+    dims = None
+    for row in rows:
+        path = base / row.filename
+        feats = read_features(path)
+        if dims is None:
+            dims = feats.shape[1:]
+        elif feats.shape[1:] != dims:
+            raise DataError(
+                f"{path}: feature mel/channel dims {feats.shape[1:]} differ "
+                f"from the first test row's {dims}"
+            )
+        yield _crop_to_model(apply_scale01(feats, stats).data, t_model, row.filename)
+
+
 def cmd_evaluate(args, cfg: RunConfig) -> int:
-    graph = load_checkpoint(args.model)
+    if Path(args.model).suffix == ".ascq":
+        model = load_quantized(args.model)
+        graph, score = model.graph, quantized_forward
+    else:
+        graph = model = load_checkpoint(args.model)
+        score = predict
     sidecar = _stats_sidecar(args.model)
     if not sidecar.exists():
         raise DataError(f"missing scale stats sidecar {sidecar}")
@@ -373,13 +402,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 
     base, subset = _read_split(args.manifest, "test")
     classes = _hierarchy_from(cfg).label_set(subset.scene_labels())
-    tensors = _load_feature_rows(base, subset.rows)
-    t_model = graph.input_shape[0]
-    # scaled and cropped one item at a time, as predict scores it
-    scores = predict(graph, (
-        _crop_to_model(apply_scale01(t, stats).data, t_model, row.filename)
-        for t, row in zip(tensors, subset.rows)
-    ))
+    scores = score(model, _scored_items(base, subset.rows, stats, graph.input_shape[0]))
     if len(classes) != scores.shape[1]:
         raise DataError(
             f"model emits {scores.shape[1]} classes but manifest labels need {len(classes)}"
@@ -428,16 +451,28 @@ def cmd_ensemble(args, cfg: RunConfig) -> int:
     return 0
 
 
+# the paper's Task 1b model size limit, in KB of 1024 bytes
+TASK1B_LIMIT_KB = 500
+
+
 def cmd_quantize(args, cfg: RunConfig) -> int:
     graph = load_checkpoint(args.model)
     qm = quantize_model(graph)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     report = save_quantized(out, qm)
+    # the float model's scale stats, so `evaluate` can score the .ascq
+    sidecar, out_sidecar = _stats_sidecar(args.model), _stats_sidecar(out)
+    if sidecar.exists() and sidecar.resolve() != out_sidecar.resolve():
+        shutil.copyfile(sidecar, out_sidecar)
     float_bytes = Path(args.model).stat().st_size
     for section, size in dataclasses.asdict(report).items():
         print(f"{section.replace('_', ' ')}: {size}")
     print(f"total bytes: {report.total_bytes}")
+    print(
+        f"task 1b size: {report.total_bytes / 1024:.1f} KB against the paper's "
+        f"{TASK1B_LIMIT_KB} KB limit (1 KB = 1024 bytes)"
+    )
     print(f"float checkpoint bytes: {float_bytes}")
     print(f"file size ratio: {report.total_bytes / float_bytes:.4f}")
     print(f"weight blob ratio: {weight_blob_ratio(qm):.4f}")
@@ -502,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("evaluate", help="evaluate a checkpoint on a feature manifest")
-    p.add_argument("model", help="checkpoint file")
+    p.add_argument("model", help="checkpoint file (.ascm), or quantized model (.ascq)")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", help="directory for report.json / report.txt / scores.tsv")
     _add_common(p)

@@ -11,10 +11,16 @@ et al. 2018), so an item's scores do not depend on the other items;
 multiply-accumulate runs on exact integer values, and the result is
 rescaled by the product of the two scales before the bias add.
 
-Integer accumulation is exact by construction: products are bounded by
-127 * 127, and a validation check caps multiply-accumulates per output at
-2**23, so every accumulator stays below 2**37, far inside the 2**53 range
-where float64 holds integers exactly.
+Integer accumulation is exact by construction. Products are bounded by
+127 * 127 = 16129, and float32 holds every integer up to 2**24 exactly, so a
+float32 contraction of at most F32_EXACT_MACS = 2**24 // 127**2 = 1040
+products per output gives the exact integer sum whatever order the BLAS
+adds in. A layer with more MACs per output contracts its input channels
+in groups of at most 1040 MACs, and the float32 group sums are added in
+float64. A validation check caps MACs per output at 2**23, so every
+accumulator stays below 2**37, far inside the 2**53 range where float64
+holds integers exactly: the accumulators are the integer dot products,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -39,10 +45,15 @@ VERSION = 1
 # the kinds with a MAC count carry the int8 weights and absorb batchnorm
 QUANT_KINDS = tuple(kind for kind, op in OPS.items() if op.macs)
 
-# per-output multiply-accumulate budget that keeps float64 accumulation exact
+_QMAX = 127
+
+# per-output MAC budget: every accumulator stays below 127**2 * 2**23 < 2**37,
+# so adding the float32 block sums in float64 (exact below 2**53) is exact
 MAX_MACS_PER_OUTPUT = 2**23
 
-_QMAX = 127
+# most MACs per output in one float32 block: 1040 * 127**2 < 2**24, where
+# float32 still holds every integer, so a block sum is exact in any order
+F32_EXACT_MACS = 2**24 // _QMAX**2
 
 
 @dataclass(frozen=True)
@@ -73,18 +84,20 @@ class QuantizedModel:
 
 def _to_int(arr: np.ndarray, scale: float) -> np.ndarray:
     """arr / scale rounded half away from zero and clipped to +-127, as float64;
-    ``scale`` is the tensor's one scale."""
-    q = np.array(arr, dtype=np.float64)
-    q /= scale  # in place on the float64 copy
-    return np.clip(np.sign(q) * np.floor(np.abs(q) + 0.5), -_QMAX, _QMAX)
+    ``scale`` is the tensor's one scale. One float64 array, rounded in place."""
+    q = np.divide(arr, scale, dtype=np.float64)
+    np.abs(q, out=q)
+    q += 0.5
+    np.floor(q, out=q)
+    np.minimum(q, _QMAX, out=q)
+    return np.copysign(q, arr, out=q)
 
 
 def _quantize_activation(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Integer values of x and its one scale (max|x| maps to 127). Its
-    temporaries are freed before the caller's layer kernel runs."""
-    amax = float(np.abs(x).max())
+    """Integer values of x as float32 and its one scale (max|x| maps to 127)."""
+    amax = float(max(x.max(), -x.min()))
     scale = amax / _QMAX if amax > 0 else 1.0
-    return _to_int(x, scale), scale
+    return _to_int(x, scale).astype(np.float32), scale
 
 
 def quantize_tensor(w: np.ndarray) -> QuantizedTensor:
@@ -103,17 +116,31 @@ def quantize_tensor(w: np.ndarray) -> QuantizedTensor:
     return QuantizedTensor(_to_int(arr, scale).astype(np.int8), scale)
 
 
+def _channel_macs(spec: LayerSpec, shape: tuple) -> int:
+    """MACs one input channel adds to an output (a conv kernel's taps, 1 for
+    dense): the smallest group the int8 forward can contract."""
+    return OPS[spec.kind].macs(spec, (*shape[:-1], 1))
+
+
 def check_mac_budget(graph: ModelGraph) -> None:
-    """Reject graphs with more than MAX_MACS_PER_OUTPUT per output element."""
+    """Reject graphs with more than MAX_MACS_PER_OUTPUT per output element,
+    or a kernel whose one-channel group exceeds F32_EXACT_MACS."""
     for spec in graph.layers:
         count = OPS[spec.kind].macs
         if count is None:
             continue
-        macs = count(spec, graph.in_shape(spec))
+        shape = graph.in_shape(spec)
+        macs = count(spec, shape)
         if macs > MAX_MACS_PER_OUTPUT:
             raise GraphError(
                 f"layer {spec.name!r}: {macs} multiply-accumulates per output "
                 f"exceeds the {MAX_MACS_PER_OUTPUT} accumulator budget"
+            )
+        taps = _channel_macs(spec, shape)
+        if taps > F32_EXACT_MACS:
+            raise GraphError(
+                f"layer {spec.name!r}: a kernel of {taps} taps exceeds the "
+                f"{F32_EXACT_MACS} MACs of an exact float32 block"
             )
 
 
@@ -188,15 +215,40 @@ def quantize_model(graph: ModelGraph) -> QuantizedModel:
     return QuantizedModel(folded, weights)
 
 
+def _int_accumulate(spec: LayerSpec, w: np.ndarray, qa: np.ndarray) -> np.ndarray:
+    """The exact float64 integer accumulators of a conv / depthwise / dense
+    layer over integer-valued float32 weights ``w`` and activations ``qa``.
+
+    The op's own forward contracts at most F32_EXACT_MACS per output in
+    float32. A layer with more runs it once per group of input channels
+    (``qa[..., group]`` against ``w[..., group, :]``, the input-channel
+    axis of conv and dense weights) and adds the group sums in float64.
+    """
+    op = OPS[spec.kind]
+    shape = qa.shape[1:]
+    step = shape[-1]
+    if op.macs(spec, shape) > F32_EXACT_MACS:
+        step = F32_EXACT_MACS // _channel_macs(spec, shape)
+    for c0 in range(0, shape[-1], step):
+        group = slice(c0, c0 + step)
+        part = op.forward(spec, {"w": w[..., group, :]}, [qa[..., group]], "eval", None)[0]
+        if c0:
+            acc += part
+        else:
+            acc = part.astype(np.float64)
+    return acc
+
+
 def quantized_forward(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
     """Run inference with int8 weights and dynamically quantized activations,
     each item of ``x`` scored on its own.
 
-    Integer products are accumulated in float64, which is exact for the
-    value ranges admitted by check_mac_budget; the accumulator is then
-    rescaled by activation-scale times weight-scale and the float bias is
-    added. The other kinds run the op table's eval forward. A wrong input
-    shape or a non-finite layer output raises as in run_forward.
+    The integer products are accumulated exactly (float32 blocks of at most
+    F32_EXACT_MACS, added in float64; see the module docstring); the
+    accumulator is then rescaled by activation-scale times weight-scale and
+    the float bias is added. The other kinds run the op table's eval
+    forward. A wrong input shape or a non-finite layer output raises as in
+    run_forward.
     """
 
     def layer(spec, params, ins, mode, seed):
@@ -205,8 +257,8 @@ def quantized_forward(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
             return op.forward(spec, params, ins, mode, seed)[0], None
         qt = qm.weights[spec.name]
         qa, a_scale = _quantize_activation(ins[0])
-        acc = op.forward(spec, {"w": qt.values.astype(np.float64)}, [qa], mode, None)[0]
-        acc *= a_scale * qt.scale  # in place: the kernel's output is a fresh array
+        acc = _int_accumulate(spec, qt.values.astype(np.float32), qa)
+        acc *= a_scale * qt.scale  # in place: the accumulator is a fresh array
         if "b" in params:
             acc += params["b"]
         return acc.astype(np.float32), None

@@ -11,8 +11,8 @@ from ascpipe.audio import AudioClip, save_wav
 from ascpipe.cli import main, read_scores, write_scores
 from ascpipe.config import _SCHEMA, RunConfig, config_hash, load_config
 from ascpipe.errors import ConfigError, DataError
-from ascpipe.featio import read_features, read_scale_stats
-from ascpipe.features import fit_scale01
+from ascpipe.featio import read_features, read_scale_stats, write_features
+from ascpipe.features import FeatureTensor, apply_scale01, fit_scale01
 from ascpipe.fusion import (
     SCENE_LABELS,
     SUPERCLASS_LABELS,
@@ -20,7 +20,7 @@ from ascpipe.fusion import (
     two_stage_fuse_batch,
 )
 from ascpipe.manifest import read_manifest
-from ascpipe.quant import load_quantized
+from ascpipe.quant import load_quantized, quantized_forward
 
 INI = """
 [spectrogram]
@@ -563,6 +563,26 @@ class TestTrainEvaluate:
         assert code == 3
         assert "6-channel" in capsys.readouterr().err
 
+    def test_evaluate_names_a_last_row_with_other_mel_dims(self, ws, tmp_path, capsys):
+        lines = (ws.feats / "features.tsv").read_text().splitlines()
+        # absolute feature paths, so the manifest can live in tmp_path
+        rows = [ln.split("\t") for ln in lines]
+        for row in rows[1:]:
+            row[0] = str(ws.feats / row[0])
+        last = max(i for i, row in enumerate(rows) if row[-1] == "test")
+        assert last == len(rows) - 1
+        t, f, c = read_features(rows[last][0]).shape
+        odd = tmp_path / "odd.ascf"
+        write_features(odd, FeatureTensor(np.zeros((t, f + 1, c))))
+        rows[last][0] = str(odd)
+        manifest = tmp_path / "odd_last.tsv"
+        manifest.write_text("\n".join("\t".join(row) for row in rows) + "\n")
+        code = run_cli("evaluate", ws.model, "--manifest", manifest)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{odd}: feature mel/channel dims" in err
+        assert "Traceback" not in err
+
 
     @pytest.mark.parametrize("arch", ["resnet", "fsfcnn_s"])
     def test_odd_mel_bins_for_a_band_split_arch_exit_3(self, ws, tmp_path, capsys, arch):
@@ -748,11 +768,65 @@ class TestQuantize:
         qm = load_quantized(out)
         assert qm.weights
 
+    def test_prints_the_task_1b_size_and_copies_the_sidecar(self, ws, tmp_path, capsys):
+        out = tmp_path / "q" / "model.ascq"
+        assert run_cli("quantize", ws.model, "--out", out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        size = out.stat().st_size
+        assert f"task 1b size: {size / 1024:.1f} KB against the paper's 500 KB limit (1 KB = 1024 bytes)" in lines
+        assert (
+            out.with_suffix(".stats.txt").read_bytes()
+            == ws.model.with_suffix(".stats.txt").read_bytes()
+        )
+
+    def test_quantize_beside_the_model_keeps_the_one_sidecar(self, ws, tmp_path):
+        # model.ascm and model.ascq in one directory share model.stats.txt
+        model = tmp_path / "model.ascm"
+        model.write_bytes(ws.model.read_bytes())
+        stats = ws.model.with_suffix(".stats.txt").read_bytes()
+        model.with_suffix(".stats.txt").write_bytes(stats)
+        assert run_cli("quantize", model, "--out", tmp_path / "model.ascq") == 0
+        assert model.with_suffix(".stats.txt").read_bytes() == stats
+
     def test_missing_model(self, tmp_path, capsys):
         code = run_cli("quantize", tmp_path / "absent.ascm",
                        "--out", tmp_path / "o.ascq")
         assert code == 3
         assert "cannot read checkpoint" in capsys.readouterr().err
+
+
+class TestEvaluateQuantized:
+    @pytest.fixture
+    def ascq(self, ws, tmp_path):
+        out = tmp_path / "model.ascq"
+        assert run_cli("quantize", ws.model, "--out", out) == 0
+        return out
+
+    def test_scores_are_the_quantized_forward_of_the_scaled_cropped_items(self, ws, ascq, tmp_path):
+        assert run_cli("evaluate", ascq, "--manifest", ws.feats / "features.tsv",
+                       "--out", tmp_path / "eval") == 0
+        scores, _ = read_scores(tmp_path / "eval" / "scores.tsv")
+
+        qm = load_quantized(ascq)
+        stats = read_scale_stats(ascq.with_suffix(".stats.txt"))
+        t_model = qm.graph.input_shape[0]
+        items = []
+        for row in read_manifest(ws.feats / "features.tsv").rows:
+            if row.split == "test":
+                data = apply_scale01(read_features(ws.feats / row.filename), stats).data
+                lo = (data.shape[0] - t_model) // 2
+                items.append(data[lo : lo + t_model])
+        assert np.array_equal(scores, quantized_forward(qm, np.stack(items)))
+
+    def test_truncated_model_exits_3(self, ws, ascq, tmp_path, capsys):
+        short = tmp_path / "short.ascq"
+        short.write_bytes(ascq.read_bytes()[:-5])
+        short.with_suffix(".stats.txt").write_bytes(ascq.with_suffix(".stats.txt").read_bytes())
+        code = run_cli("evaluate", short, "--manifest", ws.feats / "features.tsv")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "truncated" in err
+        assert "Traceback" not in err
 
 
 class TestReport:

@@ -15,9 +15,13 @@ from ascpipe.nn import (
     save_checkpoint,
     train,
 )
+from ascpipe.nn.engine import per_item, run_forward
+from ascpipe.nn.ops import OPS
 from ascpipe.quant import (
+    F32_EXACT_MACS,
     MAX_MACS_PER_OUTPUT,
     QuantizedModel,
+    _int_accumulate,
     check_mac_budget,
     fold_batchnorm,
     load_quantized,
@@ -28,6 +32,7 @@ from ascpipe.quant import (
     weight_blob_ratio,
 )
 from ascpipe.synthetic import spectro_corpus
+from ascpipe.zoo import ARCH_NAMES, ArchConfig, build
 
 
 def conv_bn_net(use_bias=False, attention=False, seed=0):
@@ -285,6 +290,23 @@ class TestQuantizeModel:
         at_limit = ModelGraph("at", (1, 1, MAX_MACS_PER_OUTPUT), layers)
         check_mac_budget(at_limit)
 
+    @pytest.mark.parametrize("kind", ["conv2d", "depthwise_conv2d"])
+    def test_kernel_taps_beyond_one_exact_block_rejected(self, kind):
+        # a channel group holds at least one channel's taps, so a kernel of
+        # more than F32_EXACT_MACS taps has no exact float32 block
+        def graph(kernel):
+            attrs = {"kernel": kernel, **({"filters": 2} if kind == "conv2d" else {})}
+            layers = [
+                LayerSpec(kind, "big", ("input",), attrs),
+                LayerSpec("global_avg_pool", "gap", ("big",)),
+            ]
+            return ModelGraph("taps", (8, 8, 1), layers)
+
+        assert F32_EXACT_MACS == 1040
+        check_mac_budget(graph((40, 26)))
+        with pytest.raises(GraphError, match="kernel of 1089 taps exceeds the 1040"):
+            check_mac_budget(graph((33, 33)))
+
 
 class TestQuantizedForward:
     def test_hand_integer_oracle_for_dense(self):
@@ -402,6 +424,87 @@ class TestQuantizedForward:
         quant_top1 = np.argmax(quantized_forward(qm, ex), axis=1)
         agreement = np.mean(float_top1 == quant_top1)
         assert agreement >= 0.95
+
+
+def _signed_127(rng, shape):
+    return np.where(rng.random(shape) < 0.5, -127.0, 127.0).astype(np.float32)
+
+
+class TestExactBlocks:
+    """The int8 accumulators at the float32 block boundary: 1040 products of
+    127 * 127 stay below 2**24, 1041 do not."""
+
+    def accumulators(self, spec, w, qa):
+        acc = _int_accumulate(spec, w, qa)
+        assert acc.dtype == np.float64
+        return acc
+
+    @pytest.mark.parametrize("macs", [F32_EXACT_MACS, F32_EXACT_MACS + 1])
+    def test_conv2d_accumulators_equal_the_int64_oracle(self, macs, rng):
+        spec = LayerSpec("conv2d", "conv", ("input",), {"filters": 3, "kernel": (1, 1)})
+        qa = _signed_127(rng, (1, 2, 3, macs))
+        w = _signed_127(rng, (1, 1, macs, 3))
+        w[0, 0, :, 0] = qa[0, 0, 0]  # filter 0 meets item (0, 0) with +127**2 per MAC
+        acc = self.accumulators(spec, w, qa)
+        oracle = qa.astype(np.int64).reshape(-1, macs) @ w.astype(np.int64).reshape(macs, 3)
+        assert oracle[0, 0] == macs * 127**2
+        assert np.array_equal(acc.reshape(-1, 3), oracle)
+
+    @pytest.mark.parametrize("macs", [F32_EXACT_MACS, F32_EXACT_MACS + 1])
+    def test_dense_accumulators_equal_the_int64_oracle(self, macs, rng):
+        spec = LayerSpec("dense", "fc", ("input",), {"units": 2})
+        qa = _signed_127(rng, (1, macs))
+        w = _signed_127(rng, (macs, 2))
+        w[:, 0] = qa[0]
+        acc = self.accumulators(spec, w, qa)
+        oracle = qa.astype(np.int64) @ w.astype(np.int64)
+        assert oracle[0, 0] == macs * 127**2
+        assert np.array_equal(acc, oracle)
+
+    def test_one_float32_contraction_of_1041_macs_is_not_exact(self):
+        # the odd accumulator 1041 * 16129 = 16 790 289 lies above 2**24,
+        # where float32 steps by 2, so no float32 sum can hold it
+        ones = np.full(F32_EXACT_MACS + 1, 127.0, dtype=np.float32)
+        assert int(ones @ ones) != 16_790_289
+        assert int(ones[:-1] @ ones[:-1]) == F32_EXACT_MACS * 127**2
+
+
+def _float64_reference(qm, x):
+    """The int8 forward as one float64 contraction per layer: activations
+    rounded in float64 from one scale per tensor, the op table's forward on
+    float64 integer weights and activations, then the rescale and bias."""
+
+    def layer(spec, params, ins, mode, seed):
+        op = OPS[spec.kind]
+        if not op.macs:
+            return op.forward(spec, params, ins, mode, seed)[0], None
+        qt = qm.weights[spec.name]
+        amax = float(np.abs(ins[0]).max())
+        a_scale = amax / 127 if amax > 0 else 1.0
+        q = ins[0].astype(np.float64) / a_scale
+        qa = np.clip(np.sign(q) * np.floor(np.abs(q) + 0.5), -127, 127)
+        acc = op.forward(spec, {"w": qt.values.astype(np.float64)}, [qa], mode, None)[0]
+        acc *= a_scale * qt.scale
+        if "b" in params:
+            acc += params["b"]
+        return acc.astype(np.float32), None
+
+    return per_item(lambda item: run_forward(qm.graph, item, layer_forward=layer)[0], x)
+
+
+# the archs whose trunk has a layer above F32_EXACT_MACS at width 0.75
+BLOCKED_ARCHS = {"fcnn", "fsfcnn", "fsfcnn_s", "small_fcnn"}
+
+
+@pytest.mark.parametrize("arch", ARCH_NAMES)
+def test_scores_equal_the_float64_reference_bit_for_bit(arch, rng):
+    g = build(ArchConfig(arch, width_mult=0.75, n_classes=3, input_shape=(16, 32, 3)), seed=3)
+    randomize_bn(g, rng)
+    qm = quantize_model(g)
+    macs = max(OPS[s.kind].macs(s, qm.graph.in_shape(s)) for s in qm.graph.layers if s.name in qm.weights)
+    assert (macs > F32_EXACT_MACS) == (arch in BLOCKED_ARCHS)
+    x = rng.normal(0.0, 1.0, (2, 16, 32, 3)).astype(np.float32)
+    assert np.array_equal(quantized_forward(qm, x), _float64_reference(qm, x))
 
 
 class TestSerialization:
