@@ -172,14 +172,6 @@ def _run_corpus(args, cfg: RunConfig, worker, name_of, *job_args):
     return manifest, out, list(owner), [result for _, result in outcomes]
 
 
-def _load_feature_rows(base: Path, rows) -> list:
-    tensors = [read_features(base / row.filename) for row in rows]
-    shapes = {t.shape for t in tensors}
-    if len({s[1:] for s in shapes}) != 1:
-        raise DataError(f"feature mel/channel dims differ across rows: {sorted(shapes)}")
-    return tensors
-
-
 def _stats_sidecar(model_path: str | Path) -> Path:
     return Path(model_path).with_suffix(".stats.txt")
 
@@ -314,7 +306,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     classes = _hierarchy_from(cfg).label_set(subset.scene_labels())
     ys = one_hot(subset.label_indices(classes), len(classes))
 
-    tensors = _load_feature_rows(base, subset.rows)
+    tensors = [read_features(base / row.filename) for row in subset.rows]
     shapes = {t.shape for t in tensors}
     if len(shapes) != 1:
         raise DataError(f"training features must share one shape, got {sorted(shapes)}")
@@ -402,11 +394,11 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 
     base, subset = _read_split(args.manifest, "test")
     classes = _hierarchy_from(cfg).label_set(subset.scene_labels())
-    scores = score(model, _scored_items(base, subset.rows, stats, graph.input_shape[0]))
-    if len(classes) != scores.shape[1]:
+    if graph.output_shape != (len(classes),):
         raise DataError(
-            f"model emits {scores.shape[1]} classes but manifest labels need {len(classes)}"
+            f"model emits {graph.output_shape[0]} classes but manifest labels need {len(classes)}"
         )
+    scores = score(model, _scored_items(base, subset.rows, stats, graph.input_shape[0]))
     return _evaluate_scores(scores, subset, args.out, classes)
 
 

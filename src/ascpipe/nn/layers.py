@@ -2,24 +2,16 @@
 
 All kernels preserve the input dtype: training runs float32, the
 gradient-check harness feeds float64 through the same code. Activations
-are (B, T, F, C); dense layers operate on (B, D).
+are (B, T, F, C); dense layers operate on (B, D). Layer attributes are
+resolved by ``nn.ops``: a kernel takes arrays and the numbers it needs,
+such as a stride pair, ((top, bottom), (left, right)) pads or an axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import GraphError
-
 BN_EPS = 1e-5
-
-
-def _pad_axis(n: int, k: int, s: int, padding: str) -> tuple[int, int]:
-    if padding == "valid":
-        return 0, 0
-    out = -(-n // s)
-    total = max((out - 1) * s + k - n, 0)
-    return total // 2, total - total // 2
 
 
 def _windows(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
@@ -41,17 +33,15 @@ def _taps(kh: int, kw: int, sh: int, sw: int, ho: int, wo: int):
             yield i, j, (slice(None), slice(i, i + ho * sh, sh), slice(j, j + wo * sw, sw))
 
 
-def _conv_geometry(x_shape, kernel, stride, padding):
-    kh, kw = kernel
-    sh, sw = stride
-    _, h, w, _ = x_shape
-    ph = _pad_axis(h, kh, sh, padding)
-    pw = _pad_axis(w, kw, sw, padding)
-    return kh, kw, sh, sw, ph, pw
+def _pad(x, pads):
+    """x zero-padded on its time and frequency axes; x itself when every
+    pad is zero."""
+    return np.pad(x, ((0, 0), *pads, (0, 0))) if np.any(pads) else x
 
 
-def _unpad(dxp, ph, pw):
-    return dxp[:, ph[0] : dxp.shape[1] - ph[1], pw[0] : dxp.shape[2] - pw[1], :]
+def _unpad(dxp, pads):
+    (t0, t1), (f0, f1) = pads
+    return dxp[:, t0 : dxp.shape[1] - t1, f0 : dxp.shape[2] - f1, :]
 
 
 def _im2col(xp, kh, kw, sh, sw):
@@ -63,20 +53,25 @@ def _im2col(xp, kh, kw, sh, sw):
     return win.reshape(win.shape[0], win.shape[1], win.shape[2], -1)
 
 
-def conv2d_forward(x, w, b, stride, padding):
-    geom = kh, kw, sh, sw, ph, pw = _conv_geometry(x.shape, w.shape[:2], stride, padding)
-    xp = np.pad(x, ((0, 0), ph, pw, (0, 0))) if any(ph + pw) else x
-    cols = _im2col(xp, kh, kw, sh, sw)
-    out = cols @ w.reshape(-1, w.shape[3])
-    del cols  # the backward rebuilds it from xp, 1/(kh*kw) of its bytes
+def _biased(out, b, xp, stride, pads, w_shape):
+    """A convolution's output plus its bias, and the cache both conv
+    backwards read."""
     if b is not None:
         out = out + b
-    return out, (xp, geom, w.shape)
+    return out, (xp, stride, pads, w_shape)
+
+
+def conv2d_forward(x, w, b, stride, pads):
+    xp = _pad(x, pads)
+    cols = _im2col(xp, *w.shape[:2], *stride)
+    out = cols @ w.reshape(-1, w.shape[3])
+    del cols  # the backward rebuilds it from xp, 1/(kh*kw) of its bytes
+    return _biased(out, b, xp, stride, pads, w.shape)
 
 
 def conv2d_backward(dout, w, cache):
-    xp, (kh, kw, sh, sw, ph, pw), w_shape = cache
-    cout = w_shape[3]
+    xp, (sh, sw), pads, w_shape = cache
+    kh, kw, _, cout = w_shape
     cols = _im2col(xp, kh, kw, sh, sw)
     dw = cols.reshape(-1, cols.shape[-1]).T @ dout.reshape(-1, cout)
     del cols
@@ -89,12 +84,12 @@ def conv2d_backward(dout, w, cache):
     dxp = np.zeros(xp.shape, dtype=dwin.dtype)
     for i, j, tap in _taps(kh, kw, sh, sw, ho, wo):
         dxp[tap] += dwin[:, :, :, i, j, :]
-    return _unpad(dxp, ph, pw), dw.reshape(w_shape), db
+    return _unpad(dxp, pads), dw.reshape(w_shape), db
 
 
-def depthwise_forward(x, w, b, stride, padding):
-    geom = kh, kw, sh, sw, ph, pw = _conv_geometry(x.shape, w.shape[:2], stride, padding)
-    xp = np.pad(x, ((0, 0), ph, pw, (0, 0)))
+def depthwise_forward(x, w, b, stride, pads):
+    (kh, kw), (sh, sw) = w.shape[:2], stride
+    xp = _pad(x, pads)
     bsz, ho, wo = x.shape[0], (xp.shape[1] - kh) // sh + 1, (xp.shape[2] - kw) // sw + 1
     # (B, Ho, Wo, C, multiplier): one product per tap, summed in tap order
     acc = np.zeros((bsz, ho, wo) + w.shape[2:], dtype=np.result_type(x, w))
@@ -102,14 +97,12 @@ def depthwise_forward(x, w, b, stride, padding):
     for i, j, tap in _taps(kh, kw, sh, sw, ho, wo):
         np.multiply(xp[tap][..., None], w[i, j], out=prod)
         acc += prod
-    out = acc.reshape(bsz, ho, wo, -1)
-    if b is not None:
-        out = out + b
-    return out, (xp, geom, w.shape)
+    return _biased(acc.reshape(bsz, ho, wo, -1), b, xp, stride, pads, w.shape)
 
 
 def depthwise_backward(dout, w, cache):
-    xp, (kh, kw, sh, sw, ph, pw), w_shape = cache
+    xp, (sh, sw), pads, w_shape = cache
+    kh, kw = w_shape[:2]
     bsz, ho, wo = dout.shape[:3]
     dout5 = dout.reshape(bsz, ho, wo, -1, w_shape[3])
     dw = np.empty(w_shape, dtype=np.result_type(xp, dout))
@@ -118,7 +111,7 @@ def depthwise_backward(dout, w, cache):
         dw[i, j] = np.einsum("bhwc,bhwcm->cm", xp[tap], dout5)
         dxp[tap] += np.einsum("bhwcm,cm->bhwc", dout5, w[i, j])
     db = dout.sum(axis=(0, 1, 2))
-    return _unpad(dxp, ph, pw), dw, db
+    return _unpad(dxp, pads), dw, db
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode, momentum=0.9):
@@ -170,8 +163,6 @@ def relu_backward(dout, mask):
 
 def maxpool_forward(x, ph, pw):
     b, h, w, c = x.shape
-    if h < ph or w < pw:
-        raise GraphError(f"pool {ph}x{pw} exceeds map {h}x{w}")
     ho, wo = h // ph, w // pw
     # a tail smaller than one window contributes nothing
     xc = x[:, : ho * ph, : wo * pw, :]
@@ -297,8 +288,7 @@ def freq_split_backward(dout, cache):
     return dx
 
 
-def concat_forward(inputs, axis_name):
-    axis = 3 if axis_name == "channel" else 2
+def concat_forward(inputs, axis):
     sizes = [a.shape[axis] for a in inputs]
     return np.concatenate(inputs, axis=axis), (axis, sizes)
 

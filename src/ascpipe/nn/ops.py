@@ -6,6 +6,10 @@ kinds that quantize, the multiply-accumulates per output element. Graph
 validation, initialization, the executor and the int8 path all look a
 layer up here and branch on nothing else.
 
+This module alone reads layer attributes. An entry turns them into
+numbers (stride, zero padding, pool size, concat axis) before it calls a
+kernel, so the kernels take arrays and integers only.
+
 Entries reach kernels as ``L.<name>`` at call time and never hold a
 kernel object, so rebinding a name on ``ascpipe.nn.layers`` (to time or
 count calls) reaches every caller.
@@ -67,16 +71,6 @@ def _rate(spec) -> float:
     return float(_checked(spec, "rate", 0.3, _is_rate, "a number in [0, 1)"))
 
 
-def _conv_axis(n: int, k: int, s: int, padding: str, layer: str) -> int:
-    if padding == "same":
-        return -(-n // s)
-    if padding == "valid":
-        if n < k:
-            raise GraphError(f"layer {layer!r}: input extent {n} smaller than kernel {k}")
-        return (n - k) // s + 1
-    raise GraphError(f"layer {layer!r}: unknown padding {padding!r}")
-
-
 def _rank(spec, x: tuple, r: int) -> tuple:
     if len(x) != r:
         raise GraphError(f"layer {spec.name!r} expects rank-{r} input, got {x}")
@@ -91,12 +85,28 @@ def _stride(spec) -> tuple[int, int]:
     return _pair(spec, "stride", (1, 1))
 
 
+def _pads(spec, x: tuple) -> tuple[tuple[int, int], tuple[int, int]]:
+    """((top, bottom), (left, right)) zero padding of a convolution over
+    rank-3 input x: none for ``valid``; for ``same`` the least that gives
+    ceil(n / stride) outputs, the odd row or column at the end."""
+    _rank(spec, x, 3)
+    kernel, stride = _kernel(spec), _stride(spec)
+    padding = spec.attr("padding", "same")
+    if padding not in ("same", "valid"):
+        raise GraphError(f"layer {spec.name!r}: unknown padding {padding!r}")
+    pads = []
+    for n, k, s in zip(x, kernel, stride):
+        if padding == "valid" and n < k:
+            raise GraphError(f"layer {spec.name!r}: input extent {n} smaller than kernel {k}")
+        total = 0 if padding == "valid" else max((-(-n // s) - 1) * s + k - n, 0)
+        pads.append((total // 2, total - total // 2))
+    return tuple(pads)
+
+
 def _window(spec, x: tuple) -> tuple[int, int]:
     """Output (time, freq) extent of a convolution over rank-3 input x."""
-    _rank(spec, x, 3)
-    (kh, kw), (sh, sw) = _kernel(spec), _stride(spec)
-    pad = spec.attr("padding", "same")
-    return _conv_axis(x[0], kh, sh, pad, spec.name), _conv_axis(x[1], kw, sw, pad, spec.name)
+    pads, kernel, stride = _pads(spec, x), _kernel(spec), _stride(spec)
+    return tuple((n + p0 + p1 - k) // s + 1 for n, (p0, p1), k, s in zip(x, pads, kernel, stride))
 
 
 def _same(spec, shapes):
@@ -232,11 +242,16 @@ def _freq_split_infer(spec, shapes):
     return (x[0], x[1] // 2, x[2])
 
 
-def _concat_infer(spec, shapes):
+def _concat_axis(spec) -> int:
+    """Index of the concat axis in a (time, freq, channel) shape."""
     axis = spec.attr("axis", "channel")
     if axis not in ("channel", "freq"):
         raise GraphError(f"layer {spec.name!r}: concat axis must be channel or freq")
-    pos = 2 if axis == "channel" else 1
+    return 2 if axis == "channel" else 1
+
+
+def _concat_infer(spec, shapes):
+    pos = _concat_axis(spec)
     base = list(shapes[0])
     total = 0
     for s in shapes:
@@ -257,7 +272,7 @@ OPS: dict[str, Op] = {
         1,
         lambda s, xs: (*_window(s, xs[0]), _count(s, "filters")),
         lambda s, p, ins, mode, seed: L.conv2d_forward(
-            ins[0], p["w"], p.get("b"), _stride(s), s.attr("padding", "same")
+            ins[0], p["w"], p.get("b"), _stride(s), _pads(s, ins[0].shape[1:])
         ),
         lambda s, p, cache, d: _weight_grads(p, *L.conv2d_backward(d, p["w"], cache)),
         _conv_params,
@@ -267,7 +282,7 @@ OPS: dict[str, Op] = {
         1,
         lambda s, xs: (*_window(s, xs[0]), xs[0][2] * _count(s, "multiplier", 1)),
         lambda s, p, ins, mode, seed: L.depthwise_forward(
-            ins[0], p["w"], p.get("b"), _stride(s), s.attr("padding", "same")
+            ins[0], p["w"], p.get("b"), _stride(s), _pads(s, ins[0].shape[1:])
         ),
         lambda s, p, cache, d: _weight_grads(p, *L.depthwise_backward(d, p["w"], cache)),
         _depthwise_params,
@@ -336,7 +351,8 @@ OPS: dict[str, Op] = {
     "concat": Op(
         None,
         _concat_infer,
-        lambda s, p, ins, mode, seed: L.concat_forward(ins, s.attr("axis", "channel")),
+        # the inputs carry a batch axis in front
+        lambda s, p, ins, mode, seed: L.concat_forward(ins, _concat_axis(s) + 1),
         lambda s, p, cache, d: (L.concat_backward(d, cache), {}),
     ),
 }

@@ -44,7 +44,6 @@ class OnlineAugment:
 class TrainResult:
     graph: ModelGraph
     loss_curve: list = field(default_factory=list)  # mean loss per epoch
-    lr_curve: list = field(default_factory=list)  # lr per step
 
 
 def _augment_batch(xb, yb, online: OnlineAugment, rng) -> LabeledBatch:
@@ -110,11 +109,9 @@ def train(
         for start in range(0, len(order), batch_size):
             idx = order[start : start + batch_size]
             batch = _augment_batch(tensors[idx], labels[idx], online, rng)
-            lr = cosine_restart_lr(step, schedule)
             loss, grads = backward(graph, batch.tensors, batch.labels, (seed, step))[:2]
-            opt.step(graph, grads, lr)
+            opt.step(graph, grads, cosine_restart_lr(step, schedule))
             epoch_losses.append(loss)
-            result.lr_curve.append(lr)
             step += 1
         result.loss_curve.append(float(np.mean(epoch_losses)))
     return result

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ascpipe import cli
 from ascpipe.audio import AudioClip, save_wav
 from ascpipe.cli import main, read_scores, write_scores
 from ascpipe.config import _SCHEMA, RunConfig, config_hash, load_config
@@ -552,6 +553,45 @@ class TestTrainEvaluate:
                        "--out", tmp_path / "m.ascm", "--config", ws.ini_fast)
         assert code == 3
         assert "no rows tagged train" in capsys.readouterr().err
+
+    def test_train_rows_with_two_frame_counts_exit_3(self, ws, tmp_path, capsys):
+        rows = [ln.split("\t") for ln in (ws.feats / "features.tsv").read_text().splitlines()]
+        for row in rows[1:]:
+            row[0] = str(ws.feats / row[0])
+        first = next(i for i, row in enumerate(rows) if row[-1] == "train")
+        t, f, c = read_features(rows[first][0]).shape
+        longer = tmp_path / "longer.ascf"
+        write_features(longer, FeatureTensor(np.zeros((t + 1, f, c))))
+        rows[first][0] = str(longer)
+        manifest = tmp_path / "two_lengths.tsv"
+        manifest.write_text("\n".join("\t".join(row) for row in rows) + "\n")
+        code = run_cli("train", "--manifest", manifest,
+                       "--out", tmp_path / "m.ascm", "--config", ws.ini_fast)
+        assert code == 3
+        assert "training features must share one shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix", [".ascm", ".ascq"])
+    def test_class_count_is_checked_before_any_feature_is_read(
+        self, ws, tmp_path, capsys, monkeypatch, suffix
+    ):
+        model = ws.model
+        if suffix == ".ascq":
+            model = tmp_path / "model.ascq"
+            assert run_cli("quantize", ws.model, "--out", model) == 0
+        # the 3-class model against one test row per scene label
+        row = next(r for r in read_manifest(ws.feats / "features.tsv").rows if r.split == "test")
+        lines = ["filename\tscene_label\tsource_label\tsplit"] + [
+            f"{ws.feats / row.filename}\t{label}\t{row.source_label}\ttest"
+            for label in SCENE_LABELS
+        ]
+        manifest = tmp_path / "ten_labels.tsv"
+        manifest.write_text("\n".join(lines) + "\n")
+        read = []
+        monkeypatch.setattr(cli, "read_features", read.append)
+        code = run_cli("evaluate", model, "--manifest", manifest)
+        assert code == 3
+        assert "model emits 3 classes but manifest labels need 10" in capsys.readouterr().err
+        assert read == []
 
     def test_stereo_swap_on_mono_features_is_a_data_error(self, ws, tmp_path, capsys):
         ini = tmp_path / "swap.ini"

@@ -12,7 +12,8 @@ import pytest
 from ascpipe.errors import GraphError, NumericError
 from ascpipe.nn import LayerSpec, ModelGraph, forward, initialize, run_forward
 from ascpipe.nn import layers as L
-from ascpipe.nn.engine import backward, check_finite, cross_entropy
+from ascpipe.nn.engine import backward, check_finite, cross_entropy, run_backward
+from ascpipe.nn.ops import _pads
 
 from gradcheck import LAYER_CASES, TOL, max_rel_error, max_rel_error_cross_entropy
 
@@ -374,7 +375,8 @@ def _run_kernel(kind, x, w, b, stride, padding, dout):
         "conv2d": (L.conv2d_forward, L.conv2d_backward),
         "depthwise": (L.depthwise_forward, L.depthwise_backward),
     }[kind]
-    out, cache = fwd(x, w, b, stride, padding)
+    _, pads = _ref_pad(x, *w.shape[:2], stride, padding)
+    out, cache = fwd(x, w, b, stride, pads)
     return (out, *bwd(dout, w, cache))
 
 
@@ -432,6 +434,22 @@ def test_conv2d_is_bit_identical_to_im2col(kernel, stride, padding):
         assert g.dtype == r.dtype and np.array_equal(g, r)
 
 
+@pytest.mark.parametrize("stride,padding", KERNEL_GEOMETRY, ids=GEOMETRY_IDS)
+@pytest.mark.parametrize("kind", ["conv2d", "depthwise_conv2d"])
+def test_a_lone_conv_runs_to_its_inferred_shape(kind, stride, padding):
+    # at stride 2 a same-padded 3x3 conv rounds the odd time extent up and
+    # pads the even frequency extent by one column, at its end
+    attrs = dict(filters=4) if kind == "conv2d" else dict(multiplier=2)
+    spec = _spec(kind, "k", ("input",), stride=stride, padding=padding, **attrs)
+    g = initialize(ModelGraph("lone", (7, 6, 3), [spec]), 0)
+    x = np.random.default_rng(4).standard_normal((2, 7, 6, 3)).astype(np.float32)
+    assert _pads(spec, x.shape[1:]) == tuple(_ref_pad(x, 3, 3, stride, padding)[1])
+    out, tape = run_forward(g, x, "train")
+    assert out.shape[1:] == g.shapes["k"]
+    _, dx = run_backward(g, tape, np.ones_like(out))
+    assert dx.shape == x.shape
+
+
 def _cache_arrays(cache):
     todo, found = [cache], []
     while todo:
@@ -446,7 +464,8 @@ def _cache_arrays(cache):
 def test_depthwise_cache_holds_only_the_padded_input():
     x = np.random.default_rng(8).standard_normal((2, 7, 6, 3)).astype(np.float32)
     w = np.ones((3, 3, 3, 2), dtype=np.float32)
-    _, cache = L.depthwise_forward(x, w, None, (1, 1), "same")
+    _, pads = _ref_pad(x, 3, 3, (1, 1), "same")
+    _, cache = L.depthwise_forward(x, w, None, (1, 1), pads)
     # one (2, 9, 8, 3) float32 array; the window copy was 9x the input
     assert [a.nbytes for a in _cache_arrays(cache)] == [2 * 9 * 8 * 3 * 4]
 
@@ -454,7 +473,8 @@ def test_depthwise_cache_holds_only_the_padded_input():
 def test_conv2d_cache_holds_only_the_padded_input():
     x = np.random.default_rng(10).standard_normal((2, 7, 6, 3)).astype(np.float32)
     w = np.ones((3, 3, 3, 4), dtype=np.float32)
-    _, cache = L.conv2d_forward(x, w, None, (1, 1), "same")
+    _, pads = _ref_pad(x, 3, 3, (1, 1), "same")
+    _, cache = L.conv2d_forward(x, w, None, (1, 1), pads)
     # one (2, 9, 8, 3) float32 array; the im2col copy was 9x the input
     assert [a.nbytes for a in _cache_arrays(cache)] == [2 * 9 * 8 * 3 * 4]
 
@@ -462,7 +482,8 @@ def test_conv2d_cache_holds_only_the_padded_input():
 def test_pointwise_conv2d_caches_its_input_itself():
     x = np.random.default_rng(9).standard_normal((2, 7, 6, 3)).astype(np.float32)
     w = np.ones((1, 1, 3, 4), dtype=np.float32)
-    _, cache = L.conv2d_forward(x, w, None, (1, 1), "same")
+    _, pads = _ref_pad(x, 1, 1, (1, 1), "same")
+    _, cache = L.conv2d_forward(x, w, None, (1, 1), pads)
     assert cache[0] is x
     assert [a.nbytes for a in _cache_arrays(cache)] == [x.nbytes]
 

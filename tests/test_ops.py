@@ -1,6 +1,9 @@
-"""The layer-kind table: kernel dispatch through module lookups, coverage."""
+"""The layer-kind table: kernel dispatch through module lookups, coverage,
+and the one rule per attribute that shape inference and kernels share."""
 
+import ast
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,3 +71,34 @@ def test_every_kind_has_a_gradient_check_case():
         graph, _, _ = case(np.random.default_rng(0), 0)
         kinds |= {spec.kind for spec in graph.layers}
     assert kinds == set(OPS)
+
+
+@pytest.mark.parametrize("arch", zoo.ARCH_NAMES)
+def test_every_layer_runs_to_its_inferred_shape(arch):
+    # an odd time extent: a same-padded stride-2 conv rounds its output up,
+    # a pool drops the remainder
+    cfg = zoo.ArchConfig(arch, width_mult=0.25, n_classes=3, input_shape=(37, 64, 3))
+    graph = zoo.build(cfg, seed=0)
+    shapes = {}
+
+    def recorded(spec, params, ins, mode, seed):
+        out, cache = OPS[spec.kind].forward(spec, params, ins, mode, seed)
+        shapes[spec.name] = out.shape[1:]
+        return out, cache
+
+    x = np.random.default_rng(0).random((1, 37, 64, 3), dtype=np.float32)
+    run_forward(graph, x, "train", (0, 0), recorded)
+    assert shapes == {spec.name: graph.shapes[spec.name] for spec in graph.layers}
+
+
+def test_layer_kernels_import_only_numpy_and_read_no_attribute_value():
+    tree = ast.parse(Path(L.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported - {"__future__"} == {"numpy"}
+    literals = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert not literals & {"same", "valid", "channel", "freq"}

@@ -26,7 +26,6 @@ COLLISIONS = frozenset({"group"})
 # inspection helpers the unit tests use to look into a graph or a manifest,
 # and the int8 round-trip formula the quantization tests check against
 ALLOWED = {
-    "nn.graph.ModelGraph.output_shape",
     "nn.graph.ModelGraph.param_count",
     "nn.graph.clone_params",
     "manifest.DatasetManifest.source_labels",
