@@ -27,6 +27,7 @@ from ascpipe.nn import (
     train,
 )
 from ascpipe.nn import engine
+from ascpipe.nn import layers as L
 
 
 def _spec(kind, name, inputs, **attrs):
@@ -348,6 +349,27 @@ def test_executor_memory_stays_bounded(arch, backward_peak, eval_peak):
     # a step must not hold the previous step's tape
     three = _traced_peak_mib(lambda: train(g, xs, ys, sched, 1, batch_size=2))
     assert three <= 1.2 * one
+
+
+# (cin, cout), then the traced peak in MiB, rounded up, of the tap-scatter
+# backward that every 3x3 conv took before (5.137, 1.040 and 5.133). A
+# stride-1 conv that keeps or narrows its channels takes the flipped-kernel
+# dx, whose window matrix holds 9*cout values per input position where the
+# scatter's dcols holds 9*cin; it reads 5.05 and 4.51 MiB. A widening
+# 3 -> 16 conv on that path would copy 4.5 MiB of windows, more than four
+# times the scatter's peak.
+CONV2D_BACKWARD_PEAKS = [((16, 16), 5.14), ((3, 16), 1.05), ((16, 8), 5.14)]
+
+
+@pytest.mark.parametrize("channels,old_peak", CONV2D_BACKWARD_PEAKS, ids=["16to16", "3to16", "16to8"])
+def test_conv2d_backward_memory_does_not_grow(channels, old_peak):
+    cin, cout = channels
+    rng = np.random.default_rng(cin)
+    x = rng.standard_normal((2, 64, 64, cin)).astype(np.float32)
+    w = rng.standard_normal((3, 3, cin, cout)).astype(np.float32)
+    out, cache = L.conv2d_forward(x, w, None, (1, 1), ((1, 1), (1, 1)))
+    dout = np.ones_like(out)
+    assert _traced_peak_mib(lambda: L.conv2d_backward(dout, w, cache)) <= old_peak
 
 
 class TestPerItemScoring:

@@ -147,6 +147,30 @@ class TestBatchnorm:
         assert np.allclose(out, want, atol=1e-6)
         assert np.allclose(out.mean(axis=(0, 1, 2)), 0.0, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize(
+        "shape", [(4, 400, 64, 16), (2, 7, 6, 3), (8, 50, 32, 22), (5, 33, 17, 7), (3, 10)]
+    )
+    def test_train_forward_is_bit_identical_to_mean_and_var(self, shape, dtype):
+        # the variance comes from the squared deviations in the output
+        # array; x.mean and x.var, which the kernel used to call, are the reference
+        rng = np.random.default_rng(list(shape))
+        x = (3.0 * rng.standard_normal(shape) + 1.0).astype(dtype)
+        gamma, beta, rm, rv = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(4))
+        out, cache, new_rm, new_rv = L.batchnorm_forward(x, gamma, beta, rm, np.abs(rv), "train")
+        axes = tuple(range(x.ndim - 1))
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+        inv_std = 1.0 / np.sqrt(var + L.BN_EPS)
+        want = x - mean
+        want *= inv_std
+        want *= gamma
+        want += beta
+        assert out.dtype == dtype and np.array_equal(out, want)
+        assert np.array_equal(cache[1], mean) and np.array_equal(cache[2], inv_std)
+        m = 0.9  # the default momentum
+        assert np.array_equal(new_rm, (m * rm + (1.0 - m) * mean).astype(dtype))
+        assert np.array_equal(new_rv, (m * np.abs(rv) + (1.0 - m) * var).astype(dtype))
+
     def test_running_stats_updated_with_momentum(self):
         g = self._graph()
         x = np.random.default_rng(6).standard_normal((4, 3, 2, 2))
@@ -380,13 +404,14 @@ def _run_kernel(kind, x, w, b, stride, padding, dout):
     return (out, *bwd(dout, w, cache))
 
 
-def _kernel_inputs(kind, stride, padding, mult, dtype, integer, kernel=(3, 3)):
-    """Seeded (x, w, b, dout); integer=True draws whole numbers in -127..127."""
+def _kernel_inputs(kind, stride, padding, mult, dtype, integer, kernel=(3, 3), channels=(3, 4)):
+    """Seeded (x, w, b, dout); integer=True draws whole numbers in -127..127.
+    A conv2d maps channels[0] to channels[1]; a depthwise reads 3."""
     rng = np.random.default_rng([len(kind), *stride, len(padding), mult, int(integer)])
     draw = (lambda s: rng.integers(-127, 128, s)) if integer else rng.standard_normal
-    x = draw((2, 7, 6, 3)).astype(dtype)
-    cout = 3 * mult if kind == "depthwise" else 4
-    w = draw((*kernel, 3, mult if kind == "depthwise" else cout)).astype(dtype)
+    cin, cout = (3, 3 * mult) if kind == "depthwise" else channels
+    x = draw((2, 7, 6, cin)).astype(dtype)
+    w = draw((*kernel, cin, mult if kind == "depthwise" else cout)).astype(dtype)
     b = draw((cout,)).astype(dtype)
     xp, _ = _ref_pad(x, *kernel, stride, padding)
     ho, wo = ((n - k) // s + 1 for n, k, s in zip(xp.shape[1:3], kernel, stride))
@@ -423,15 +448,61 @@ def test_depthwise_is_exact_on_integer_valued_float64(stride, padding, mult):
         assert np.array_equal(g, r)
 
 
+# a 2x2 kernel pads a same conv unevenly, its odd row and column at the end
+CONV2D_KERNELS = [(3, 3), (2, 2), (1, 1)]
+KERNEL_IDS = ["3x3", "2x2", "1x1"]
+NARROWING = [(4, 4), (4, 2)]
+
+
+def _channels_id(channels):
+    return f"{channels[0]}to{channels[1]}"
+
+
 @pytest.mark.parametrize("stride,padding", KERNEL_GEOMETRY, ids=GEOMETRY_IDS)
-@pytest.mark.parametrize("kernel", [(3, 3), (1, 1)], ids=["3x3", "1x1"])
+@pytest.mark.parametrize("kernel", CONV2D_KERNELS, ids=KERNEL_IDS)
 def test_conv2d_is_bit_identical_to_im2col(kernel, stride, padding):
-    # a 1x1 stride-1 kernel takes the pointwise path, every other the general one
+    # 3 -> 4 channels: a 1x1 stride-1 kernel takes the pointwise path, every
+    # other the tap scatter, since a widening conv never takes the flipped kernel
     args = _kernel_inputs("conv2d", stride, padding, 1, np.float32, integer=False, kernel=kernel)
     got = _run_kernel("conv2d", *args[:3], stride, padding, args[3])
     want = _ref_conv2d(*args[:3], stride, padding, args[3])
     for g, r in zip(got, want):
         assert g.dtype == r.dtype and np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("stride,padding", KERNEL_GEOMETRY, ids=GEOMETRY_IDS)
+@pytest.mark.parametrize("kernel", CONV2D_KERNELS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("channels", NARROWING, ids=_channels_id)
+def test_conv2d_that_keeps_or_narrows_channels_matches_im2col(channels, kernel, stride, padding):
+    args = _kernel_inputs(
+        "conv2d", stride, padding, 1, np.float32, integer=False, kernel=kernel, channels=channels
+    )
+    got = _run_kernel("conv2d", *args[:3], stride, padding, args[3])
+    want = _ref_conv2d(*args[:3], stride, padding, args[3])
+    flipped = stride == (1, 1) and kernel != (1, 1)
+    for name, g, r in zip(("out", "dx", "dw", "db"), got, want):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        if name == "dx" and flipped:
+            # a convolution with the flipped kernel: the scatter's products,
+            # summed in another order
+            np.testing.assert_allclose(g, r, rtol=1e-5, atol=1e-6)
+        else:
+            assert np.array_equal(g, r), name
+
+
+@pytest.mark.parametrize("stride,padding", KERNEL_GEOMETRY, ids=GEOMETRY_IDS)
+@pytest.mark.parametrize("kernel", CONV2D_KERNELS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("channels", [(3, 4), *NARROWING], ids=_channels_id)
+def test_conv2d_is_exact_on_integer_valued_float64(channels, kernel, stride, padding):
+    # whole-number sums are exact in any order, so every dx path, the
+    # flipped-kernel one included, must equal the scatter to the bit
+    args = _kernel_inputs(
+        "conv2d", stride, padding, 1, np.float64, integer=True, kernel=kernel, channels=channels
+    )
+    got = _run_kernel("conv2d", *args[:3], stride, padding, args[3])
+    want = _ref_conv2d(*args[:3], stride, padding, args[3])
+    for g, r in zip(got, want):
+        assert np.array_equal(g, r)
 
 
 @pytest.mark.parametrize("stride,padding", KERNEL_GEOMETRY, ids=GEOMETRY_IDS)
@@ -491,6 +562,9 @@ def test_pointwise_conv2d_caches_its_input_itself():
 GRADCHECK_CASES = [
     ("pointwise_conv2d_bias", "conv2d", dict(filters=4, kernel=(1, 1), use_bias=True)),
     ("strided_1x1_conv2d", "conv2d", dict(filters=4, kernel=(1, 1), stride=(2, 2))),
+    # stride-1 convs that keep or narrow their channels: dx through the flipped kernel
+    ("conv2d_narrowing_valid", "conv2d", dict(filters=2, kernel=(3, 3), padding="valid")),
+    ("conv2d_2x2_same", "conv2d", dict(filters=3, kernel=(2, 2), padding="same")),
     (
         "depthwise_strided_valid", "depthwise_conv2d",
         dict(kernel=(3, 3), stride=(2, 2), padding="valid", multiplier=1),
