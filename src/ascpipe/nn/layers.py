@@ -14,17 +14,6 @@ import numpy as np
 BN_EPS = 1e-5
 
 
-def _windows(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """(B, Ho, Wo, kh, kw, C) sliding view over a padded input."""
-    b, hp, wp, c = xp.shape
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
-    sb, sh_, sw_, sc = xp.strides
-    shape = (b, ho, wo, kh, kw, c)
-    strides = (sb, sh_ * sh, sw_ * sw, sh_, sw_, sc)
-    return np.lib.stride_tricks.as_strided(xp, shape, strides)
-
-
 def _taps(kh: int, kw: int, sh: int, sw: int, ho: int, wo: int):
     """Yield (i, j, index) per kernel tap, row-major; ``xp[index]`` is the
     (B, Ho, Wo, C) strided slice of the padded input that tap (i, j) reads."""
@@ -44,64 +33,95 @@ def _unpad(dxp, pads):
     return dxp[:, t0 : dxp.shape[1] - t1, f0 : dxp.shape[2] - f1, :]
 
 
-def _im2col(xp, kh, kw, sh, sw):
-    """(B, Ho, Wo, kh*kw*C) copy of the windows over a padded input; a 1x1
-    stride-1 kernel reads the input itself."""
-    if (kh, kw, sh, sw) == (1, 1, 1, 1):
-        return xp
-    win = _windows(xp, kh, kw, sh, sw)
-    return win.reshape(win.shape[0], win.shape[1], win.shape[2], -1)
+def _out_size(xp, kh, kw, sh, sw):
+    return (xp.shape[1] - kh) // sh + 1, (xp.shape[2] - kw) // sw + 1
+
+
+def _kernel_rows(xp, kh, kw, sh, sw):
+    """Yield (n, i, rows) per item n and kernel row i. Each item's kw
+    column taps are copied once into an (Hp, Wo, kw*C) buffer, 3x the item
+    for a 3x3 kernel where an im2col matrix is 9x; rows is the (Ho, Wo,
+    kw*C) view of it that kernel row i reads."""
+    ho, wo = _out_size(xp, kh, kw, sh, sw)
+    cols = np.empty((xp.shape[1], wo, kw, xp.shape[3]), dtype=xp.dtype)
+    flat = cols.reshape(cols.shape[0], wo, -1)
+    for n in range(xp.shape[0]):
+        for j in range(kw):
+            cols[:, :, j] = xp[n, :, j : j + (wo - 1) * sw + 1 : sw]
+        for i in range(kh):
+            yield n, i, flat[i : i + (ho - 1) * sh + 1 : sh]
+
+
+def _conv(xp, w, sh, sw):
+    """(B, Ho, Wo, cout) convolution of a padded input, one item at a time:
+    out[n] is the sum over kernel rows i of rows @ w[i], each product
+    written into one reused buffer."""
+    kh, kw, _, cout = w.shape
+    w_rows = w.reshape(kh, -1, cout)
+    out = np.empty((xp.shape[0], *_out_size(xp, kh, kw, sh, sw), cout), np.result_type(xp, w))
+    part = np.empty_like(out[0])
+    for n, i, rows in _kernel_rows(xp, kh, kw, sh, sw):
+        if i:
+            out[n] += np.matmul(rows, w_rows[i], out=part)
+        else:
+            np.matmul(rows, w_rows[0], out=out[n])
+    return out
+
+
+def _conv_weight_grad(xp, dout, w_shape, sh, sw):
+    """The gradient of _conv's weights, summed per item and kernel row from
+    the rows that the forward multiplied."""
+    kh, kw, _, cout = w_shape
+    dw = np.zeros((kh, xp.shape[3] * kw, cout), dtype=np.result_type(xp, dout))
+    part = np.empty_like(dw[0])
+    for n, i, rows in _kernel_rows(xp, kh, kw, sh, sw):
+        rows = rows.reshape(-1, rows.shape[-1])  # a copy only at row stride > 1
+        dw[i] += np.matmul(rows.T, dout[n].reshape(-1, cout), out=part)
+    return dw.reshape(w_shape)
 
 
 def _biased(out, b, xp, stride, pads, w_shape):
-    """A convolution's output plus its bias, and the cache both conv
-    backwards read."""
+    """A convolution's output plus its bias, added in place, and the cache
+    both conv backwards read."""
     if b is not None:
-        out = out + b
+        out += b
     return out, (xp, stride, pads, w_shape)
 
 
 def conv2d_forward(x, w, b, stride, pads):
     xp = _pad(x, pads)
-    cols = _im2col(xp, *w.shape[:2], *stride)
-    out = cols @ w.reshape(-1, w.shape[3])
-    del cols  # the backward rebuilds it from xp, 1/(kh*kw) of its bytes
+    if (*w.shape[:2], *stride) == (1, 1, 1, 1):
+        out = xp @ w.reshape(-1, w.shape[3])
+    else:
+        out = _conv(xp, w, *stride)
     return _biased(out, b, xp, stride, pads, w.shape)
 
 
 def conv2d_backward(dout, w, cache):
-    """(dx, dw, db). dx of a 1x1 stride-1 conv is one matmul; a stride-1
-    conv that keeps or narrows its channels convolves the padded dout with
-    the flipped, channel-swapped kernel (the transposed-convolution
-    identity), whose windows hold kh*kw*cout values per input position;
-    every other conv scatters each tap's share of dout into a zero buffer."""
+    """(dx, dw, db). A 1x1 stride-1 conv takes one matmul each for dx and
+    dw. Every other conv accumulates dw per item and kernel row from the
+    rows that its forward multiplied. Its dx: a stride-1 conv that keeps or
+    narrows its channels convolves the padded dout with the flipped,
+    channel-swapped kernel (the transposed-convolution identity); a strided
+    or widening one scatters each tap's share of dout into a zero buffer."""
     xp, (sh, sw), pads, w_shape = cache
     kh, kw, cin, cout = w_shape
-    cols = _im2col(xp, kh, kw, sh, sw)
-    dw = cols.reshape(-1, cols.shape[-1]).T @ dout.reshape(-1, cout)
-    del cols
     db = dout.sum(axis=(0, 1, 2))
     if (kh, kw, sh, sw) == (1, 1, 1, 1):
+        dw = xp.reshape(-1, cin).T @ dout.reshape(-1, cout)
         return dout @ w.reshape(-1, cout).T, dw.reshape(w_shape), db
+    dw = _conv_weight_grad(xp, dout, w_shape, sh, sw)
     if (sh, sw) == (1, 1) and cout <= cin:
         (t0, t1), (f0, f1) = pads
         full = ((kh - 1 - t0, kh - 1 - t1), (kw - 1 - f0, kw - 1 - f1))
-        # the padded dout is freed before the matmul
-        dcols = _im2col(_pad(dout, full), kh, kw, 1, 1)
-        w_t = w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, cin)
-        # dx lives in a buffer of the padded input's shape, as the scatter's
-        # does: a dx-sized block instead left the allocator a hole that
-        # raised resnet's train peak RSS by 6 MB
-        dx = _unpad(np.empty(xp.shape, dtype=np.result_type(dcols, w_t)), pads)
-        np.matmul(dcols, w_t, out=dx)
-        return dx, dw.reshape(w_shape), db
+        return _conv(_pad(dout, full), w[::-1, ::-1].transpose(0, 1, 3, 2), 1, 1), dw, db
     dcols = dout @ w.reshape(-1, cout).T
     bsz, ho, wo = dout.shape[:3]
     dwin = dcols.reshape(bsz, ho, wo, kh, kw, -1)
     dxp = np.zeros(xp.shape, dtype=dwin.dtype)
     for i, j, tap in _taps(kh, kw, sh, sw, ho, wo):
         dxp[tap] += dwin[:, :, :, i, j, :]
-    return _unpad(dxp, pads), dw.reshape(w_shape), db
+    return _unpad(dxp, pads), dw, db
 
 
 def depthwise_forward(x, w, b, stride, pads):

@@ -2,11 +2,16 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import ascpipe
 from ascpipe import cli
 from ascpipe.audio import AudioClip, save_wav
 from ascpipe.cli import main, read_scores, write_scores
@@ -818,6 +823,21 @@ class TestQuantize:
             out.with_suffix(".stats.txt").read_bytes()
             == ws.model.with_suffix(".stats.txt").read_bytes()
         )
+
+    def test_int8_scores_do_not_depend_on_the_blas_thread_count(self, ws, tmp_path):
+        # integer sums are exact in any order, however BLAS splits them
+        model = tmp_path / "model.ascq"
+        assert run_cli("quantize", ws.model, "--out", model) == 0
+        src = str(Path(ascpipe.__file__).parents[1])
+        scores = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            argv = ["evaluate", str(model), "--manifest", str(ws.feats / "features.tsv"), "--out", str(out)]
+            code = f"from ascpipe.cli import main; raise SystemExit(main({argv!r}))"
+            subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
+            scores.append((out / "scores.tsv").read_bytes())
+        assert scores[0] == scores[1]
 
     def test_quantize_beside_the_model_keeps_the_one_sidecar(self, ws, tmp_path):
         # model.ascm and model.ascq in one directory share model.stats.txt

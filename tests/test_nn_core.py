@@ -322,11 +322,10 @@ def _traced_peak_mib(fn) -> float:
 # arch, then (old traced peak in MiB, share of it allowed) for one train-mode
 # backward and for one eval forward; width 0.5, B=2, input (64, 128, 3). The
 # old peaks are those of the executor that kept every activation, every
-# cache and conv2d's im2col matrix. This one measures backward 16.0 / 25.6 /
-# 27.2 MiB and eval forward 8.3 / 6.4 / 7.5 MiB. Mobnet's backward cannot go
-# below its 20 MiB of caches plus the depthwise backward's working set, nor
-# small_fcnn's eval forward below conv2's 6.2 MiB im2col matrix plus its
-# input, padded input and output.
+# cache and conv2d's im2col matrix. This one, whose conv2d copies one item's
+# column taps at a time, measures backward 11.8 / 25.6 / 24.1 MiB and eval
+# forward 3.5 / 6.4 / 4.1 MiB. Mobnet's backward cannot go below its 20 MiB
+# of caches plus the depthwise backward's working set.
 MEMORY_CASES = [
     ("small_fcnn", (42.6, 0.5), (32.9, 0.27)),
     ("mobnet", (47.4, 0.6), (41.8, 0.25)),
@@ -351,14 +350,11 @@ def test_executor_memory_stays_bounded(arch, backward_peak, eval_peak):
     assert three <= 1.2 * one
 
 
-# (cin, cout), then the traced peak in MiB, rounded up, of the tap-scatter
-# backward that every 3x3 conv took before (5.137, 1.040 and 5.133). A
-# stride-1 conv that keeps or narrows its channels takes the flipped-kernel
-# dx, whose window matrix holds 9*cout values per input position where the
-# scatter's dcols holds 9*cin; it reads 5.05 and 4.51 MiB. A widening
-# 3 -> 16 conv on that path would copy 4.5 MiB of windows, more than four
-# times the scatter's peak.
-CONV2D_BACKWARD_PEAKS = [((16, 16), 5.14), ((3, 16), 1.05), ((16, 8), 5.14)]
+# (cin, cout), then the traced peak in MiB, rounded up, of the backward
+# (2.076, 1.040 and 1.414). dw and the flipped-kernel dx each copy one
+# item's column taps at a time; the widening 3 -> 16 conv's peak is its tap
+# scatter's dcols. The batch-wide im2col backward read 5.14, 1.05 and 5.14.
+CONV2D_BACKWARD_PEAKS = [((16, 16), 2.08), ((3, 16), 1.05), ((16, 8), 1.42)]
 
 
 @pytest.mark.parametrize("channels,old_peak", CONV2D_BACKWARD_PEAKS, ids=["16to16", "3to16", "16to8"])
@@ -370,6 +366,16 @@ def test_conv2d_backward_memory_does_not_grow(channels, old_peak):
     out, cache = L.conv2d_forward(x, w, None, (1, 1), ((1, 1), (1, 1)))
     dout = np.ones_like(out)
     assert _traced_peak_mib(lambda: L.conv2d_backward(dout, w, cache)) <= old_peak
+
+
+def test_conv2d_forward_copies_one_item_at_a_time():
+    # B=8, 64x64, 16 -> 16, 3x3 same: the traced peak is 5.15 MiB, the
+    # output plus the padded input plus one item's column taps; a batch-wide
+    # im2col matrix alone is 9x the input, 18 MiB
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((8, 64, 64, 16)).astype(np.float32)
+    w = rng.standard_normal((3, 3, 16, 16)).astype(np.float32)
+    assert _traced_peak_mib(lambda: L.conv2d_forward(x, w, None, (1, 1), ((1, 1), (1, 1)))) <= 8
 
 
 class TestPerItemScoring:
