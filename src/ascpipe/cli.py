@@ -2,9 +2,9 @@
 quantize, report.
 
 Every command prints a reproducibility block (config hash, seed, library
-versions) before doing work, and is deterministic given (config, seed)
-regardless of the worker count. Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 numeric failure.
+versions, the BLAS and its thread setting) before doing work, and is
+deterministic given (config, seed) regardless of the worker count. Exit
+codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 
 Score matrices travel between commands as tab-separated text: one header
 row of class names, then one row of `repr` floats per item, aligned with
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import platform
 import shutil
 import sys
@@ -116,6 +117,13 @@ def _print_repro(command: str, cfg: RunConfig) -> None:
         f"versions: ascpipe {__version__}, numpy {np.__version__}, "
         f"python {platform.python_version()}"
     )
+    # float sums, and so float output bytes, depend on the BLAS and its threads
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = next(
+        (f"{k}={os.environ[k]}" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if k in os.environ),
+        f"{len(os.sched_getaffinity(0))} (cpu affinity)",
+    )
+    print(f"blas: {blas['name']} {blas['version']}, threads: {threads}")
 
 
 def _run_jobs(jobs, worker, n_workers: int):

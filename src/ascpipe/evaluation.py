@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .fusion import ClassHierarchy
 from .manifest import DatasetManifest
 
 DEVICE_GROUPS = (
@@ -55,18 +54,15 @@ def _group_of(source_label: str) -> str:
 def evaluate(
     predictions: np.ndarray,
     manifest: DatasetManifest,
-    classes: Sequence[str] | None = None,
+    classes: Sequence[str],
 ) -> EvalReport:
     """Score per-item prediction vectors against a manifest.
 
     ``predictions`` holds one score row per manifest row, in manifest
     order. Rows are normalized to sum 1 before the cross-entropy loss, so
     fused (unnormalized) score vectors are accepted; the argmax is taken
-    on the raw rows. Without ``classes``, the default hierarchy's
-    ``label_set`` of the manifest labels names the columns.
+    on the raw rows. ``classes`` names the columns, in order.
     """
-    if classes is None:
-        classes = ClassHierarchy.default().label_set(manifest.scene_labels())
     classes = tuple(classes)
     preds = np.asarray(predictions, dtype=np.float64)
     if preds.ndim != 2 or preds.shape[0] != len(manifest):

@@ -40,9 +40,6 @@ class DatasetManifest:
     def scene_labels(self) -> tuple[str, ...]:
         return tuple(r.scene_label for r in self.rows)
 
-    def source_labels(self) -> tuple[str, ...]:
-        return tuple(r.source_label for r in self.rows)
-
     def label_indices(self, classes: Sequence[str]) -> np.ndarray:
         """Scene labels as indices into ``classes``."""
         lookup = {c: i for i, c in enumerate(classes)}

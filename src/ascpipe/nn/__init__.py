@@ -7,7 +7,6 @@ from .graph import (
     NON_TRAINABLE,
     LayerSpec,
     ModelGraph,
-    clone_params,
     initialize,
 )
 from .optim import SgdMomentum
@@ -31,7 +30,6 @@ __all__ = [
     "Tape",
     "TrainResult",
     "backward",
-    "clone_params",
     "cosine_restart_lr",
     "cross_entropy",
     "cycle_position",

@@ -95,15 +95,6 @@ class ModelGraph:
     def in_shape(self, spec: LayerSpec, idx: int = 0) -> tuple:
         return self.shapes[spec.inputs[idx]]
 
-    def param_count(self, trainable_only: bool = False) -> int:
-        total = 0
-        for store in self.params.values():
-            for key, arr in store.items():
-                if trainable_only and key in NON_TRAINABLE:
-                    continue
-                total += arr.size
-        return total
-
 
 def param_rules(graph: ModelGraph, spec: LayerSpec) -> dict[str, tuple]:
     """(shape, init rule) per parameter of one layer, from its input shape."""
@@ -120,7 +111,3 @@ def initialize(graph: ModelGraph, seed: int = 0) -> ModelGraph:
         if rules:
             graph.params[spec.name] = {k: init(rng, shape) for k, (shape, init) in rules.items()}
     return graph
-
-
-def clone_params(params: dict[str, dict[str, np.ndarray]]) -> dict:
-    return {layer: {k: v.copy() for k, v in store.items()} for layer, store in params.items()}

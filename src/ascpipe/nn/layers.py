@@ -33,34 +33,41 @@ def _unpad(dxp, pads):
     return dxp[:, t0 : dxp.shape[1] - t1, f0 : dxp.shape[2] - f1, :]
 
 
-def _out_size(xp, kh, kw, sh, sw):
-    return (xp.shape[1] - kh) // sh + 1, (xp.shape[2] - kw) // sw + 1
-
-
-def _kernel_rows(xp, kh, kw, sh, sw):
-    """Yield (n, i, rows) per item n and kernel row i. Each item's kw
-    column taps are copied once into an (Hp, Wo, kw*C) buffer, 3x the item
-    for a 3x3 kernel where an im2col matrix is 9x; rows is the (Ho, Wo,
-    kw*C) view of it that kernel row i reads."""
-    ho, wo = _out_size(xp, kh, kw, sh, sw)
-    cols = np.empty((xp.shape[1], wo, kw, xp.shape[3]), dtype=xp.dtype)
-    flat = cols.reshape(cols.shape[0], wo, -1)
-    for n in range(xp.shape[0]):
+def _kernel_rows(x, pads, kh, kw, sh, sw):
+    """Yield (n, i, rows) per item n and kernel row i of the convolution of
+    x zero-padded by pads. Each item's kw column taps are copied once into
+    an (Hp, Wo, kw*C) buffer, 3x the item for a 3x3 kernel where an im2col
+    matrix is 9x; only the input columns that exist are copied, so the pads
+    stay the buffer's zeros. rows is the (Ho, Wo, kw*C) view of it that
+    kernel row i reads."""
+    (t0, t1), (f0, f1) = pads
+    h, width = x.shape[1:3]
+    hp = h + t0 + t1
+    ho, wo = (hp - kh) // sh + 1, (width + f0 + f1 - kw) // sw + 1
+    cols = np.zeros((hp, wo, kw, x.shape[3]), dtype=x.dtype)
+    flat = cols.reshape(hp, wo, -1)
+    for n in range(x.shape[0]):
         for j in range(kw):
-            cols[:, :, j] = xp[n, :, j : j + (wo - 1) * sw + 1 : sw]
+            # output column o reads input column o*sw + j - f0
+            o0, o1 = max(0, (f0 - j + sw - 1) // sw), min(wo, (width - 1 + f0 - j) // sw + 1)
+            if o0 < o1:
+                c0 = o0 * sw + j - f0
+                cols[t0 : t0 + h, o0:o1, j] = x[n, :, c0 : c0 + (o1 - o0 - 1) * sw + 1 : sw]
         for i in range(kh):
             yield n, i, flat[i : i + (ho - 1) * sh + 1 : sh]
 
 
-def _conv(xp, w, sh, sw):
-    """(B, Ho, Wo, cout) convolution of a padded input, one item at a time:
-    out[n] is the sum over kernel rows i of rows @ w[i], each product
-    written into one reused buffer."""
+def _conv(x, w, stride, pads):
+    """(B, Ho, Wo, cout) convolution of x zero-padded by pads, one item at
+    a time: out[n] is the sum over kernel rows i of rows @ w[i], each
+    product written into one reused buffer."""
     kh, kw, _, cout = w.shape
     w_rows = w.reshape(kh, -1, cout)
-    out = np.empty((xp.shape[0], *_out_size(xp, kh, kw, sh, sw), cout), np.result_type(xp, w))
-    part = np.empty_like(out[0])
-    for n, i, rows in _kernel_rows(xp, kh, kw, sh, sw):
+    out = part = None
+    for n, i, rows in _kernel_rows(x, pads, kh, kw, *stride):
+        if out is None:
+            out = np.empty((x.shape[0], *rows.shape[:2], cout), np.result_type(x, w))
+            part = np.empty_like(out[0])
         if i:
             out[n] += np.matmul(rows, w_rows[i], out=part)
         else:
@@ -68,60 +75,57 @@ def _conv(xp, w, sh, sw):
     return out
 
 
-def _conv_weight_grad(xp, dout, w_shape, sh, sw):
+def _conv_weight_grad(x, dout, w_shape, stride, pads):
     """The gradient of _conv's weights, summed per item and kernel row from
     the rows that the forward multiplied."""
     kh, kw, _, cout = w_shape
-    dw = np.zeros((kh, xp.shape[3] * kw, cout), dtype=np.result_type(xp, dout))
+    dw = np.zeros((kh, x.shape[3] * kw, cout), dtype=np.result_type(x, dout))
     part = np.empty_like(dw[0])
-    for n, i, rows in _kernel_rows(xp, kh, kw, sh, sw):
+    for n, i, rows in _kernel_rows(x, pads, kh, kw, *stride):
         rows = rows.reshape(-1, rows.shape[-1])  # a copy only at row stride > 1
         dw[i] += np.matmul(rows.T, dout[n].reshape(-1, cout), out=part)
     return dw.reshape(w_shape)
 
 
-def _biased(out, b, xp, stride, pads, w_shape):
+def _biased(out, b, x, stride, pads, w_shape):
     """A convolution's output plus its bias, added in place, and the cache
     both conv backwards read."""
     if b is not None:
         out += b
-    return out, (xp, stride, pads, w_shape)
+    return out, (x, stride, pads, w_shape)
 
 
 def conv2d_forward(x, w, b, stride, pads):
-    xp = _pad(x, pads)
     if (*w.shape[:2], *stride) == (1, 1, 1, 1):
-        out = xp @ w.reshape(-1, w.shape[3])
+        out = x @ w.reshape(-1, w.shape[3])
     else:
-        out = _conv(xp, w, *stride)
-    return _biased(out, b, xp, stride, pads, w.shape)
+        out = _conv(x, w, stride, pads)
+    return _biased(out, b, x, stride, pads, w.shape)
 
 
 def conv2d_backward(dout, w, cache):
-    """(dx, dw, db). A 1x1 stride-1 conv takes one matmul each for dx and
-    dw. Every other conv accumulates dw per item and kernel row from the
-    rows that its forward multiplied. Its dx: a stride-1 conv that keeps or
-    narrows its channels convolves the padded dout with the flipped,
-    channel-swapped kernel (the transposed-convolution identity); a strided
-    or widening one scatters each tap's share of dout into a zero buffer."""
-    xp, (sh, sw), pads, w_shape = cache
+    """(dx, dw, db). The cache holds the unpadded input. A 1x1 stride-1
+    conv takes one matmul each for dx and dw. Every other conv accumulates
+    dw per item and kernel row from the rows that its forward multiplied,
+    and its dx is one transposed convolution: dout, its rows and columns
+    spread stride apart, convolved with the flipped, channel-swapped kernel
+    under the pads that give back x's shape."""
+    x, (sh, sw), pads, w_shape = cache
     kh, kw, cin, cout = w_shape
     db = dout.sum(axis=(0, 1, 2))
     if (kh, kw, sh, sw) == (1, 1, 1, 1):
-        dw = xp.reshape(-1, cin).T @ dout.reshape(-1, cout)
+        dw = x.reshape(-1, cin).T @ dout.reshape(-1, cout)
         return dout @ w.reshape(-1, cout).T, dw.reshape(w_shape), db
-    dw = _conv_weight_grad(xp, dout, w_shape, sh, sw)
-    if (sh, sw) == (1, 1) and cout <= cin:
-        (t0, t1), (f0, f1) = pads
-        full = ((kh - 1 - t0, kh - 1 - t1), (kw - 1 - f0, kw - 1 - f1))
-        return _conv(_pad(dout, full), w[::-1, ::-1].transpose(0, 1, 3, 2), 1, 1), dw, db
-    dcols = dout @ w.reshape(-1, cout).T
-    bsz, ho, wo = dout.shape[:3]
-    dwin = dcols.reshape(bsz, ho, wo, kh, kw, -1)
-    dxp = np.zeros(xp.shape, dtype=dwin.dtype)
-    for i, j, tap in _taps(kh, kw, sh, sw, ho, wo):
-        dxp[tap] += dwin[:, :, :, i, j, :]
-    return _unpad(dxp, pads), dw, db
+    dw = _conv_weight_grad(x, dout, w_shape, (sh, sw), pads)
+    spread = dout
+    if (sh, sw) != (1, 1):
+        bsz, ho, wo = dout.shape[:3]
+        spread = np.zeros((bsz, (ho - 1) * sh + 1, (wo - 1) * sw + 1, cout), dtype=dout.dtype)
+        spread[:, ::sh, ::sw] = dout
+    (t0, t1), (f0, f1) = pads
+    hp, wp = x.shape[1] + t0 + t1, x.shape[2] + f0 + f1
+    full = ((kh - 1 - t0, hp - spread.shape[1] - t1), (kw - 1 - f0, wp - spread.shape[2] - f1))
+    return _conv(spread, w[::-1, ::-1].transpose(0, 1, 3, 2), (1, 1), full), dw, db
 
 
 def depthwise_forward(x, w, b, stride, pads):

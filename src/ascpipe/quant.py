@@ -63,11 +63,6 @@ class QuantizedTensor:
     values: np.ndarray
     scale: float
 
-    def dequantize(self) -> np.ndarray:
-        return (self.values.astype(np.float32) * np.float32(self.scale)).astype(
-            np.float32
-        )
-
 
 @dataclass
 class QuantizedModel:

@@ -259,7 +259,10 @@ COMMAND_ARGS = {
 
 @pytest.mark.parametrize("missing_input", [False, True], ids=["ok", "missing-input"])
 @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
-def test_every_command_prints_the_reproducibility_block(ws, tmp_path, capsys, command, missing_input):
+def test_every_command_prints_the_reproducibility_block(
+    ws, tmp_path, capsys, monkeypatch, command, missing_input
+):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     write_scores(tmp_path / "fine.tsv", np.full((3, 10), 0.1), SCENE_LABELS)
     absent = tmp_path / "absent"
     d = SimpleNamespace(manifest=absent / "meta.tsv", feats=absent, model=absent / "m.ascm",
@@ -271,6 +274,19 @@ def test_every_command_prints_the_reproducibility_block(ws, tmp_path, capsys, co
     assert lines[1].startswith("config hash: ")
     assert lines[2] == "seed: 7"
     assert lines[3].startswith("versions: ascpipe ")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert lines[4] == f"blas: {blas['name']} {blas['version']}, threads: OPENBLAS_NUM_THREADS=1"
+
+
+def test_the_reproducibility_block_falls_back_to_the_cpu_affinity(ws, capsys, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    run_cli("report", ws.evald / "report.json")
+    assert capsys.readouterr().out.splitlines()[4].endswith(", threads: OMP_NUM_THREADS=3")
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    run_cli("report", ws.evald / "report.json")
+    cpus = len(os.sched_getaffinity(0))
+    assert capsys.readouterr().out.splitlines()[4].endswith(f", threads: {cpus} (cpu affinity)")
 
 
 class TestScoreFiles:

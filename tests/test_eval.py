@@ -64,7 +64,7 @@ class TestManifestIO:
         loaded = read_manifest(path)
         assert loaded.rows[0].split == ""
         assert loaded.scene_labels() == ("bus", "tram")
-        assert loaded.source_labels() == ("a", "b")
+        assert tuple(r.source_label for r in loaded.rows) == ("a", "b")
 
     def test_header_order_free_with_extra_columns(self, tmp_path):
         path = tmp_path / "meta.tsv"
@@ -125,7 +125,7 @@ class TestEvaluate:
         devices = ["a", "b", "c", "s1", "s4", "s6"]
         m = manifest_of(zip(labels, devices))
         preds = scores_for(labels, SCENE_LABELS, [True] * 6, strength=1.0 - 1e-9)
-        report = evaluate(preds, m)
+        report = evaluate(preds, m, SCENE_LABELS)
         for name in report.group_order:
             assert report.group_accuracy[name] == 100.0
         assert report.avg_accuracy_items == 100.0
@@ -136,7 +136,7 @@ class TestEvaluate:
         labels = list(SCENE_LABELS)
         m = manifest_of((lab, "a") for lab in labels)
         preds = np.full((10, 10), 0.1)
-        report = evaluate(preds, m)
+        report = evaluate(preds, m, SCENE_LABELS)
         assert report.val_loss == pytest.approx(math.log(10), abs=1e-6)
         # argmax of a uniform row is class 0, so exactly one item matches
         assert report.avg_accuracy_items == pytest.approx(10.0)
@@ -146,7 +146,7 @@ class TestEvaluate:
         devices = ["a", "a", "b", "c", "s2", "s5"]
         correct = [True, False, True, True, False, True]
         m = manifest_of(zip(labels, devices))
-        report = evaluate(scores_for(labels, SCENE_LABELS, correct), m)
+        report = evaluate(scores_for(labels, SCENE_LABELS, correct), m, SCENE_LABELS)
         assert report.group_accuracy["A"] == pytest.approx(50.0)
         assert report.group_accuracy["B&C"] == pytest.approx(100.0)
         assert report.group_accuracy["s1-s3"] == pytest.approx(0.0)
@@ -164,7 +164,7 @@ class TestEvaluate:
         m = manifest_of(pairs)
         correct = rng.random(120) < 0.6
         report = evaluate(scores_for([p[0] for p in pairs], SCENE_LABELS,
-                                     correct), m)
+                                     correct), m, SCENE_LABELS)
         weighted = sum(
             report.group_accuracy[g] * report.group_counts[g]
             for g in report.group_order
@@ -176,7 +176,7 @@ class TestEvaluate:
         labels = ["airport", "bus", "park"]
         m = manifest_of(zip(labels, ["a", "s9", "webcam"]))
         report = evaluate(scores_for(labels, SCENE_LABELS,
-                                     [True, True, False]), m)
+                                     [True, True, False]), m, SCENE_LABELS)
         assert report.group_order[-1] == "unknown"
         assert report.group_counts["unknown"] == 2
         assert report.group_accuracy["unknown"] == pytest.approx(50.0)
@@ -184,7 +184,7 @@ class TestEvaluate:
     def test_empty_groups_report_nan(self):
         labels = ["airport", "bus"]
         m = manifest_of(zip(labels, ["a", "a"]))
-        report = evaluate(scores_for(labels, SCENE_LABELS, [True, True]), m)
+        report = evaluate(scores_for(labels, SCENE_LABELS, [True, True]), m, SCENE_LABELS)
         assert math.isnan(report.group_accuracy["s1-s3"])
         assert report.group_counts["s1-s3"] == 0
         assert report.avg_accuracy_groups == pytest.approx(100.0)
@@ -192,7 +192,7 @@ class TestEvaluate:
     def test_device_grouping_is_case_insensitive(self):
         labels = ["airport", "bus"]
         m = manifest_of(zip(labels, ["A", "S2"]))
-        report = evaluate(scores_for(labels, SCENE_LABELS, [True, True]), m)
+        report = evaluate(scores_for(labels, SCENE_LABELS, [True, True]), m, SCENE_LABELS)
         assert report.group_counts["A"] == 1
         assert report.group_counts["s1-s3"] == 1
         assert "unknown" not in report.group_order
@@ -203,13 +203,13 @@ class TestEvaluate:
         correct = [True, False, True, True, False, True]
         m = manifest_of(zip(labels, devices))
         preds = scores_for(labels, SCENE_LABELS, correct)
-        base = evaluate(preds, m)
+        base = evaluate(preds, m, SCENE_LABELS)
 
         perm = rng.permutation(6)
         shuffled = manifest_of(
             (labels[i], devices[i]) for i in perm
         )
-        other = evaluate(preds[perm], shuffled)
+        other = evaluate(preds[perm], shuffled, SCENE_LABELS)
         assert other.group_accuracy == base.group_accuracy
         assert other.avg_accuracy_items == pytest.approx(
             base.avg_accuracy_items
@@ -224,7 +224,7 @@ class TestEvaluate:
         m = manifest_of(pairs)
         correct = rng.random(80) < 0.5
         report = evaluate(
-            scores_for([p[0] for p in pairs], SCENE_LABELS, correct), m
+            scores_for([p[0] for p in pairs], SCENE_LABELS, correct), m, SCENE_LABELS
         )
         true_idx = m.label_indices(SCENE_LABELS)
         expected = np.bincount(true_idx, minlength=10)
@@ -235,17 +235,17 @@ class TestEvaluate:
         labels = ["airport", "airport", "bus"]
         m = manifest_of(zip(labels, ["a", "a", "a"]))
         report = evaluate(
-            scores_for(labels, SCENE_LABELS, [True, False, True]), m
+            scores_for(labels, SCENE_LABELS, [True, False, True]), m, SCENE_LABELS
         )
         assert report.per_class_accuracy[0] == pytest.approx(50.0)
         assert report.per_class_accuracy[7] == pytest.approx(100.0)
         assert math.isnan(report.per_class_accuracy[9])
 
-    def test_superclass_label_set_detected(self):
+    def test_superclass_labels_score_against_superclass_columns(self):
         labels = ["indoor", "outdoor", "transportation", "indoor"]
         m = manifest_of(zip(labels, ["a", "b", "s1", "s9"]))
         preds = scores_for(labels, SUPERCLASS_LABELS, [True] * 4)
-        report = evaluate(preds, m)
+        report = evaluate(preds, m, SUPERCLASS_LABELS)
         assert report.classes == SUPERCLASS_LABELS
         assert report.avg_accuracy_items == 100.0
 
@@ -253,28 +253,28 @@ class TestEvaluate:
         labels = ["airport", "bus"]
         m = manifest_of(zip(labels, ["a", "b"]))
         preds = scores_for(labels, SCENE_LABELS, [True, True]) * 0.2
-        report = evaluate(preds, m)
+        report = evaluate(preds, m, SCENE_LABELS)
         assert report.avg_accuracy_items == 100.0
 
     def test_prediction_count_mismatch(self):
         m = manifest_of([("airport", "a"), ("bus", "b")])
         with pytest.raises(DataError, match="one prediction row per"):
-            evaluate(np.full((3, 10), 0.1), m)
+            evaluate(np.full((3, 10), 0.1), m, SCENE_LABELS)
 
     def test_class_count_mismatch(self):
         m = manifest_of([("airport", "a")])
         with pytest.raises(DataError, match="columns"):
-            evaluate(np.full((1, 9), 1 / 9), m)
+            evaluate(np.full((1, 9), 1 / 9), m, SCENE_LABELS)
 
     def test_zero_score_row_rejected(self):
         m = manifest_of([("airport", "a")])
         with pytest.raises(DataError, match="zero total"):
-            evaluate(np.zeros((1, 10)), m)
+            evaluate(np.zeros((1, 10)), m, SCENE_LABELS)
 
     def test_unknown_scene_label_needs_explicit_classes(self):
         m = manifest_of([("hallway", "a")])
         with pytest.raises(DataError, match="hallway"):
-            evaluate(np.full((1, 10), 0.1), m)
+            evaluate(np.full((1, 10), 0.1), m, SCENE_LABELS)
         report = evaluate(
             np.array([[0.9, 0.1]]), m, classes=("hallway", "basement")
         )
@@ -287,7 +287,7 @@ class TestReportSerialization:
         devices = ["a", "a", "b", "c", "s2", "s7"]
         correct = [True, False, True, True, False, True]
         m = manifest_of(zip(labels, devices))
-        return evaluate(scores_for(labels, SCENE_LABELS, correct), m)
+        return evaluate(scores_for(labels, SCENE_LABELS, correct), m, SCENE_LABELS)
 
     def test_json_round_trip(self):
         report = self.make_report()
@@ -329,6 +329,6 @@ class TestReportSerialization:
     def test_render_marks_empty_groups(self):
         labels = ["airport", "bus"]
         m = manifest_of(zip(labels, ["a", "a"]))
-        report = evaluate(scores_for(labels, SCENE_LABELS, [True, True]), m)
+        report = evaluate(scores_for(labels, SCENE_LABELS, [True, True]), m, SCENE_LABELS)
         text = render_report(report)
         assert "-" in text

@@ -458,33 +458,30 @@ def _channels_id(channels):
     return f"{channels[0]}to{channels[1]}"
 
 
-def _assert_conv2d_matches(got, want, kernel, stride, channels):
+def _assert_conv2d_matches(got, want, kernel, stride):
     """A 1x1 stride-1 conv is one matmul per output, as in the reference,
-    so it matches to the bit. Every other conv sums out and dw per kernel
-    row, and a flipped-kernel dx sums the scatter's products, in another
-    order than the reference: those match to float32 rounding of the
-    largest entry. The tap scatter's dx and db are the same sums."""
-    inexact = ()
-    if (*kernel, *stride) != (1, 1, 1, 1):
-        flipped = stride == (1, 1) and channels[1] <= channels[0]
-        inexact = ("out", "dw", "dx") if flipped else ("out", "dw")
+    so it matches to the bit. Every other conv sums out, dw and the
+    transposed-convolution dx per kernel row, in another order than the
+    reference: those match to float32 rounding of the largest entry. db is
+    the same sum."""
+    exact = (*kernel, *stride) == (1, 1, 1, 1)
     for name, g, r in zip(("out", "dx", "dw", "db"), got, want):
         assert g.dtype == r.dtype and g.shape == r.shape
-        if name in inexact:
-            np.testing.assert_allclose(g, r, rtol=1e-5, atol=1e-5 * np.abs(r).max(), err_msg=name)
-        else:
+        if exact or name == "db":
             assert np.array_equal(g, r), name
+        else:
+            np.testing.assert_allclose(g, r, rtol=1e-5, atol=1e-5 * np.abs(r).max(), err_msg=name)
 
 
 @pytest.mark.parametrize("stride,padding", KERNEL_GEOMETRY, ids=GEOMETRY_IDS)
 @pytest.mark.parametrize("kernel", CONV2D_KERNELS, ids=KERNEL_IDS)
 def test_conv2d_matches_im2col(kernel, stride, padding):
-    # 3 -> 4 channels: a 1x1 stride-1 kernel takes the pointwise path, every
-    # other the tap scatter, since a widening conv never takes the flipped kernel
+    # 3 -> 4 channels: a widening conv's dx is the same transposed
+    # convolution as a narrowing one's, with the strides spread into dout
     args = _kernel_inputs("conv2d", stride, padding, 1, np.float32, integer=False, kernel=kernel)
     got = _run_kernel("conv2d", *args[:3], stride, padding, args[3])
     want = _ref_conv2d(*args[:3], stride, padding, args[3])
-    _assert_conv2d_matches(got, want, kernel, stride, (3, 4))
+    _assert_conv2d_matches(got, want, kernel, stride)
 
 
 @pytest.mark.parametrize("stride,padding", KERNEL_GEOMETRY, ids=GEOMETRY_IDS)
@@ -496,15 +493,29 @@ def test_conv2d_that_keeps_or_narrows_channels_matches_im2col(channels, kernel, 
     )
     got = _run_kernel("conv2d", *args[:3], stride, padding, args[3])
     want = _ref_conv2d(*args[:3], stride, padding, args[3])
-    _assert_conv2d_matches(got, want, kernel, stride, channels)
+    _assert_conv2d_matches(got, want, kernel, stride)
+
+
+@pytest.mark.parametrize("stride", [(1, 1), (2, 2)], ids=["stride11", "stride22"])
+def test_conv2d_wider_than_its_map_matches_im2col(stride):
+    # a same 7x7 kernel on a 7x1 map: six of its seven column taps read only
+    # padding, which the column-tap copy leaves as the zeros it starts with
+    rng = np.random.default_rng(7)
+    x, w = rng.standard_normal((2, 7, 1, 3)), rng.standard_normal((7, 7, 3, 4))
+    x, w, b = x.astype(np.float32), w.astype(np.float32), np.ones(4, np.float32)
+    dout = rng.standard_normal((2, -(-7 // stride[0]), 1, 4)).astype(np.float32)
+    got = _run_kernel("conv2d", x, w, b, stride, "same", dout)
+    want = _ref_conv2d(x, w, b, stride, "same", dout)
+    _assert_conv2d_matches(got, want, (7, 7), stride)
 
 
 @pytest.mark.parametrize("stride,padding", KERNEL_GEOMETRY, ids=GEOMETRY_IDS)
 @pytest.mark.parametrize("kernel", CONV2D_KERNELS, ids=KERNEL_IDS)
 @pytest.mark.parametrize("channels", [(3, 4), *NARROWING], ids=_channels_id)
 def test_conv2d_is_exact_on_integer_valued_float64(channels, kernel, stride, padding):
-    # whole-number sums are exact in any order, so every dx path, the
-    # flipped-kernel one included, must equal the scatter to the bit
+    # whole-number sums are exact in any order, so the transposed-convolution
+    # dx must equal the reference's scatter to the bit, at every stride and
+    # channel ratio
     args = _kernel_inputs(
         "conv2d", stride, padding, 1, np.float64, integer=True, kernel=kernel, channels=channels
     )
@@ -550,19 +561,13 @@ def test_depthwise_cache_holds_only_the_padded_input():
     assert [a.nbytes for a in _cache_arrays(cache)] == [2 * 9 * 8 * 3 * 4]
 
 
-def test_conv2d_cache_holds_only_the_padded_input():
-    x = np.random.default_rng(10).standard_normal((2, 7, 6, 3)).astype(np.float32)
-    w = np.ones((3, 3, 3, 4), dtype=np.float32)
-    _, pads = _ref_pad(x, 3, 3, (1, 1), "same")
-    _, cache = L.conv2d_forward(x, w, None, (1, 1), pads)
-    # one (2, 9, 8, 3) float32 array; the im2col copy was 9x the input
-    assert [a.nbytes for a in _cache_arrays(cache)] == [2 * 9 * 8 * 3 * 4]
-
-
-def test_pointwise_conv2d_caches_its_input_itself():
+@pytest.mark.parametrize("kernel", [(1, 1), (3, 3)], ids=["1x1", "3x3"])
+def test_conv2d_caches_its_input_itself(kernel):
+    # the column-tap copy writes the zero padding, so no padded copy of x
+    # is made or kept
     x = np.random.default_rng(9).standard_normal((2, 7, 6, 3)).astype(np.float32)
-    w = np.ones((1, 1, 3, 4), dtype=np.float32)
-    _, pads = _ref_pad(x, 1, 1, (1, 1), "same")
+    w = np.ones((*kernel, 3, 4), dtype=np.float32)
+    _, pads = _ref_pad(x, *kernel, (1, 1), "same")
     _, cache = L.conv2d_forward(x, w, None, (1, 1), pads)
     assert cache[0] is x
     assert [a.nbytes for a in _cache_arrays(cache)] == [x.nbytes]
@@ -571,7 +576,7 @@ def test_pointwise_conv2d_caches_its_input_itself():
 GRADCHECK_CASES = [
     ("pointwise_conv2d_bias", "conv2d", dict(filters=4, kernel=(1, 1), use_bias=True)),
     ("strided_1x1_conv2d", "conv2d", dict(filters=4, kernel=(1, 1), stride=(2, 2))),
-    # stride-1 convs that keep or narrow their channels: dx through the flipped kernel
+    # dx through the flipped kernel, on dout itself or spread stride apart
     ("conv2d_narrowing_valid", "conv2d", dict(filters=2, kernel=(3, 3), padding="valid")),
     ("conv2d_2x2_same", "conv2d", dict(filters=3, kernel=(2, 2), padding="same")),
     # kernel rows read strided views of the column-tap copy; at row stride 2
