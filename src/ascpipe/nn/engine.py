@@ -107,13 +107,19 @@ def per_item(run, items) -> np.ndarray:
     return np.concatenate(outs)
 
 
-def run_backward(graph: ModelGraph, tape: Tape, dout: np.ndarray, skip_last: bool = False):
+def run_backward(graph: ModelGraph, tape: Tape, dout: np.ndarray, skip_last: bool = False,
+                 input_grad: bool = True):
     """Backpropagate an arbitrary output gradient through the tape.
 
     With skip_last=True, dout is injected at the final layer's input
-    (the fused softmax + cross-entropy path).
+    (the fused softmax + cross-entropy path). With input_grad=False no
+    gradient is computed for an activation with no parameterised layer at
+    or upstream of it, the graph input's included, which comes back None.
     """
     layers = graph.layers
+    wanted = {INPUT: input_grad}
+    for spec in layers:
+        wanted[spec.name] = spec.name in graph.params or any(wanted[s] for s in spec.inputs)
     grads_acts: dict[str, np.ndarray] = {}
     if skip_last:
         last = layers[-1]
@@ -126,16 +132,17 @@ def run_backward(graph: ModelGraph, tape: Tape, dout: np.ndarray, skip_last: boo
 
     param_grads: dict[str, dict[str, np.ndarray]] = {}
     for spec in reversed(layers):
+        if not wanted[spec.name]:
+            continue
         if spec.name not in grads_acts:
             raise GraphError(f"layer {spec.name!r} received no output gradient")
         d = grads_acts.pop(spec.name)
         params = graph.params.get(spec.name, {})
-        dins, dparams = OPS[spec.kind].backward(spec, params, tape.caches[spec.name], d)
+        need_dx = any(wanted[s] for s in spec.inputs)
+        dins, dparams = OPS[spec.kind].backward(spec, params, tape.caches[spec.name], d, need_dx)
         for src, dx in zip(spec.inputs, dins):
-            if src in grads_acts:
-                grads_acts[src] = grads_acts[src] + dx
-            else:
-                grads_acts[src] = dx
+            if wanted[src]:
+                grads_acts[src] = grads_acts[src] + dx if src in grads_acts else dx
         if dparams:
             param_grads[spec.name] = dparams
     return param_grads, grads_acts.get(INPUT)
@@ -162,5 +169,5 @@ def backward(graph: ModelGraph, x: np.ndarray, targets: np.ndarray, drop_key=Non
     if not np.isfinite(loss):
         raise NumericError("training loss is not finite")
     seed = (probs - targets) / probs.shape[0]
-    param_grads, _ = run_backward(graph, tape, seed, skip_last=True)
+    param_grads, _ = run_backward(graph, tape, seed, skip_last=True, input_grad=False)
     return loss, param_grads, tape

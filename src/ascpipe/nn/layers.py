@@ -14,12 +14,28 @@ import numpy as np
 BN_EPS = 1e-5
 
 
-def _taps(kh: int, kw: int, sh: int, sw: int, ho: int, wo: int):
-    """Yield (i, j, index) per kernel tap, row-major; ``xp[index]`` is the
-    (B, Ho, Wo, C) strided slice of the padded input that tap (i, j) reads."""
+# a depthwise band's output rows span about this many bytes of one item,
+# so each tap's product and add stay in cache
+BAND_BYTES = 1 << 18
+
+
+def _bands(out):
+    """Yield (n, rows) per item n of out, a (B, Ho, Wo, ...) array, and
+    slice ``rows`` of about BAND_BYTES of its output rows."""
+    ho = out.shape[1]
+    step = max(1, BAND_BYTES * ho // out[0].nbytes)
+    for n in range(out.shape[0]):
+        for r0 in range(0, ho, step):
+            yield n, slice(r0, min(r0 + step, ho))
+
+
+def _taps(kh, kw, sh, sw, rows, wo):
+    """Yield (i, j, index) per kernel tap, row-major; ``xp[n][index]`` is the
+    (rows, Wo, C) strided slice of padded item n that tap (i, j) reads."""
+    top, end = rows.start * sh, (rows.stop - 1) * sh + 1
     for i in range(kh):
         for j in range(kw):
-            yield i, j, (slice(None), slice(i, i + ho * sh, sh), slice(j, j + wo * sw, sw))
+            yield i, j, (slice(i + top, i + end, sh), slice(j, j + (wo - 1) * sw + 1, sw))
 
 
 def _pad(x, pads):
@@ -103,20 +119,22 @@ def conv2d_forward(x, w, b, stride, pads):
     return _biased(out, b, x, stride, pads, w.shape)
 
 
-def conv2d_backward(dout, w, cache):
-    """(dx, dw, db). The cache holds the unpadded input. A 1x1 stride-1
-    conv takes one matmul each for dx and dw. Every other conv accumulates
-    dw per item and kernel row from the rows that its forward multiplied,
-    and its dx is one transposed convolution: dout, its rows and columns
-    spread stride apart, convolved with the flipped, channel-swapped kernel
-    under the pads that give back x's shape."""
+def conv2d_backward(dout, w, cache, need_dx=True):
+    """(dx, dw, db), dx None unless need_dx. The cache holds the unpadded
+    input. A 1x1 stride-1 conv takes one matmul each for dx and dw. Every
+    other conv accumulates dw per item and kernel row from the rows that
+    its forward multiplied, and its dx is one transposed convolution: dout,
+    its rows and columns spread stride apart, convolved with the flipped,
+    channel-swapped kernel under the pads that give back x's shape."""
     x, (sh, sw), pads, w_shape = cache
     kh, kw, cin, cout = w_shape
     db = dout.sum(axis=(0, 1, 2))
     if (kh, kw, sh, sw) == (1, 1, 1, 1):
         dw = x.reshape(-1, cin).T @ dout.reshape(-1, cout)
-        return dout @ w.reshape(-1, cout).T, dw.reshape(w_shape), db
+        return (dout @ w.reshape(-1, cout).T if need_dx else None), dw.reshape(w_shape), db
     dw = _conv_weight_grad(x, dout, w_shape, (sh, sw), pads)
+    if not need_dx:
+        return None, dw, db
     spread = dout
     if (sh, sw) != (1, 1):
         bsz, ho, wo = dout.shape[:3]
@@ -132,39 +150,49 @@ def depthwise_forward(x, w, b, stride, pads):
     (kh, kw), (sh, sw) = w.shape[:2], stride
     xp = _pad(x, pads)
     bsz, ho, wo = x.shape[0], (xp.shape[1] - kh) // sh + 1, (xp.shape[2] - kw) // sw + 1
-    # (B, Ho, Wo, C, multiplier): one product per tap, summed in tap order
+    # (B, Ho, Wo, C, multiplier): per item and band, one product per tap,
+    # summed in tap order
     acc = np.zeros((bsz, ho, wo) + w.shape[2:], dtype=np.result_type(x, w))
-    prod = np.empty_like(acc)
-    for i, j, tap in _taps(kh, kw, sh, sw, ho, wo):
-        np.multiply(xp[tap][..., None], w[i, j], out=prod)
-        acc += prod
+    prod = None
+    for n, rows in _bands(acc):
+        band = acc[n, rows]
+        if prod is None:
+            prod = np.empty_like(band)  # the first band is the largest
+        part = prod[: len(band)]
+        for i, j, tap in _taps(kh, kw, sh, sw, rows, wo):
+            np.multiply(xp[n][tap][..., None], w[i, j], out=part)
+            band += part
     return _biased(acc.reshape(bsz, ho, wo, -1), b, xp, stride, pads, w.shape)
 
 
-def depthwise_backward(dout, w, cache):
+def depthwise_backward(dout, w, cache, need_dx=True):
+    """(dx, dw, db), dx None unless need_dx, summed per item and band of
+    output rows as the forward runs."""
     xp, (sh, sw), pads, w_shape = cache
     kh, kw = w_shape[:2]
     bsz, ho, wo = dout.shape[:3]
     dout5 = dout.reshape(bsz, ho, wo, -1, w_shape[3])
-    dw = np.empty(w_shape, dtype=np.result_type(xp, dout))
-    dxp = np.zeros(xp.shape, dtype=np.result_type(dout, w))
-    for i, j, tap in _taps(kh, kw, sh, sw, ho, wo):
-        dw[i, j] = np.einsum("bhwc,bhwcm->cm", xp[tap], dout5)
-        dxp[tap] += np.einsum("bhwcm,cm->bhwc", dout5, w[i, j])
+    dw = np.zeros(w_shape, dtype=np.result_type(xp, dout))
+    dxp = np.zeros(xp.shape, dtype=np.result_type(dout, w)) if need_dx else None
+    for n, rows in _bands(dout5):
+        band = dout5[n, rows]
+        for i, j, tap in _taps(kh, kw, sh, sw, rows, wo):
+            dw[i, j] += np.einsum("hwc,hwcm->cm", xp[n][tap], band)
+            if need_dx:
+                dxp[n][tap] += np.einsum("hwcm,cm->hwc", band, w[i, j])
     db = dout.sum(axis=(0, 1, 2))
-    return _unpad(dxp, pads), dw, db
+    return (None if dxp is None else _unpad(dxp, pads)), dw, db
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode, momentum=0.9):
     axes = tuple(range(x.ndim - 1))
     if mode == "train":
         mean = x.mean(axis=axes)
-        # the squared deviations that x.var sums (biased, matching
-        # normalization), in the array that then holds the output
+        # x.var (biased, matching normalization) summed from the array that
+        # then holds the output
         out = x - mean
-        out *= out
-        var = out.sum(axis=axes) / (x.size // x.shape[-1])
-        np.subtract(x, mean, out=out)
+        flat = out.reshape(-1, x.shape[-1])
+        var = np.einsum("nc,nc->c", flat, flat) / len(flat)
         new_rm = momentum * running_mean + (1.0 - momentum) * mean
         new_rv = momentum * running_var + (1.0 - momentum) * var
     else:
@@ -182,19 +210,22 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode, momentum=
 
 def batchnorm_backward(dout, cache):
     x, mean, inv_std, gamma, mode, axes = cache
-    x_hat = x - mean
-    x_hat *= inv_std
-    dgamma = (dout * x_hat).sum(axis=axes)
     dbeta = dout.sum(axis=axes)
     if mode == "eval":
-        return dout * gamma * inv_std, dgamma, dbeta
-    n = dout.size // dout.shape[-1]
-    # (gamma * inv_std / n) * (n * dout - dbeta - x_hat * dgamma) in one array
-    dx = n * dout
-    dx -= dbeta
-    x_hat *= dgamma
-    dx -= x_hat
-    dx *= gamma * inv_std / n
+        x_hat = x - mean
+        x_hat *= inv_std
+        return dout * gamma * inv_std, (dout * x_hat).sum(axis=axes), dbeta
+    # centred, so dgamma keeps its precision when the mean dwarfs the
+    # spread: gamma*inv_std * (dout - dbeta/n - (x - mean)*inv_std*dgamma/n),
+    # built in the one array that holds x - mean
+    dx = x - mean
+    flat = dx.reshape(-1, x.shape[-1])
+    n = len(flat)
+    dgamma = inv_std * np.einsum("nc,nc->c", dout.reshape(flat.shape), flat)
+    dx *= -inv_std * dgamma / n
+    dx -= dbeta / n
+    dx += dout
+    dx *= gamma * inv_std
     return dx, dgamma, dbeta
 
 
@@ -223,17 +254,14 @@ def maxpool_forward(x, ph, pw):
 
 
 def maxpool_backward(dout, cache):
+    """dx, written per window offset (p, q), index p*pw + q: each dout
+    where its window's argmax picked that offset, else zero."""
     idx, x_shape, ph, pw = cache
-    b, h, w, c = x_shape
-    ho, wo = h // ph, w // pw
-    dwin = np.zeros((b, ho, wo, ph * pw, c), dtype=dout.dtype)
-    np.put_along_axis(dwin, idx[:, :, :, None, :], dout[:, :, :, None, :], axis=3)
+    ho, wo = dout.shape[1:3]
     dx = np.zeros(x_shape, dtype=dout.dtype)
-    dx[:, : ho * ph, : wo * pw, :] = (
-        dwin.reshape(b, ho, wo, ph, pw, c)
-        .transpose(0, 1, 3, 2, 4, 5)
-        .reshape(b, ho * ph, wo * pw, c)
-    )
+    for p in range(ph):
+        for q in range(pw):
+            dx[:, p : ho * ph : ph, q : wo * pw : pw] = np.where(idx == p * pw + q, dout, 0)
     return dx
 
 

@@ -33,7 +33,7 @@ class Op:
     arity: int | None  # exact input count; None means two or more
     infer: Callable  # (spec, input shapes) -> output shape
     forward: Callable  # (spec, params, inputs, mode, dropout seed) -> (output, cache)
-    backward: Callable  # (spec, params, cache, dout) -> (input grads, param grads)
+    backward: Callable  # (spec, params, cache, dout, need_dx) -> (input grads, param grads)
     params: Callable | None = None  # (spec, input shape) -> {key: (shape, init)}
     macs: Callable | None = None  # (spec, input shape) -> MACs per output element
 
@@ -186,7 +186,7 @@ def _batchnorm_forward(spec, p, ins, mode, seed):
     return out, cache
 
 
-def _batchnorm_backward(spec, p, cache, dout):
+def _batchnorm_backward(spec, p, cache, dout, need_dx):
     dx, dgamma, dbeta = L.batchnorm_backward(dout, cache)
     return [dx], {"gamma": dgamma, "beta": dbeta}
 
@@ -196,7 +196,7 @@ def _dropout_forward(spec, p, ins, mode, seed):
     return L.dropout_forward(ins[0], _rate(spec), mode, rng)
 
 
-def _attention_backward(spec, p, cache, dout):
+def _attention_backward(spec, p, cache, dout, need_dx):
     dx, dw1, db1, dw2, db2 = L.channel_attention_backward(dout, p["w1"], p["w2"], cache)
     return [dx], {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
@@ -274,7 +274,9 @@ OPS: dict[str, Op] = {
         lambda s, p, ins, mode, seed: L.conv2d_forward(
             ins[0], p["w"], p.get("b"), _stride(s), _pads(s, ins[0].shape[1:])
         ),
-        lambda s, p, cache, d: _weight_grads(p, *L.conv2d_backward(d, p["w"], cache)),
+        lambda s, p, cache, d, need_dx: _weight_grads(
+            p, *L.conv2d_backward(d, p["w"], cache, need_dx)
+        ),
         _conv_params,
         lambda s, x: math.prod(_kernel(s)) * x[2],
     ),
@@ -284,7 +286,9 @@ OPS: dict[str, Op] = {
         lambda s, p, ins, mode, seed: L.depthwise_forward(
             ins[0], p["w"], p.get("b"), _stride(s), _pads(s, ins[0].shape[1:])
         ),
-        lambda s, p, cache, d: _weight_grads(p, *L.depthwise_backward(d, p["w"], cache)),
+        lambda s, p, cache, d, need_dx: _weight_grads(
+            p, *L.depthwise_backward(d, p["w"], cache, need_dx)
+        ),
         _depthwise_params,
         lambda s, x: math.prod(_kernel(s)),
     ),
@@ -293,25 +297,25 @@ OPS: dict[str, Op] = {
         1,
         _same,
         lambda s, p, ins, mode, seed: L.relu_forward(ins[0]),
-        lambda s, p, cache, d: ([L.relu_backward(d, cache)], {}),
+        lambda s, p, cache, d, _: ([L.relu_backward(d, cache)], {}),
     ),
     "maxpool": Op(
         1,
         _maxpool_infer,
         lambda s, p, ins, mode, seed: L.maxpool_forward(ins[0], *_pair(s, "pool")),
-        lambda s, p, cache, d: ([L.maxpool_backward(d, cache)], {}),
+        lambda s, p, cache, d, _: ([L.maxpool_backward(d, cache)], {}),
     ),
     "global_avg_pool": Op(
         1,
         lambda s, xs: (_rank(s, xs[0], 3)[2],),
         lambda s, p, ins, mode, seed: L.global_avg_pool_forward(ins[0]),
-        lambda s, p, cache, d: ([L.global_avg_pool_backward(d, cache)], {}),
+        lambda s, p, cache, d, _: ([L.global_avg_pool_backward(d, cache)], {}),
     ),
     "dense": Op(
         1,
         _dense_infer,
         lambda s, p, ins, mode, seed: L.dense_forward(ins[0], p["w"], p.get("b")),
-        lambda s, p, cache, d: _weight_grads(p, *L.dense_backward(d, p["w"], cache)),
+        lambda s, p, cache, d, _: _weight_grads(p, *L.dense_backward(d, p["w"], cache)),
         _dense_params,
         lambda s, x: x[0],
     ),
@@ -319,13 +323,13 @@ OPS: dict[str, Op] = {
         1,
         lambda s, xs: _rank(s, xs[0], 1),
         lambda s, p, ins, mode, seed: L.softmax_forward(ins[0]),
-        lambda s, p, cache, d: ([L.softmax_backward(d, cache)], {}),
+        lambda s, p, cache, d, _: ([L.softmax_backward(d, cache)], {}),
     ),
     "dropout": Op(
         1,
         _dropout_infer,
         _dropout_forward,
-        lambda s, p, cache, d: ([L.dropout_backward(d, cache)], {}),
+        lambda s, p, cache, d, _: ([L.dropout_backward(d, cache)], {}),
     ),
     "channel_attention": Op(
         1,
@@ -340,19 +344,19 @@ OPS: dict[str, Op] = {
         2,
         _residual_infer,
         lambda s, p, ins, mode, seed: L.residual_add_forward(ins[0], ins[1]),
-        lambda s, p, cache, d: (L.residual_add_backward(d, cache), {}),
+        lambda s, p, cache, d, _: (L.residual_add_backward(d, cache), {}),
     ),
     "freq_split": Op(
         1,
         _freq_split_infer,
         lambda s, p, ins, mode, seed: L.freq_split_forward(ins[0], int(s.attr("part"))),
-        lambda s, p, cache, d: ([L.freq_split_backward(d, cache)], {}),
+        lambda s, p, cache, d, _: ([L.freq_split_backward(d, cache)], {}),
     ),
     "concat": Op(
         None,
         _concat_infer,
         # the inputs carry a batch axis in front
         lambda s, p, ins, mode, seed: L.concat_forward(ins, _concat_axis(s) + 1),
-        lambda s, p, cache, d: (L.concat_backward(d, cache), {}),
+        lambda s, p, cache, d, _: (L.concat_backward(d, cache), {}),
     ),
 }

@@ -1,5 +1,6 @@
 """Schedule, optimizer, checkpoint, training-loop and executor tests."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -27,6 +28,7 @@ from ascpipe.nn import (
 )
 from ascpipe.nn import engine
 from ascpipe.nn import layers as L
+from ascpipe.nn.ops import OPS
 
 
 def _spec(kind, name, inputs, **attrs):
@@ -305,6 +307,36 @@ class TestExecutor:
         assert dx.shape == x.shape
 
 
+@pytest.mark.parametrize("arch", zoo.ARCH_NAMES)
+def test_backward_skips_unread_input_gradients(arch, monkeypatch):
+    shape = (16, 32, 3)
+    g = _zoo_graph(arch, 0.25, shape)
+    x, t = _batch(shape, 2)
+    ran = {}  # layer name -> which input gradients its backward computed
+    for kind, op in list(OPS.items()):
+
+        def spy(spec, p, cache, d, need_dx, _backward=op.backward):
+            dins, dparams = _backward(spec, p, cache, d, need_dx)
+            ran[spec.name] = [dx is not None for dx in dins]
+            return dins, dparams
+
+        monkeypatch.setitem(OPS, kind, dataclasses.replace(op, backward=spy))
+    _, grads, tape = engine.backward(g, x, t, (0, 0))
+    # the entry conv reads the input, or one of fsfcnn_s's freq_split bands
+    # of it, and nothing upstream of it has a parameter
+    bands = {s.name for s in g.layers if s.kind == "freq_split" and s.inputs == ("input",)}
+    entry = [s for s in g.layers if s.name not in bands and set(s.inputs) <= {"input", *bands}]
+    assert entry and all(s.kind == "conv2d" and ran[s.name] == [False] for s in entry)
+    assert not bands & ran.keys()
+    assert all(any(computed) for name, computed in ran.items() if name not in {s.name for s in entry})
+    probs = tape.acts[g.layers[-1].name]
+    full, dx = run_backward(g, tape, (probs - t) / len(x), skip_last=True)
+    assert dx.shape == x.shape
+    assert grads.keys() == full.keys()
+    for name, store in full.items():
+        assert all(np.array_equal(grads[name][k], v) for k, v in store.items()), name
+
+
 def _traced_peak_mib(fn) -> float:
     """Peak MiB allocated while fn runs, above what was allocated when it
     started. numpy reports its buffers to tracemalloc, so this repeats
@@ -322,9 +354,10 @@ def _traced_peak_mib(fn) -> float:
 # backward and for one eval forward; width 0.5, B=2, input (64, 128, 3). The
 # old peaks are those of the executor that kept every activation, every
 # cache and conv2d's im2col matrix. This one, whose conv2d copies one item's
-# column taps at a time and no padded batch, measures backward 10.6 / 25.4 /
-# 22.9 MiB and eval forward 2.8 / 6.4 / 3.5 MiB. Mobnet's backward cannot go
-# below its 20 MiB of caches plus the depthwise backward's working set.
+# column taps at a time and no padded batch and whose depthwise multiplies
+# one band of output rows per item, measures backward 10.6 / 24.2 / 22.9 MiB
+# and eval forward 2.8 / 5.2 / 3.5 MiB. Mobnet's backward cannot go below its
+# 20 MiB of caches plus the depthwise backward's working set.
 MEMORY_CASES = [
     ("small_fcnn", (42.6, 0.5), (32.9, 0.27)),
     ("mobnet", (47.4, 0.6), (41.8, 0.25)),
@@ -367,6 +400,29 @@ def test_conv2d_backward_memory_does_not_grow(channels, old_peak):
     out, cache = L.conv2d_forward(x, w, None, (1, 1), ((1, 1), (1, 1)))
     dout = np.ones_like(out)
     assert _traced_peak_mib(lambda: L.conv2d_backward(dout, w, cache)) <= old_peak
+
+
+def test_depthwise_memory_does_not_grow():
+    # traced peaks 1.348 (forward) and 0.848 MiB (backward): the padded input
+    # and output or input gradient, plus one band of products; the
+    # batch-wide product array read 1.60 and 1.10
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((2, 64, 64, 16)).astype(np.float32)
+    w = rng.standard_normal((3, 3, 16, 1)).astype(np.float32)
+    pads = ((1, 1), (1, 1))
+    out, cache = L.depthwise_forward(x, w, None, (1, 1), pads)
+    dout = np.ones_like(out)
+    assert _traced_peak_mib(lambda: L.depthwise_forward(x, w, None, (1, 1), pads)) <= 1.35
+    assert _traced_peak_mib(lambda: L.depthwise_backward(dout, w, cache)) <= 0.85
+
+
+def test_maxpool_backward_makes_no_window_copy():
+    # traced peak 0.658 MiB: dx plus one window offset's share of dout; the
+    # window-shaped array and its transposed copy read 1.50
+    x = np.random.default_rng(2).standard_normal((2, 64, 64, 16)).astype(np.float32)
+    out, cache = L.maxpool_forward(x, 2, 2)
+    dout = np.ones_like(out)
+    assert _traced_peak_mib(lambda: L.maxpool_backward(dout, cache)) <= 0.66
 
 
 def test_conv2d_forward_copies_one_item_at_a_time():

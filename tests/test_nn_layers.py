@@ -15,7 +15,7 @@ from ascpipe.nn import layers as L
 from ascpipe.nn.engine import backward, check_finite, cross_entropy, run_backward
 from ascpipe.nn.ops import _pads
 
-from gradcheck import LAYER_CASES, TOL, max_rel_error, max_rel_error_cross_entropy
+from gradcheck import H, LAYER_CASES, TOL, max_rel_error, max_rel_error_cross_entropy
 
 
 def _spec(kind, name, inputs, **attrs):
@@ -152,7 +152,7 @@ class TestBatchnorm:
         "shape", [(4, 400, 64, 16), (2, 7, 6, 3), (8, 50, 32, 22), (5, 33, 17, 7), (3, 10)]
     )
     def test_train_forward_is_bit_identical_to_mean_and_var(self, shape, dtype):
-        # the variance comes from the squared deviations in the output
+        # the variance is one einsum over the deviations in the output
         # array; x.mean and x.var, which the kernel used to call, are the reference
         rng = np.random.default_rng(list(shape))
         x = (3.0 * rng.standard_normal(shape) + 1.0).astype(dtype)
@@ -170,6 +170,26 @@ class TestBatchnorm:
         m = 0.9  # the default momentum
         assert np.array_equal(new_rm, (m * rm + (1.0 - m) * mean).astype(dtype))
         assert np.array_equal(new_rv, (m * np.abs(rv) + (1.0 - m) * var).astype(dtype))
+
+    def test_train_backward_keeps_its_precision_at_a_large_mean(self):
+        # at mean 100 and spread 1 the un-centred form loses dgamma to
+        # cancellation; the errors against a float64 run are 1.94e-6 (dx)
+        # and 6.11e-5 (dgamma), and were 1.93e-6 and 6.13e-5 before the
+        # backward took its centred affine form
+        rng = np.random.default_rng(0)
+        shape, c = (4, 16, 16, 8), 8
+        x = (100 + rng.standard_normal(shape)).astype(np.float32)
+        dout = rng.standard_normal(shape).astype(np.float32)
+        gamma = rng.uniform(0.5, 1.5, c).astype(np.float32)
+        beta = rng.standard_normal(c).astype(np.float32)
+        grads = []
+        for dtype in (np.float32, np.float64):
+            args = [a.astype(dtype) for a in (x, gamma, beta, np.zeros(c), np.ones(c))]
+            _, cache, _, _ = L.batchnorm_forward(*args, "train")
+            grads.append(L.batchnorm_backward(dout.astype(dtype), cache))
+        (dx, dgamma, _), (dx64, dgamma64, _) = grads
+        assert np.abs(dx - dx64).max() <= 1.5 * 1.93e-6 * np.abs(dx64).max()
+        assert np.abs(dgamma - dgamma64).max() <= 1.5 * 6.13e-5 * np.abs(dgamma64).max()
 
     def test_running_stats_updated_with_momentum(self):
         g = self._graph()
@@ -213,6 +233,18 @@ class TestPoolShapes:
         x = np.zeros((1, 5, 4, 1))
         x[0, 4, :, 0] = 100.0  # the dropped tail row must not leak into any window
         assert forward(g, x).max() == 0.0
+
+    def test_backward_routes_each_gradient_to_its_window_maximum(self):
+        # odd extents: the dropped tail row and column get no gradient
+        rng = np.random.default_rng(3)
+        x = rng.permutation(2 * 5 * 7 * 3).reshape(2, 5, 7, 3).astype(np.float32)
+        out, cache = L.maxpool_forward(x, 2, 3)
+        dout = rng.standard_normal(out.shape).astype(np.float32)
+        want = np.zeros_like(x)
+        for b, i, j, c in np.ndindex(out.shape):
+            p, q = np.unravel_index(x[b, 2 * i : 2 * i + 2, 3 * j : 3 * j + 3, c].argmax(), (2, 3))
+            want[b, 2 * i + p, 3 * j + q, c] = dout[b, i, j, c]
+        assert np.array_equal(L.maxpool_backward(dout, cache), want)
 
     def test_pool_larger_than_map_rejected(self):
         with pytest.raises(GraphError, match="pool"):
@@ -446,6 +478,69 @@ def test_depthwise_is_exact_on_integer_valued_float64(stride, padding, mult):
     want = _ref_depthwise(*args[:3], stride, padding, args[3])
     for g, r in zip(got, want):
         assert np.array_equal(g, r)
+
+
+BAND_STRIDES = [(1, 1), (2, 2), (1, 2)]
+BAND_STRIDE_IDS = ["stride11", "stride22", "stride12"]
+
+
+def _banded_inputs(stride, mult, dtype, integer):
+    """Seeded (x, w, b, dout) of a same 3x3 depthwise on 16 channels whose
+    output rows span three bands of L.BAND_BYTES per item and one row of a
+    fourth; integer=True draws whole numbers in -127..127."""
+    rng = np.random.default_rng([*stride, mult, int(integer), 5])
+    draw = (lambda s: rng.integers(-127, 128, s)) if integer else rng.standard_normal
+    width, c = 8, 16
+    wo = -(-width // stride[1])
+    ho = 3 * (L.BAND_BYTES // (wo * c * mult * np.dtype(dtype).itemsize)) + 1
+    x = draw((2, ho * stride[0], width, c)).astype(dtype)
+    w = draw((3, 3, c, mult)).astype(dtype)
+    b = draw((c * mult,)).astype(dtype)
+    return x, w, b, draw((2, ho, wo, c * mult)).astype(dtype)
+
+
+@pytest.mark.parametrize("stride", BAND_STRIDES, ids=BAND_STRIDE_IDS)
+@pytest.mark.parametrize("mult", [1, 2], ids=["mult1", "mult2"])
+def test_banded_depthwise_matches_the_einsum_formula(stride, mult):
+    args = _banded_inputs(stride, mult, np.float32, integer=False)
+    got = _run_kernel("depthwise", *args[:3], stride, "same", args[3])
+    want = _ref_depthwise(*args[:3], stride, "same", args[3])
+    for g, r in zip(got, want):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        np.testing.assert_allclose(g, r, rtol=1e-5, atol=1e-5 * np.abs(r).max())
+
+
+@pytest.mark.parametrize("stride", BAND_STRIDES, ids=BAND_STRIDE_IDS)
+@pytest.mark.parametrize("mult", [1, 2], ids=["mult1", "mult2"])
+def test_banded_depthwise_is_exact_on_integer_valued_float64(stride, mult):
+    args = _banded_inputs(stride, mult, np.float64, integer=True)
+    got = _run_kernel("depthwise", *args[:3], stride, "same", args[3])
+    want = _ref_depthwise(*args[:3], stride, "same", args[3])
+    for g, r in zip(got, want):
+        assert np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("stride", BAND_STRIDES, ids=BAND_STRIDE_IDS)
+@pytest.mark.parametrize("mult", [1, 2], ids=["mult1", "mult2"])
+def test_banded_depthwise_gradients_match_finite_differences(stride, mult):
+    # the loss sum(r * out) is linear in x and in w, so a central difference
+    # along a random direction is exact up to float64 rounding
+    x, w, b, r = _banded_inputs(stride, mult, np.float64, integer=False)
+    _, pads = _ref_pad(x, 3, 3, stride, "same")
+    _, cache = L.depthwise_forward(x, w, b, stride, pads)
+    dx, dw, _ = L.depthwise_backward(r, w, cache)
+
+    def loss(x, w):
+        return float((L.depthwise_forward(x, w, b, stride, pads)[0] * r).sum())
+
+    rng = np.random.default_rng([*stride, mult])
+    for _ in range(2):
+        vx, vw = rng.standard_normal(x.shape), rng.standard_normal(w.shape)
+        for num, ana in (
+            ((loss(x + H * vx, w) - loss(x - H * vx, w)) / (2 * H), (dx * vx).sum()),
+            ((loss(x, w + H * vw) - loss(x, w - H * vw)) / (2 * H), (dw * vw).sum()),
+        ):
+            assert abs(num - ana) / max(abs(num), abs(ana), 1e-3) <= TOL
 
 
 # a 2x2 kernel pads a same conv unevenly, its odd row and column at the end
