@@ -49,11 +49,11 @@ from .fusion import (
     two_stage_fuse_batch,
 )
 from .manifest import DatasetManifest, ManifestRow, read_manifest, write_manifest
+from .nn import fold_batchnorm
 from .quant import (
     QuantizedModel,
     QuantizedTensor,
     QuantSizeReport,
-    fold_batchnorm,
     load_quantized,
     quantize_model,
     quantize_tensor,

@@ -12,6 +12,7 @@ can be processed in parallel in any order.
 
 from __future__ import annotations
 
+import array
 import math
 from dataclasses import dataclass
 
@@ -182,21 +183,22 @@ def dynamic_range_compress(
 ) -> np.ndarray:
     """Feed-forward compressor with attack/release smoothing on a dB envelope."""
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64).T).T  # (n, ch)
-    level_db = 20.0 * np.log10(np.abs(x) + 1e-12)
+    level_db = 20.0 * np.log10(np.abs(x.T) + 1e-12)  # (ch, n)
     attack = _smoothing_alpha(drc.attack_ms, sample_rate)
     release = _smoothing_alpha(drc.release_ms, sample_rate)
     slope = 1.0 if math.isinf(drc.ratio) else 1.0 - 1.0 / drc.ratio
 
-    gain_db = np.zeros_like(level_db)
-    for c in range(x.shape[1]):
-        env = level_db[0, c]
-        for i in range(x.shape[0]):
-            lvl = level_db[i, c]
-            alpha = attack if lvl > env else release
-            env += alpha * (lvl - env)
+    gain_db = np.empty_like(level_db)
+    for levels, gain in zip(level_db, gain_db):
+        # Python floats read from and appended to flat float64 buffers: the
+        # same sums, with no numpy scalar or float object kept per sample
+        env, gains = float(levels[0]), array.array("d")
+        for lvl in memoryview(levels):
+            env += (attack if lvl > env else release) * (lvl - env)
             over = env - drc.threshold_db
-            gain_db[i, c] = -slope * over if over > 0 else 0.0
-    out = x * 10.0 ** ((gain_db + drc.makeup_db) / 20.0)
+            gains.append(-slope * over if over > 0 else 0.0)
+        gain[:] = gains
+    out = x * 10.0 ** ((gain_db.T + drc.makeup_db) / 20.0)
     return out if np.asarray(samples).ndim == 2 else out[:, 0]
 
 

@@ -108,10 +108,11 @@ def _framed(samples: np.ndarray, cfg: SpectroConfig) -> np.ndarray:
         raise DataError(
             f"clip of {n} samples too short for reflection padding of {pad}"
         )
-    padded = np.pad(samples, pad, mode="reflect")
-    t = frame_count(n, cfg.hop)
-    idx = np.arange(cfg.n_fft)[None, :] + cfg.hop * np.arange(t)[:, None]
-    return padded[idx]
+    # frame t covers samples t*hop - pad up to t*hop - pad + n_fft, so the
+    # last one, at t = n // hop, reads up to n_fft - pad samples past the end
+    padded = np.pad(samples, (pad, cfg.n_fft - pad), mode="reflect")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)  # a view, no copy
+    return windows[:: cfg.hop][: frame_count(n, cfg.hop)]
 
 
 def _window(cfg: SpectroConfig) -> np.ndarray:

@@ -7,6 +7,7 @@ from .graph import (
     NON_TRAINABLE,
     LayerSpec,
     ModelGraph,
+    fold_batchnorm,
     initialize,
 )
 from .optim import SgdMomentum
@@ -33,6 +34,7 @@ __all__ = [
     "cosine_restart_lr",
     "cross_entropy",
     "cycle_position",
+    "fold_batchnorm",
     "forward",
     "initialize",
     "load_checkpoint",

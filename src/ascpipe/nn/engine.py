@@ -86,20 +86,22 @@ def _output_only(spec, params, ins, mode, seed):
     return OPS[spec.kind].forward(spec, params, ins, mode, seed)[0], None
 
 
-def forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=None):
+def forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=None,
+            layer_forward=_output_only):
     """The graph output, keeping no caches: besides the layer that runs,
     only the activations a later layer reads are held."""
-    out, _ = run_forward(graph, x, mode, drop_key, _output_only)
-    return out
+    return run_forward(graph, x, mode, drop_key, layer_forward)[0]
 
 
-def per_item(run, items) -> np.ndarray:
-    """``run`` on each item of ``items`` as a float32 batch of one, the
-    outputs concatenated in item order; a NumericError names the item."""
+def per_item(graph: ModelGraph, items, layer_forward=_output_only) -> np.ndarray:
+    """``forward`` on each item of ``items`` as a float32 batch of one, the
+    outputs concatenated in item order; a NumericError names the item.
+    Float ``predict`` and the int8 path differ only in ``layer_forward``."""
     outs = []
     for i, item in enumerate(items):
         try:
-            outs.append(run(np.asarray(item, dtype=np.float32)[None]))
+            item = np.asarray(item, dtype=np.float32)[None]
+            outs.append(forward(graph, item, layer_forward=layer_forward))
         except NumericError as exc:
             raise NumericError(f"input item {i}: {exc}") from exc
     if not outs:

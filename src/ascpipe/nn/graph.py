@@ -1,4 +1,5 @@
-"""Computation-graph description, validation, shape inference, and init.
+"""Computation-graph description, validation, shape inference, init, and
+the batchnorm fold that gives inference its graph.
 
 A model is an ordered list of layers with explicit input edges, so the
 parallel frequency-band branches used by the split architectures are
@@ -8,12 +9,13 @@ channels); after global pooling they are (batch, features).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
 
-from ..errors import GraphError
+from ..errors import DataError, GraphError
+from .layers import BN_EPS
 from .ops import OPS
 
 INPUT = "input"
@@ -111,3 +113,43 @@ def initialize(graph: ModelGraph, seed: int = 0) -> ModelGraph:
         if rules:
             graph.params[spec.name] = {k: init(rng, shape) for k, (shape, init) in rules.items()}
     return graph
+
+
+def fold_batchnorm(graph: ModelGraph) -> ModelGraph:
+    """Fold every batchnorm into the conv / depthwise / dense before it.
+
+    Uses the running statistics (inference behavior). The producing
+    layer's weights are rescaled per output channel and it gains a bias,
+    so the folded graph computes the same function as the original in
+    eval mode. Returns a new graph; the input is left untouched. Float
+    ``predict`` scores this graph and ``quant`` quantizes it.
+    """
+    if not graph.params:
+        raise DataError(f"model {graph.name!r} has no parameters to fold")
+    specs, params, producer = {}, {}, {}  # producer: batchnorm name -> the layer it folds into
+    for spec in graph.layers:
+        if spec.kind != "batchnorm":
+            inputs = tuple(producer.get(i, i) for i in spec.inputs)
+            specs[spec.name] = LayerSpec(spec.kind, spec.name, inputs, dict(spec.attrs))
+            params[spec.name] = {k: v.copy() for k, v in graph.params.get(spec.name, {}).items()}
+            continue
+        src = spec.inputs[0]
+        # the kinds with a MAC count carry a weight to absorb the scale
+        if src not in specs or not OPS[specs[src].kind].macs:
+            raise DataError(f"batchnorm {spec.name!r} does not follow a foldable layer")
+        if sum(src in other.inputs for other in graph.layers) != 1:
+            raise DataError(
+                f"cannot fold batchnorm {spec.name!r}: its input {src!r} feeds other layers too"
+            )
+        producer[spec.name] = src
+        bn, store = graph.params[spec.name], params[src]
+        scale = bn["gamma"] / np.sqrt(bn["running_var"] + BN_EPS)
+        w = store["w"]
+        # every weight layout flattens to (inputs, output channels)
+        store["w"] = (w.reshape(-1, scale.size) * scale).reshape(w.shape).astype(np.float32)
+        bias = store.get("b", np.zeros(scale.size, dtype=np.float32))
+        store["b"] = ((bias - bn["running_mean"]) * scale + bn["beta"]).astype(np.float32)
+        specs[src] = replace(specs[src], attrs={**specs[src].attrs, "use_bias": True})
+    out = ModelGraph(graph.name, graph.input_shape, specs.values())
+    out.params = {name: store for name, store in params.items() if store}
+    return out

@@ -15,8 +15,8 @@ from ..augment import (
 )
 from ..errors import ConfigError, DataError
 from ..features import FeatureTensor
-from .engine import backward, forward, per_item
-from .graph import ModelGraph
+from .engine import backward, per_item
+from .graph import ModelGraph, fold_batchnorm
 from .optim import SgdMomentum
 from .schedule import ScheduleConfig, cosine_restart_lr
 
@@ -120,6 +120,7 @@ def train(
 def predict(graph: ModelGraph, items) -> np.ndarray:
     """Eval-mode class probabilities, one row per item of ``items`` (an
     (N, T, F, C) array or any iterable of (T, F, C) items), each item
-    scored on its own."""
-    return per_item(lambda x: forward(graph, x, "eval"), items)
+    scored on its own by the batchnorm-folded graph, the one the int8 path
+    quantizes. A batchnorm that cannot fold is a DataError."""
+    return per_item(fold_batchnorm(graph), items)
 

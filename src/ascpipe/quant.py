@@ -2,14 +2,15 @@
 
 Weights of conv / depthwise-conv / dense layers are mapped to signed
 8-bit integers with one symmetric scale per tensor (zero-point 0).
-Batchnorm is folded into the preceding layer first, so the quantized
-graph carries no normalization layers. Biases and channel-attention
-parameters stay float32. Inference runs on the engine's ``run_forward``
-with an int8 per-layer forward, one item at a time: activations feeding a
-quantized layer are quantized on the fly with one scale per tensor (Jacob
-et al. 2018), so an item's scores do not depend on the other items;
-multiply-accumulate runs on exact integer values, and the result is
-rescaled by the product of the two scales before the bias add.
+They are taken from ``nn``'s batchnorm-folded graph, the one float
+``predict`` scores, so the quantized graph carries no normalization
+layers. Biases and channel-attention parameters stay float32. Inference
+walks that graph item by item like ``predict`` and differs only in the
+per-layer forward: activations feeding a quantized layer are quantized on
+the fly with one scale per tensor (Jacob et al. 2018), so an item's scores
+do not depend on the other items; multiply-accumulate runs on exact
+integer values, and the result is rescaled by the product of the two
+scales before the bias add.
 
 Integer accumulation is exact by construction. Products are bounded by
 127 * 127 = 16129, and float32 holds every integer up to 2**24 exactly, so a
@@ -34,9 +35,8 @@ import numpy as np
 
 from .errors import DataError, GraphError
 from .nn.checkpoint import ContainerReader, encode_container
-from .nn.engine import per_item, run_forward
-from .nn.graph import INPUT, LayerSpec, ModelGraph
-from .nn.layers import BN_EPS
+from .nn.engine import per_item
+from .nn.graph import LayerSpec, ModelGraph, fold_batchnorm
 from .nn.ops import OPS
 
 MAGIC = b"ASCQ"
@@ -139,62 +139,6 @@ def check_mac_budget(graph: ModelGraph) -> None:
             )
 
 
-def fold_batchnorm(graph: ModelGraph) -> ModelGraph:
-    """Fold every batchnorm into the conv / depthwise / dense before it.
-
-    Uses the running statistics (inference behavior). The producing
-    layer's weights are rescaled per output channel and it gains a bias,
-    so the folded graph computes the same function as the original in
-    eval mode. Returns a new graph; the input is left untouched.
-    """
-    if not graph.params:
-        raise DataError(f"model {graph.name!r} has no parameters to fold")
-    by_name = {spec.name: spec for spec in graph.layers}
-    folded_bn: dict[str, str] = {}  # bn name -> producer name
-    for spec in graph.layers:
-        if spec.kind != "batchnorm":
-            continue
-        src = spec.inputs[0]
-        if src == INPUT or by_name[src].kind not in QUANT_KINDS:
-            raise DataError(
-                f"batchnorm {spec.name!r} does not follow a foldable layer"
-            )
-        if sum(src in other.inputs for other in graph.layers) != 1:
-            raise DataError(
-                f"cannot fold batchnorm {spec.name!r}: its input "
-                f"{src!r} feeds other layers too"
-            )
-        folded_bn[spec.name] = src
-
-    new_layers: list[LayerSpec] = []
-    new_params: dict[str, dict[str, np.ndarray]] = {}
-    for spec in graph.layers:
-        if spec.name in folded_bn:
-            continue
-        inputs = tuple(folded_bn.get(i, i) for i in spec.inputs)
-        attrs = dict(spec.attrs)
-        store = {k: v.copy() for k, v in graph.params.get(spec.name, {}).items()}
-        if spec.name in folded_bn.values():
-            bn_name = next(b for b, s in folded_bn.items() if s == spec.name)
-            bn = graph.params[bn_name]
-            scale = bn["gamma"] / np.sqrt(bn["running_var"] + BN_EPS)
-            w = store["w"]
-            # every weight layout flattens to (inputs, output channels)
-            store["w"] = (w.reshape(-1, scale.size) * scale).reshape(w.shape).astype(np.float32)
-            bias = store.get("b", np.zeros(scale.size, dtype=np.float32))
-            store["b"] = (
-                (bias - bn["running_mean"]) * scale + bn["beta"]
-            ).astype(np.float32)
-            attrs["use_bias"] = True
-        new_layers.append(LayerSpec(spec.kind, spec.name, inputs, attrs))
-        if store:
-            new_params[spec.name] = store
-
-    out = ModelGraph(graph.name, graph.input_shape, new_layers)
-    out.params = new_params
-    return out
-
-
 def quantize_model(graph: ModelGraph) -> QuantizedModel:
     """Fold batchnorm, then quantize every conv / depthwise / dense weight."""
     folded = fold_batchnorm(graph)
@@ -258,7 +202,7 @@ def quantized_forward(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
             acc += params["b"]
         return acc.astype(np.float32), None
 
-    return per_item(lambda item: run_forward(qm.graph, item, layer_forward=layer)[0], x)
+    return per_item(qm.graph, x, layer)
 
 
 @dataclass(frozen=True)

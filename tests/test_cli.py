@@ -26,6 +26,15 @@ from ascpipe.fusion import (
     two_stage_fuse_batch,
 )
 from ascpipe.manifest import read_manifest
+from ascpipe.nn import (
+    LayerSpec,
+    ModelGraph,
+    fold_batchnorm,
+    forward,
+    initialize,
+    load_checkpoint,
+    save_checkpoint,
+)
 from ascpipe.quant import load_quantized, quantized_forward
 
 INI = """
@@ -644,6 +653,29 @@ class TestTrainEvaluate:
         assert f"{odd}: feature mel/channel dims" in err
         assert "Traceback" not in err
 
+    def test_evaluate_of_a_batchnorm_that_cannot_fold_exits_3(self, ws, tmp_path, capsys):
+        # float evaluate scores the folded graph: a batchnorm after a relu
+        # has no weight to fold into
+        layers = [
+            LayerSpec("conv2d", "conv1", ("input",), {"filters": 4}),
+            LayerSpec("relu", "relu1", ("conv1",)),
+            LayerSpec("batchnorm", "bn1", ("relu1",)),
+            LayerSpec("global_avg_pool", "gap", ("bn1",)),
+            LayerSpec("dense", "fc", ("gap",), {"units": 3}),
+            LayerSpec("softmax", "probs", ("fc",)),
+        ]
+        shape = load_checkpoint(ws.model).input_shape
+        model = tmp_path / "bn_after_relu.ascm"
+        save_checkpoint(model, initialize(ModelGraph("bn_after_relu", shape, layers)))
+        model.with_suffix(".stats.txt").write_bytes(ws.model.with_suffix(".stats.txt").read_bytes())
+        out = tmp_path / "eval"
+        code = run_cli("evaluate", model, "--manifest", ws.feats / "features.tsv", "--out", out)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "batchnorm 'bn1' does not follow a foldable layer" in err
+        assert "Traceback" not in err
+        assert not (out / "scores.tsv").exists()
+
 
     @pytest.mark.parametrize("arch", ["resnet", "fsfcnn_s"])
     def test_odd_mel_bins_for_a_band_split_arch_exit_3(self, ws, tmp_path, capsys, arch):
@@ -878,13 +910,19 @@ class TestEvaluateQuantized:
         assert run_cli("quantize", ws.model, "--out", out) == 0
         return out
 
-    def test_scores_are_the_quantized_forward_of_the_scaled_cropped_items(self, ws, ascq, tmp_path):
-        assert run_cli("evaluate", ascq, "--manifest", ws.feats / "features.tsv",
+    @pytest.mark.parametrize("suffix", [".ascm", ".ascq"])
+    def test_scores_are_the_per_item_forward_of_the_scaled_cropped_items(
+        self, ws, ascq, tmp_path, suffix
+    ):
+        model = ascq if suffix == ".ascq" else ws.model
+        assert run_cli("evaluate", model, "--manifest", ws.feats / "features.tsv",
                        "--out", tmp_path / "eval") == 0
         scores, _ = read_scores(tmp_path / "eval" / "scores.tsv")
 
+        # float and int8 both score the batchnorm-folded graph, item by item
         qm = load_quantized(ascq)
-        stats = read_scale_stats(ascq.with_suffix(".stats.txt"))
+        folded = fold_batchnorm(load_checkpoint(ws.model))
+        stats = read_scale_stats(model.with_suffix(".stats.txt"))
         t_model = qm.graph.input_shape[0]
         items = []
         for row in read_manifest(ws.feats / "features.tsv").rows:
@@ -892,7 +930,11 @@ class TestEvaluateQuantized:
                 data = apply_scale01(read_features(ws.feats / row.filename), stats).data
                 lo = (data.shape[0] - t_model) // 2
                 items.append(data[lo : lo + t_model])
-        assert np.array_equal(scores, quantized_forward(qm, np.stack(items)))
+        if suffix == ".ascq":
+            want = quantized_forward(qm, np.stack(items))
+        else:
+            want = np.concatenate([forward(folded, item[None]) for item in items])
+        assert np.array_equal(scores, want)
 
     def test_truncated_model_exits_3(self, ws, ascq, tmp_path, capsys):
         short = tmp_path / "short.ascq"

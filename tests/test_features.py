@@ -47,6 +47,14 @@ class TestStft:
             mag = stft_magnitude(clip, CFG)
             assert mag.shape == (1, int(n) // CFG.hop + 1, CFG.n_fft // 2 + 1)
 
+    def test_frame_count_law_holds_for_an_odd_n_fft(self, rng):
+        # at a length that is a multiple of hop the last frame reads one
+        # sample more past the end than an even n_fft's does
+        cfg = SpectroConfig(n_fft=1023, win_length=1023, hop=512)
+        for n in (4096, 4097, 5000):
+            mag = stft_magnitude(AudioClip(rng.standard_normal(n) * 0.1, 44100), cfg)
+            assert mag.shape == (1, frame_count(n, cfg.hop), 512)
+
     def test_pure_tone_peaks_at_expected_bin(self, tone_clip):
         mag = stft_magnitude(tone_clip, CFG)[0]
         expected_bin = round(1000 * CFG.n_fft / 44100)

@@ -10,7 +10,9 @@ import pytest
 
 from ascpipe import quant, zoo
 from ascpipe.nn import layers as L
+from ascpipe.nn import predict
 from ascpipe.nn.engine import run_backward, run_forward
+from ascpipe.nn.graph import fold_batchnorm
 from ascpipe.nn.ops import OPS
 
 from gradcheck import LAYER_CASES
@@ -55,6 +57,14 @@ def test_every_layer_reaches_its_kernel_through_the_module(arch, calls):
     quant.quantized_forward(qm, x)
     # one forward per item, each item reaching every layer's kernel once
     assert calls == Counter(f"{_kernel(s.kind)}_forward" for s in qm.graph.layers for _ in x)
+
+    # float predict walks the same folded graph: no batchnorm kernel runs
+    assert any(s.kind == "batchnorm" for s in graph.layers)
+    calls.clear()
+    predict(graph, x)
+    assert calls == Counter(
+        f"{_kernel(s.kind)}_forward" for s in graph.layers if s.kind != "batchnorm" for _ in x
+    )
 
 
 def test_the_dispatch_test_covers_every_kind():
@@ -102,3 +112,21 @@ def test_layer_kernels_import_only_numpy_and_read_no_attribute_value():
     assert imported - {"__future__"} == {"numpy"}
     literals = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
     assert not literals & {"same", "valid", "channel", "freq"}
+
+
+def test_quant_imports_no_kernel_and_defines_no_fold():
+    # batchnorm's inference formula lives in nn alone: quant quantizes the
+    # graph that nn.graph.fold_batchnorm returns
+    tree = ast.parse(Path(quant.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    assert not [name for name in imported if name.endswith("nn.layers")]
+    assert "fold_batchnorm" not in {
+        node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    }
+    assert quant.fold_batchnorm is fold_batchnorm

@@ -15,7 +15,7 @@ from ascpipe.nn import (
     save_checkpoint,
     train,
 )
-from ascpipe.nn.engine import per_item, run_forward
+from ascpipe.nn.engine import per_item
 from ascpipe.nn.ops import OPS
 from ascpipe.quant import (
     F32_EXACT_MACS,
@@ -188,10 +188,9 @@ class TestFoldBatchnorm:
         assert np.array_equal(g.params["conv1"]["w"], w_before)
         assert any(s.kind == "batchnorm" for s in g.layers)
 
-    def test_zoo_model_dual_path(self, rng):
-        from ascpipe.zoo import ArchConfig, build
-
-        g = build(ArchConfig("fcnn", width_mult=0.25, n_classes=3,
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    def test_zoo_model_dual_path(self, arch, rng):
+        g = build(ArchConfig(arch, width_mult=0.25, n_classes=3,
                              input_shape=(16, 32, 3)), seed=5)
         randomize_bn(g, rng)
         folded = fold_batchnorm(g)
@@ -485,7 +484,7 @@ def _float64_reference(qm, x):
             acc += params["b"]
         return acc.astype(np.float32), None
 
-    return per_item(lambda item: run_forward(qm.graph, item, layer_forward=layer)[0], x)
+    return per_item(qm.graph, x, layer)
 
 
 # the archs whose trunk has a layer above F32_EXACT_MACS at width 0.75
