@@ -79,6 +79,9 @@ def read_scores(path: str | Path) -> tuple[np.ndarray, tuple[str, ...]]:
     if len(lines) < 2:
         raise DataError(f"{path}: need a class header and at least one row")
     classes = tuple(lines[0][1].split("\t"))
+    repeated = next((c for i, c in enumerate(classes) if c in classes[:i]), None)
+    if repeated is not None:
+        raise DataError(f"{path}: class {repeated!r} appears twice in the header")
     rows = []
     for ln, line in lines[1:]:
         parts = line.split("\t")

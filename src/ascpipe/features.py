@@ -38,6 +38,10 @@ class SpectroConfig:
     downmix: bool = False  # force mono before analysis
 
     def __post_init__(self):
+        if self.n_fft < 1:
+            raise DataError("n_fft must be positive")
+        if self.win_length < 1:
+            raise DataError("win_length must be positive")
         if self.win_length > self.n_fft:
             raise DataError("win_length must not exceed n_fft")
         if self.hop <= 0:

@@ -29,24 +29,27 @@ def _bands(out):
             yield n, slice(r0, min(r0 + step, ho))
 
 
-def _taps(kh, kw, sh, sw, rows, wo):
-    """Yield (i, j, index) per kernel tap, row-major; ``xp[n][index]`` is the
-    (rows, Wo, C) strided slice of padded item n that tap (i, j) reads."""
-    top, end = rows.start * sh, (rows.stop - 1) * sh + 1
-    for i in range(kh):
-        for j in range(kw):
-            yield i, j, (slice(i + top, i + end, sh), slice(j, j + (wo - 1) * sw + 1, sw))
+def _span(outs, k, pad, stride, size):
+    """(dst, src) of tap offset k along one axis, where output o reads input
+    o*stride + k - pad of size: dst slices the outputs of range outs,
+    counted from its start, whose input exists, and src the strided inputs
+    they read. Both are empty when the tap reads only padding."""
+    o0 = max(outs.start, (pad - k + stride - 1) // stride)
+    o1 = max(o0, min(outs.stop, (size - 1 + pad - k) // stride + 1))
+    c0 = o0 * stride + k - pad
+    return slice(o0 - outs.start, o1 - outs.start), slice(c0, c0 + (o1 - o0) * stride, stride)
 
 
-def _pad(x, pads):
-    """x zero-padded on its time and frequency axes; x itself when every
-    pad is zero."""
-    return np.pad(x, ((0, 0), *pads, (0, 0))) if np.any(pads) else x
-
-
-def _unpad(dxp, pads):
-    (t0, t1), (f0, f1) = pads
-    return dxp[:, t0 : dxp.shape[1] - t1, f0 : dxp.shape[2] - f1, :]
+def _taps(x, w_shape, stride, pads, rows, wo):
+    """Yield (i, j, dst, src) per kernel tap, row-major, for the output rows
+    of one band: tap (i, j) of the outputs band[dst] reads x[n][src], the
+    inputs that exist."""
+    (sh, sw), ((t0, _), (f0, _)) = stride, pads
+    for i in range(w_shape[0]):
+        dst_rows, src_rows = _span(rows, i, t0, sh, x.shape[1])
+        for j in range(w_shape[1]):
+            dst_cols, src_cols = _span(range(wo), j, f0, sw, x.shape[2])
+            yield i, j, (dst_rows, dst_cols), (src_rows, src_cols)
 
 
 def _kernel_rows(x, pads, kh, kw, sh, sw):
@@ -64,11 +67,8 @@ def _kernel_rows(x, pads, kh, kw, sh, sw):
     flat = cols.reshape(hp, wo, -1)
     for n in range(x.shape[0]):
         for j in range(kw):
-            # output column o reads input column o*sw + j - f0
-            o0, o1 = max(0, (f0 - j + sw - 1) // sw), min(wo, (width - 1 + f0 - j) // sw + 1)
-            if o0 < o1:
-                c0 = o0 * sw + j - f0
-                cols[t0 : t0 + h, o0:o1, j] = x[n, :, c0 : c0 + (o1 - o0 - 1) * sw + 1 : sw]
+            dst, src = _span(range(wo), j, f0, sw, width)
+            cols[t0 : t0 + h, dst, j] = x[n, :, src]
         for i in range(kh):
             yield n, i, flat[i : i + (ho - 1) * sh + 1 : sh]
 
@@ -147,9 +147,9 @@ def conv2d_backward(dout, w, cache, need_dx=True):
 
 
 def depthwise_forward(x, w, b, stride, pads):
-    (kh, kw), (sh, sw) = w.shape[:2], stride
-    xp = _pad(x, pads)
-    bsz, ho, wo = x.shape[0], (xp.shape[1] - kh) // sh + 1, (xp.shape[2] - kw) // sw + 1
+    (kh, kw), (sh, sw), ((t0, t1), (f0, f1)) = w.shape[:2], stride, pads
+    bsz, h, width = x.shape[:3]
+    ho, wo = (h + t0 + t1 - kh) // sh + 1, (width + f0 + f1 - kw) // sw + 1
     # (B, Ho, Wo, C, multiplier): per item and band, one product per tap,
     # summed in tap order
     acc = np.zeros((bsz, ho, wo) + w.shape[2:], dtype=np.result_type(x, w))
@@ -158,30 +158,26 @@ def depthwise_forward(x, w, b, stride, pads):
         band = acc[n, rows]
         if prod is None:
             prod = np.empty_like(band)  # the first band is the largest
-        part = prod[: len(band)]
-        for i, j, tap in _taps(kh, kw, sh, sw, rows, wo):
-            np.multiply(xp[n][tap][..., None], w[i, j], out=part)
-            band += part
-    return _biased(acc.reshape(bsz, ho, wo, -1), b, xp, stride, pads, w.shape)
+        for i, j, dst, src in _taps(x, w.shape, stride, pads, rows, wo):
+            band[dst] += np.multiply(x[n][src][..., None], w[i, j], out=prod[dst])
+    return _biased(acc.reshape(bsz, ho, wo, -1), b, x, stride, pads, w.shape)
 
 
 def depthwise_backward(dout, w, cache, need_dx=True):
     """(dx, dw, db), dx None unless need_dx, summed per item and band of
     output rows as the forward runs."""
-    xp, (sh, sw), pads, w_shape = cache
-    kh, kw = w_shape[:2]
+    x, stride, pads, w_shape = cache
     bsz, ho, wo = dout.shape[:3]
     dout5 = dout.reshape(bsz, ho, wo, -1, w_shape[3])
-    dw = np.zeros(w_shape, dtype=np.result_type(xp, dout))
-    dxp = np.zeros(xp.shape, dtype=np.result_type(dout, w)) if need_dx else None
+    dw = np.zeros(w_shape, dtype=np.result_type(x, dout))
+    dx = np.zeros(x.shape, dtype=np.result_type(dout, w)) if need_dx else None
     for n, rows in _bands(dout5):
         band = dout5[n, rows]
-        for i, j, tap in _taps(kh, kw, sh, sw, rows, wo):
-            dw[i, j] += np.einsum("hwc,hwcm->cm", xp[n][tap], band)
+        for i, j, dst, src in _taps(x, w_shape, stride, pads, rows, wo):
+            dw[i, j] += np.einsum("hwc,hwcm->cm", x[n][src], band[dst])
             if need_dx:
-                dxp[n][tap] += np.einsum("hwcm,cm->hwc", band, w[i, j])
-    db = dout.sum(axis=(0, 1, 2))
-    return (None if dxp is None else _unpad(dxp, pads)), dw, db
+                dx[n][src] += np.einsum("hwcm,cm->hwc", band[dst], w[i, j])
+    return dx, dw, dout.sum(axis=(0, 1, 2))
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode, momentum=0.9):

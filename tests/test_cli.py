@@ -241,6 +241,8 @@ class TestRunConfig:
             ("n_mels = 32", "n_mels = 32\nfmin = 3000\nfmax = 1000", "fmin"),
             ("n_mels = 32", "n_mels = 32\nlog_floor = nan", "log_floor"),
             ("seed = 7", "seed = -1", "seed"),
+            ("n_fft = 512\nwin_length = 512", "n_fft = 0\nwin_length = 0", "n_fft"),
+            ("win_length = 512", "win_length = -5", "win_length"),
         ],
     )
     def test_out_of_range_value_exits_2(self, ws, tmp_path, capsys, old, new, message):
@@ -341,6 +343,13 @@ class TestScoreFiles:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError, match="cannot read scores"):
             read_scores(tmp_path / "absent.tsv")
+
+    def test_repeated_class_rejected(self, tmp_path):
+        # a column looked up by name would read the first of the two
+        path = tmp_path / "scores.tsv"
+        path.write_text("airport\tairport\tbus\n0.2\t0.3\t0.5\n")
+        with pytest.raises(DataError, match=r"scores\.tsv: class 'airport' appears twice"):
+            read_scores(path)
 
 
 class TestExtract:

@@ -592,16 +592,25 @@ def test_conv2d_that_keeps_or_narrows_channels_matches_im2col(channels, kernel, 
 
 
 @pytest.mark.parametrize("stride", [(1, 1), (2, 2)], ids=["stride11", "stride22"])
-def test_conv2d_wider_than_its_map_matches_im2col(stride):
+@pytest.mark.parametrize("kind", ["conv2d", "depthwise"])
+def test_conv2d_wider_than_its_map_matches_im2col(kind, stride, monkeypatch):
     # a same 7x7 kernel on a 7x1 map: six of its seven column taps read only
-    # padding, which the column-tap copy leaves as the zeros it starts with
+    # padding, so their spans of outputs and inputs are empty. A depthwise
+    # band of one output row lies wholly above or below what some row taps
+    # read, which empties their spans too
+    monkeypatch.setattr(L, "BAND_BYTES", 1)
     rng = np.random.default_rng(7)
-    x, w = rng.standard_normal((2, 7, 1, 3)), rng.standard_normal((7, 7, 3, 4))
-    x, w, b = x.astype(np.float32), w.astype(np.float32), np.ones(4, np.float32)
-    dout = rng.standard_normal((2, -(-7 // stride[0]), 1, 4)).astype(np.float32)
-    got = _run_kernel("conv2d", x, w, b, stride, "same", dout)
-    want = _ref_conv2d(x, w, b, stride, "same", dout)
-    _assert_conv2d_matches(got, want, (7, 7), stride)
+    w_out, cout = (4, 4) if kind == "conv2d" else (1, 3)
+    x, w = rng.standard_normal((2, 7, 1, 3)), rng.standard_normal((7, 7, 3, w_out))
+    x, w, b = x.astype(np.float32), w.astype(np.float32), np.ones(cout, np.float32)
+    dout = rng.standard_normal((2, -(-7 // stride[0]), 1, cout)).astype(np.float32)
+    got = _run_kernel(kind, x, w, b, stride, "same", dout)
+    if kind == "conv2d":
+        _assert_conv2d_matches(got, _ref_conv2d(x, w, b, stride, "same", dout), (7, 7), stride)
+    else:
+        for g, r in zip(got, _ref_depthwise(x, w, b, stride, "same", dout)):
+            assert g.dtype == r.dtype and g.shape == r.shape
+            np.testing.assert_allclose(g, r, rtol=1e-5, atol=1e-5 * np.abs(r).max())
 
 
 @pytest.mark.parametrize("stride,padding", KERNEL_GEOMETRY, ids=GEOMETRY_IDS)
@@ -647,23 +656,16 @@ def _cache_arrays(cache):
     return found
 
 
-def test_depthwise_cache_holds_only_the_padded_input():
-    x = np.random.default_rng(8).standard_normal((2, 7, 6, 3)).astype(np.float32)
-    w = np.ones((3, 3, 3, 2), dtype=np.float32)
-    _, pads = _ref_pad(x, 3, 3, (1, 1), "same")
-    _, cache = L.depthwise_forward(x, w, None, (1, 1), pads)
-    # one (2, 9, 8, 3) float32 array; the window copy was 9x the input
-    assert [a.nbytes for a in _cache_arrays(cache)] == [2 * 9 * 8 * 3 * 4]
-
-
+@pytest.mark.parametrize("kind", ["conv2d", "depthwise"])
 @pytest.mark.parametrize("kernel", [(1, 1), (3, 3)], ids=["1x1", "3x3"])
-def test_conv2d_caches_its_input_itself(kernel):
-    # the column-tap copy writes the zero padding, so no padded copy of x
+def test_conv2d_caches_its_input_itself(kernel, kind):
+    # each kernel reads only the inputs that exist, so no padded copy of x
     # is made or kept
     x = np.random.default_rng(9).standard_normal((2, 7, 6, 3)).astype(np.float32)
-    w = np.ones((*kernel, 3, 4), dtype=np.float32)
+    w = np.ones((*kernel, 3, 4 if kind == "conv2d" else 2), dtype=np.float32)
     _, pads = _ref_pad(x, *kernel, (1, 1), "same")
-    _, cache = L.conv2d_forward(x, w, None, (1, 1), pads)
+    forward = L.conv2d_forward if kind == "conv2d" else L.depthwise_forward
+    _, cache = forward(x, w, None, (1, 1), pads)
     assert cache[0] is x
     assert [a.nbytes for a in _cache_arrays(cache)] == [x.nbytes]
 

@@ -112,6 +112,9 @@ def test_layer_kernels_import_only_numpy_and_read_no_attribute_value():
     assert imported - {"__future__"} == {"numpy"}
     literals = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
     assert not literals & {"same", "valid", "channel", "freq"}
+    # a convolution tap reads only the inputs that exist: no kernel pads a copy
+    calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not calls & {"np.pad", "numpy.pad"}
 
 
 def test_quant_imports_no_kernel_and_defines_no_fold():
