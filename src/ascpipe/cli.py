@@ -124,8 +124,12 @@ def _print_repro(command: str, cfg: RunConfig) -> None:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     threads = next(
         (f"{k}={os.environ[k]}" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if k in os.environ),
-        f"{len(os.sched_getaffinity(0))} (cpu affinity)",
+        None,
     )
+    if threads is None:
+        # sched_getaffinity is Linux-only
+        affinity = getattr(os, "sched_getaffinity", None)
+        threads = f"{len(affinity(0))} (cpu affinity)" if affinity else f"{os.cpu_count()} (cpu count)"
     print(f"blas: {blas['name']} {blas['version']}, threads: {threads}")
 
 

@@ -3,7 +3,6 @@
 from .checkpoint import load_checkpoint, save_checkpoint
 from .engine import Tape, backward, cross_entropy, forward, run_backward, run_forward
 from .graph import (
-    KINDS,
     NON_TRAINABLE,
     LayerSpec,
     ModelGraph,
@@ -21,7 +20,6 @@ from .train import (
 )
 
 __all__ = [
-    "KINDS",
     "NON_TRAINABLE",
     "LayerSpec",
     "ModelGraph",

@@ -20,8 +20,6 @@ from .ops import OPS
 
 INPUT = "input"
 
-KINDS = frozenset(OPS)
-
 # parameter tensors that carry statistics, not gradients
 NON_TRAINABLE = frozenset({"running_mean", "running_var"})
 
@@ -94,8 +92,8 @@ class ModelGraph:
     def output_shape(self) -> tuple:
         return self.shapes[self.layers[-1].name]
 
-    def in_shape(self, spec: LayerSpec, idx: int = 0) -> tuple:
-        return self.shapes[spec.inputs[idx]]
+    def in_shape(self, spec: LayerSpec) -> tuple:
+        return self.shapes[spec.inputs[0]]
 
 
 def param_rules(graph: ModelGraph, spec: LayerSpec) -> dict[str, tuple]:

@@ -123,7 +123,7 @@ def conv2d_backward(dout, w, cache, need_dx=True):
     """(dx, dw, db), dx None unless need_dx. The cache holds the unpadded
     input. A 1x1 stride-1 conv takes one matmul each for dx and dw. Every
     other conv accumulates dw per item and kernel row from the rows that
-    its forward multiplied, and its dx is one transposed convolution: dout,
+    its forward multiplied, and its dx is the convolution's adjoint: dout,
     its rows and columns spread stride apart, convolved with the flipped,
     channel-swapped kernel under the pads that give back x's shape."""
     x, (sh, sw), pads, w_shape = cache
@@ -143,7 +143,7 @@ def conv2d_backward(dout, w, cache, need_dx=True):
     (t0, t1), (f0, f1) = pads
     hp, wp = x.shape[1] + t0 + t1, x.shape[2] + f0 + f1
     full = ((kh - 1 - t0, hp - spread.shape[1] - t1), (kw - 1 - f0, wp - spread.shape[2] - f1))
-    return _conv(spread, w[::-1, ::-1].transpose(0, 1, 3, 2), (1, 1), full), dw, db
+    return _conv(spread, np.swapaxes(w[::-1, ::-1], 2, 3), (1, 1), full), dw, db
 
 
 def depthwise_forward(x, w, b, stride, pads):
@@ -234,30 +234,34 @@ def relu_backward(dout, mask):
     return dout * mask
 
 
+def _pool_offsets(ho, wo, ph, pw):
+    """Per window offset (p, q), row-major, the slice that holds it in every
+    window of a (B, H, W, C) array; a tail short of a window lies in none."""
+    return [np.s_[:, p : ho * ph : ph, q : wo * pw : pw] for p in range(ph) for q in range(pw)]
+
+
 def maxpool_forward(x, ph, pw):
-    b, h, w, c = x.shape
-    ho, wo = h // ph, w // pw
-    # a tail smaller than one window contributes nothing
-    xc = x[:, : ho * ph, : wo * pw, :]
-    win = (
-        xc.reshape(b, ho, ph, wo, pw, c)
-        .transpose(0, 1, 3, 2, 4, 5)
-        .reshape(b, ho, wo, ph * pw, c)
-    )
-    idx = win.argmax(axis=3)
-    out = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    """A running max over the window offsets; each output's index, of the
+    first offset that holds its max, counts the offsets before it that do not."""
+    wins = [x[s] for s in _pool_offsets(x.shape[1] // ph, x.shape[2] // pw, ph, pw)]
+    out = wins[0].copy()
+    for win in wins[1:]:
+        np.maximum(out, win, out=out)
+    held = np.zeros(out.shape, dtype=bool)
+    idx = np.zeros(out.shape, dtype=np.min_scalar_type(ph * pw - 1))
+    for win in wins[:-1]:
+        held |= win == out
+        idx += ~held
     return out, (idx, x.shape, ph, pw)
 
 
 def maxpool_backward(dout, cache):
-    """dx, written per window offset (p, q), index p*pw + q: each dout
-    where its window's argmax picked that offset, else zero."""
+    """dx, written per window offset k: each dout whose window's first max
+    is at k, else zero."""
     idx, x_shape, ph, pw = cache
-    ho, wo = dout.shape[1:3]
     dx = np.zeros(x_shape, dtype=dout.dtype)
-    for p in range(ph):
-        for q in range(pw):
-            dx[:, p : ho * ph : ph, q : wo * pw : pw] = np.where(idx == p * pw + q, dout, 0)
+    for k, s in enumerate(_pool_offsets(*dout.shape[1:3], ph, pw)):
+        dx[s] = np.where(idx == k, dout, 0)
     return dx
 
 

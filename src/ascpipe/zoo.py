@@ -15,6 +15,7 @@ from functools import partial
 
 from .errors import ConfigError
 from .nn import LayerSpec, ModelGraph, initialize
+from .nn.graph import param_rules
 
 FCNN_CHANNELS = (32, 32, 64, 64, 128, 128, 128, 256, 256)
 FCNN_POOLS = {2: (2, 2), 4: (2, 2), 8: (2, 2)}  # block -> maxpool after it
@@ -36,6 +37,7 @@ MOBNET_EXPANSION = 6
 MOBNET_HEAD = 256
 SMALL_FCNN_BASE_WIDTH = 0.7  # keeps the float32 checkpoint under 2.9 MB
 DROPOUT_RATE = 0.3
+MAX_PARAMS = 2**28  # 1 GiB of float32; fsfcnn_s at width 4 has 1.22e8
 
 
 @dataclass(frozen=True)
@@ -189,5 +191,17 @@ ARCH_NAMES = tuple(LAYERS)
 
 def build(cfg: ArchConfig, seed: int = 0) -> ModelGraph:
     """The validated, freshly initialized graph of ``cfg.arch`` (ArchConfig
-    has checked the name); the graph is named after its arch."""
-    return initialize(ModelGraph(cfg.arch, cfg.input_shape, LAYERS[cfg.arch](cfg)), seed)
+    has checked the name); the graph is named after its arch. A graph of
+    over MAX_PARAMS parameters is a ConfigError, raised before any is
+    allocated."""
+    graph = ModelGraph(cfg.arch, cfg.input_shape, LAYERS[cfg.arch](cfg))
+    sizes = {s.name: sum(math.prod(shape) for shape, _ in param_rules(graph, s).values())
+             for s in graph.layers}
+    if sum(sizes.values()) > MAX_PARAMS:
+        big = max(sizes, key=sizes.get)
+        raise ConfigError(
+            f"{cfg.arch} at width_mult {cfg.width_mult:g} has {sum(sizes.values()):.3g} "
+            f"parameters, over the cap of {MAX_PARAMS}; its largest layer {big!r} has "
+            f"{sizes[big]:.3g}"
+        )
+    return initialize(graph, seed)

@@ -254,6 +254,19 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert "configuration error" in err and str(ini) in err and message in err
 
+    def test_a_width_past_the_parameter_cap_exits_2(self, ws, tmp_path, capsys):
+        # the cap is checked before any parameter is allocated: at width 1e6
+        # small_fcnn's conv1 alone would take gigabytes
+        ini = tmp_path / "wide.ini"
+        ini.write_text(INI_FAST.replace("width_mult = 0.25", "width_mult = 1e6"))
+        code = run_cli("train", "--manifest", ws.feats / "features.tsv",
+                       "--out", tmp_path / "m.ascm", "--config", ini)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error: small_fcnn at width_mult 1e+06" in err
+        assert "its largest layer 'conv9'" in err
+        assert not (tmp_path / "m.ascm").exists()
+
 
 # each command's arguments, reading its inputs from the workspace ``d``
 COMMAND_ARGS = {
@@ -298,6 +311,14 @@ def test_the_reproducibility_block_falls_back_to_the_cpu_affinity(ws, capsys, mo
     run_cli("report", ws.evald / "report.json")
     cpus = len(os.sched_getaffinity(0))
     assert capsys.readouterr().out.splitlines()[4].endswith(f", threads: {cpus} (cpu affinity)")
+    # a platform without sched_getaffinity (macOS, Windows) counts the CPUs,
+    # and a thread variable needs no count at all
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert run_cli("report", ws.evald / "report.json") == 0
+    assert capsys.readouterr().out.splitlines()[4].endswith(f", threads: {os.cpu_count()} (cpu count)")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert run_cli("report", ws.evald / "report.json") == 0
+    assert capsys.readouterr().out.splitlines()[4].endswith(", threads: OPENBLAS_NUM_THREADS=1")
 
 
 class TestScoreFiles:

@@ -418,6 +418,14 @@ def test_depthwise_memory_does_not_grow():
     assert _traced_peak_mib(lambda: L.depthwise_backward(dout, w, cache)) <= 0.82
 
 
+def test_maxpool_forward_makes_no_window_copy():
+    # traced peak 0.252 MiB: the output plus its uint8 index and a few
+    # bool masks of its size; the window-shaped copy, its int64 argmax and
+    # gather read 1.25
+    x = np.random.default_rng(2).standard_normal((2, 64, 64, 16)).astype(np.float32)
+    assert _traced_peak_mib(lambda: L.maxpool_forward(x, 2, 2)) <= 0.3
+
+
 def test_maxpool_backward_makes_no_window_copy():
     # traced peak 0.658 MiB: dx plus one window offset's share of dout; the
     # window-shaped array and its transposed copy read 1.50
@@ -460,6 +468,7 @@ class TestPerItemScoring:
             assert np.array_equal(score(x[i : i + 1]), batch[i : i + 1])
 
     @pytest.mark.parametrize("int8", [False, True], ids=["float", "int8"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_non_finite_item_is_named(self, int8):
         score = self._scorer("small_fcnn", int8)
         x = np.ones((3, *self.SHAPE), dtype=np.float32)

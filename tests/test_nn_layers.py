@@ -246,6 +246,43 @@ class TestPoolShapes:
             want[b, 2 * i + p, 3 * j + q, c] = dout[b, i, j, c]
         assert np.array_equal(L.maxpool_backward(dout, cache), want)
 
+    @staticmethod
+    def _first_max(x, ph, pw):
+        """The row-major index of each window's first maximum, by argmax."""
+        out = np.zeros((x.shape[0], x.shape[1] // ph, x.shape[2] // pw, x.shape[3]), dtype=int)
+        for b, i, j, c in np.ndindex(out.shape):
+            out[b, i, j, c] = x[b, ph * i : ph * i + ph, pw * j : pw * j + pw, c].argmax()
+        return out
+
+    @pytest.mark.parametrize("pool", [(2, 2), (1, 2), (2, 3)])
+    def test_the_index_is_each_windows_first_maximum(self, pool):
+        # few distinct values, so most windows hold a tie
+        x = np.random.default_rng(5).integers(0, 3, (2, 5, 7, 3)).astype(np.float32)
+        _, (idx, *_) = L.maxpool_forward(x, *pool)
+        assert np.array_equal(idx, self._first_max(x, *pool))
+
+    def test_an_all_equal_window_indexes_its_first_offset(self):
+        _, (idx, *_) = L.maxpool_forward(np.full((1, 4, 6, 2), -1.5), 2, 3)
+        assert idx.shape == (1, 2, 2, 2) and not idx.any()
+
+    @pytest.mark.parametrize("pool", [(2, 2), (1, 2), (16, 17)])
+    def test_the_index_is_the_smallest_type_that_holds_it(self, pool):
+        # every zoo pool indexes in uint8; 16 x 17 = 272 offsets need uint16
+        _, (idx, *_) = L.maxpool_forward(np.zeros((1, 16, 17, 1)), *pool)
+        assert idx.dtype == (np.uint16 if pool == (16, 17) else np.uint8)
+
+    @pytest.mark.parametrize("offset", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_a_nan_at_any_window_offset_is_named(self, offset):
+        # np.maximum carries a NaN into the running max, where np.fmax
+        # would drop it without a word
+        g = initialize(
+            ModelGraph("mp", (4, 4, 1), [_spec("maxpool", "pool", ("input",), pool=(2, 2))]), 0
+        )
+        x = np.arange(16, dtype=np.float32).reshape(1, 4, 4, 1)
+        x[0, 2 + offset[0], 2 + offset[1], 0] = np.nan
+        with pytest.raises(NumericError, match=r"non-finite activation at layer 'pool'"):
+            forward(g, x)
+
     def test_pool_larger_than_map_rejected(self):
         with pytest.raises(GraphError, match="pool"):
             ModelGraph("bad", (1, 4, 1), [_spec("maxpool", "p", ("input",), pool=(2, 2))])
