@@ -188,16 +188,18 @@ def dynamic_range_compress(
     release = _smoothing_alpha(drc.release_ms, sample_rate)
     slope = 1.0 if math.isinf(drc.ratio) else 1.0 - 1.0 / drc.ratio
 
-    gain_db = np.empty_like(level_db)
-    for levels, gain in zip(level_db, gain_db):
-        # Python floats read from and appended to flat float64 buffers: the
+    env_db = np.empty_like(level_db)
+    for levels, row in zip(level_db, env_db):
+        # Python floats read from and appended to a flat float64 buffer: the
         # same sums, with no numpy scalar or float object kept per sample
-        env, gains = float(levels[0]), array.array("d")
+        env, envs = float(levels[0]), array.array("d")
         for lvl in memoryview(levels):
             env += (attack if lvl > env else release) * (lvl - env)
-            over = env - drc.threshold_db
-            gains.append(-slope * over if over > 0 else 0.0)
-        gain[:] = gains
+            envs.append(env)
+        row[:] = envs
+    # the gain of each envelope sample, taken over the whole envelope at once
+    over = env_db - drc.threshold_db
+    gain_db = np.where(over > 0, -slope * over, 0.0)
     out = x * 10.0 ** ((gain_db.T + drc.makeup_db) / 20.0)
     return out if np.asarray(samples).ndim == 2 else out[:, 0]
 

@@ -212,7 +212,7 @@ def log_mel(mag: np.ndarray, bank: np.ndarray, log_floor: float = 1e-10) -> np.n
         raise DataError(
             f"magnitude bins {mag.shape[-1]} != filterbank bins {bank.shape[1]}"
         )
-    return np.log((mag.astype(np.float64) ** 2) @ bank.T + log_floor)
+    return np.log((np.asarray(mag, dtype=np.float64) ** 2) @ bank.T + log_floor)
 
 
 def deltas(x: np.ndarray) -> np.ndarray:

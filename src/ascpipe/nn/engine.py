@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError, GraphError, NumericError
+from . import blas
 from .graph import INPUT, ModelGraph
 from .ops import OPS
 
@@ -96,14 +97,16 @@ def forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=None,
 def per_item(graph: ModelGraph, items, layer_forward=_output_only) -> np.ndarray:
     """``forward`` on each item of ``items`` as a float32 batch of one, the
     outputs concatenated in item order; a NumericError names the item.
-    Float ``predict`` and the int8 path differ only in ``layer_forward``."""
+    Float ``predict`` and the int8 path differ only in ``layer_forward``.
+    The items run on one BLAS thread (``blas.one_thread``)."""
     outs = []
-    for i, item in enumerate(items):
-        try:
-            item = np.asarray(item, dtype=np.float32)[None]
-            outs.append(forward(graph, item, layer_forward=layer_forward))
-        except NumericError as exc:
-            raise NumericError(f"input item {i}: {exc}") from exc
+    with blas.one_thread():
+        for i, item in enumerate(items):
+            try:
+                item = np.asarray(item, dtype=np.float32)[None]
+                outs.append(forward(graph, item, layer_forward=layer_forward))
+            except NumericError as exc:
+                raise NumericError(f"input item {i}: {exc}") from exc
     if not outs:
         raise DataError("no items to score")
     return np.concatenate(outs)

@@ -14,8 +14,8 @@ import numpy as np
 BN_EPS = 1e-5
 
 
-# a depthwise band's output rows span about this many bytes of one item,
-# so each tap's product and add stay in cache
+# a conv2d or depthwise band's output rows span about this many bytes of
+# one item, so each kernel row's or tap's product and add stay in cache
 BAND_BYTES = 1 << 18
 
 
@@ -52,54 +52,63 @@ def _taps(x, w_shape, stride, pads, rows, wo):
             yield i, j, (dst_rows, dst_cols), (src_rows, src_cols)
 
 
-def _kernel_rows(x, pads, kh, kw, sh, sw):
-    """Yield (n, i, rows) per item n and kernel row i of the convolution of
-    x zero-padded by pads. Each item's kw column taps are copied once into
-    an (Hp, Wo, kw*C) buffer, 3x the item for a 3x3 kernel where an im2col
-    matrix is 9x; only the input columns that exist are copied, so the pads
-    stay the buffer's zeros. rows is the (Ho, Wo, kw*C) view of it that
-    kernel row i reads."""
-    (t0, t1), (f0, f1) = pads
-    h, width = x.shape[1:3]
-    hp = h + t0 + t1
-    ho, wo = (hp - kh) // sh + 1, (width + f0 + f1 - kw) // sw + 1
-    cols = np.zeros((hp, wo, kw, x.shape[3]), dtype=x.dtype)
-    flat = cols.reshape(hp, wo, -1)
-    for n in range(x.shape[0]):
+def _row_bands(x, out, pads, kh, kw, sh, sw):
+    """Yield (i, cols, band) per item, band of output rows (_bands) and
+    kernel row i of the convolution of x zero-padded by pads, whose output
+    rows are those of out. A band's kw column taps of the input rows it
+    reads are copied into one reused buffer, only the inputs that exist;
+    the pad columns stay zeros, and the pad rows are zeroed per band, as an
+    earlier band may have filled them. cols is the (rows*Wo, kw*C) matrix
+    that kernel row i reads from it, a copy only at row stride > 1, and
+    band the matching (rows*Wo, Cout) rows of out."""
+    (t0, _), (f0, _) = pads
+    buf = None
+    for n, rows in _bands(out):
+        m = rows.stop - rows.start
+        p0, nin = rows.start * sh, (m - 1) * sh + kh
+        if buf is None:  # the first band is the largest
+            buf = np.zeros((nin, out.shape[2], kw, x.shape[3]), dtype=x.dtype)
+        dst, src = _span(range(p0, p0 + nin), 0, t0, 1, x.shape[1])
+        buf[: dst.start] = 0
+        buf[dst.stop : nin] = 0
         for j in range(kw):
-            dst, src = _span(range(wo), j, f0, sw, width)
-            cols[t0 : t0 + h, dst, j] = x[n, :, src]
+            dst_cols, src_cols = _span(range(out.shape[2]), j, f0, sw, x.shape[2])
+            buf[dst, dst_cols, j] = x[n, src, src_cols]
+        band = out[n, rows].reshape(-1, out.shape[3])
         for i in range(kh):
-            yield n, i, flat[i : i + (ho - 1) * sh + 1 : sh]
+            yield i, buf[i : i + (m - 1) * sh + 1 : sh].reshape(len(band), -1), band
 
 
 def _conv(x, w, stride, pads):
-    """(B, Ho, Wo, cout) convolution of x zero-padded by pads, one item at
-    a time: out[n] is the sum over kernel rows i of rows @ w[i], each
-    product written into one reused buffer."""
+    """(B, Ho, Wo, cout) convolution of x zero-padded by pads, per item and
+    band of output rows: each band is the sum over kernel rows i of
+    cols @ w[i], in kernel-row order, the later products written into one
+    reused buffer. w[i] is flattened per product, which copies only one
+    kernel row of a kernel that is not contiguous, such as dx's flipped one."""
     kh, kw, _, cout = w.shape
-    w_rows = w.reshape(kh, -1, cout)
-    out = part = None
-    for n, i, rows in _kernel_rows(x, pads, kh, kw, *stride):
-        if out is None:
-            out = np.empty((x.shape[0], *rows.shape[:2], cout), np.result_type(x, w))
-            part = np.empty_like(out[0])
-        if i:
-            out[n] += np.matmul(rows, w_rows[i], out=part)
-        else:
-            np.matmul(rows, w_rows[0], out=out[n])
+    (t0, t1), (f0, f1) = pads
+    ho = (x.shape[1] + t0 + t1 - kh) // stride[0] + 1
+    wo = (x.shape[2] + f0 + f1 - kw) // stride[1] + 1
+    out = np.empty((x.shape[0], ho, wo, cout), np.result_type(x, w))
+    part = None
+    for i, cols, band in _row_bands(x, out, pads, kh, kw, *stride):
+        if not i:
+            np.matmul(cols, w[0].reshape(-1, cout), out=band)
+            continue
+        if part is None:
+            part = np.empty_like(band)
+        band += np.matmul(cols, w[i].reshape(-1, cout), out=part[: len(band)])
     return out
 
 
 def _conv_weight_grad(x, dout, w_shape, stride, pads):
-    """The gradient of _conv's weights, summed per item and kernel row from
-    the rows that the forward multiplied."""
+    """The gradient of _conv's weights, summed per item, band and kernel
+    row from the matrices that the forward multiplied."""
     kh, kw, _, cout = w_shape
     dw = np.zeros((kh, x.shape[3] * kw, cout), dtype=np.result_type(x, dout))
     part = np.empty_like(dw[0])
-    for n, i, rows in _kernel_rows(x, pads, kh, kw, *stride):
-        rows = rows.reshape(-1, rows.shape[-1])  # a copy only at row stride > 1
-        dw[i] += np.matmul(rows.T, dout[n].reshape(-1, cout), out=part)
+    for i, cols, band in _row_bands(x, dout, pads, kh, kw, *stride):
+        dw[i] += np.matmul(cols.T, band, out=part)
     return dw.reshape(w_shape)
 
 

@@ -111,6 +111,7 @@ def train(
             batch = _augment_batch(tensors[idx], labels[idx], online, rng)
             loss, grads = backward(graph, batch.tensors, batch.labels, (seed, step))[:2]
             opt.step(graph, grads, cosine_restart_lr(step, schedule))
+            del batch, grads  # not held through the next step's backward
             epoch_losses.append(loss)
             step += 1
         result.loss_curve.append(float(np.mean(epoch_losses)))

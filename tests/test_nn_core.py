@@ -26,9 +26,11 @@ from ascpipe.nn import (
     save_checkpoint,
     train,
 )
-from ascpipe.nn import engine
+from ascpipe.nn import blas, engine
 from ascpipe.nn import layers as L
 from ascpipe.nn.ops import OPS
+
+from gradcheck import promote_to_float64
 
 
 def _spec(kind, name, inputs, **attrs):
@@ -353,10 +355,10 @@ def _traced_peak_mib(fn) -> float:
 # arch, then (old traced peak in MiB, share of it allowed) for one train-mode
 # backward and for one eval forward; width 0.5, B=2, input (64, 128, 3). The
 # old peaks are those of the executor that kept every activation, every
-# cache and conv2d's im2col matrix. This one, whose conv2d copies one item's
-# column taps at a time and no padded batch and whose depthwise multiplies
-# one band of output rows per item from the inputs that exist, measures
-# backward 10.6 / 23.4 / 22.9 MiB and eval forward 2.8 / 3.6 / 3.5 MiB.
+# cache and conv2d's im2col matrix. This one, whose conv2d and depthwise
+# work one band of output rows per item from the inputs that exist, with
+# no padded batch, measures backward 9.6 / 23.4 / 22.9 MiB and eval forward
+# 2.4 / 3.6 / 3.5 MiB.
 # Mobnet's backward cannot go below its 20 MiB of caches plus the depthwise
 # backward's working set.
 MEMORY_CASES = [
@@ -378,17 +380,18 @@ def test_executor_memory_stays_bounded(arch, backward_peak, eval_peak):
     xs, ys = _batch(shape, 6, seed=1)
     sched = ScheduleConfig(first_cycle_len=10)
     one = _traced_peak_mib(lambda: train(g, xs[:2], ys[:2], sched, 1, batch_size=2))
-    # a step must not hold the previous step's tape
+    # a step must not hold the previous step's tape, batch or gradients
     three = _traced_peak_mib(lambda: train(g, xs, ys, sched, 1, batch_size=2))
     assert three <= 1.2 * one
 
 
 # (cin, cout), then the traced peak in MiB, rounded up, of the backward
-# (1.544, 0.920 and 1.148). dw and the transposed-convolution dx each copy
-# one item's column taps at a time, with no padded copy of x or dout. The
-# flipped kernel on a padded dout read 2.08 and 1.42 MiB, the widening
-# 3 -> 16 conv's tap scatter 1.05, the batch-wide im2col backward 5.14,
-# 1.05 and 5.14.
+# (1.544, 0.920 and 1.148; 1.538, 0.919 and 1.145 since conv2d works by
+# bands of output rows). dw and the transposed-convolution dx each copy
+# one band's column taps at a time, here a whole item's, with no padded
+# copy of x or dout. The flipped kernel on a padded dout read 2.08 and
+# 1.42 MiB, the widening 3 -> 16 conv's tap scatter 1.05, the batch-wide
+# im2col backward 5.14, 1.05 and 5.14.
 CONV2D_BACKWARD_PEAKS = [((16, 16), 1.55), ((3, 16), 0.92), ((16, 8), 1.15)]
 
 
@@ -437,12 +440,58 @@ def test_maxpool_backward_makes_no_window_copy():
 
 def test_conv2d_forward_copies_one_item_at_a_time():
     # B=8, 64x64, 16 -> 16, 3x3 same: the traced peak is 3.03 MiB, the
-    # output plus one item's column taps; a padded copy of the batch added
-    # 2.13 MiB (5.15), and a batch-wide im2col matrix alone is 18 MiB
+    # output plus one band's column taps, here a whole item's; a padded
+    # copy of the batch added 2.13 MiB (5.15), and a batch-wide im2col
+    # matrix alone is 18 MiB
     rng = np.random.default_rng(0)
     x = rng.standard_normal((8, 64, 64, 16)).astype(np.float32)
     w = rng.standard_normal((3, 3, 16, 16)).astype(np.float32)
     assert _traced_peak_mib(lambda: L.conv2d_forward(x, w, None, (1, 1), ((1, 1), (1, 1)))) <= 4
+
+
+def test_conv2d_copies_one_band_of_output_rows_at_a_time():
+    # (1, 400, 128, 22 -> 22), 3x3 same, as small_fcnn's first conv: the
+    # traced peaks are 5.352 (forward) and 5.375 MiB (backward), the
+    # 4.30 MiB output or input gradient plus one band's column taps and
+    # product; a copy of the whole item's column taps read 21.55 and 21.58
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((1, 400, 128, 22)).astype(np.float32)
+    w = rng.standard_normal((3, 3, 22, 22)).astype(np.float32)
+    pads = ((1, 1), (1, 1))
+    out, cache = L.conv2d_forward(x, w, None, (1, 1), pads)
+    dout = np.ones_like(out)
+    assert _traced_peak_mib(lambda: L.conv2d_forward(x, w, None, (1, 1), pads)) <= 5.36
+    assert _traced_peak_mib(lambda: L.conv2d_backward(dout, w, cache)) <= 5.38
+
+
+# arch, then the worst per-tensor max|g32 - g64| / max|g64| of one train
+# step's parameter gradients against a float64 run of the same graph,
+# measured before conv2d ran by bands of output rows (at small_fcnn's
+# bn8/beta, mobnet's bnb3x/beta and resnet's convhi3a/w). A change to a
+# kernel may move it by float32 rounding, to at most 1.5x
+GRADIENT_ERRORS = [("small_fcnn", 1.076e-5), ("mobnet", 1.737e-2), ("resnet", 1.344e-2)]
+
+
+@pytest.mark.parametrize("arch,old_error", GRADIENT_ERRORS, ids=[c[0] for c in GRADIENT_ERRORS])
+def test_float32_gradients_stay_near_a_float64_run(arch, old_error):
+    shape = (64, 128, 3)
+    g = _zoo_graph(arch, 0.5, shape)
+    x, t = _batch(shape, 2)
+    g32 = engine.backward(g, x, t, (0, 0))[1]
+    promote_to_float64(g)
+    g64 = engine.backward(g, x.astype(np.float64), t, (0, 0))[1]
+    errors = {}
+    for name, store in g32.items():
+        for key, grad in store.items():
+            if arch == "mobnet" and name.startswith("bn") and name.endswith("p") and key == "beta":
+                # each of these batchnorms feeds a 1x1 conv into another
+                # batchnorm, so the gradient is zero up to rounding noise
+                assert np.abs(grad).max() <= 1e-4 * np.abs(store["gamma"]).max(), name
+                continue
+            want = g64[name][key]
+            errors[f"{name}/{key}"] = np.abs(grad - want).max() / np.abs(want).max()
+    worst = max(errors, key=errors.get)
+    assert errors[worst] <= 1.5 * old_error, worst
 
 
 class TestPerItemScoring:
@@ -479,6 +528,36 @@ class TestPerItemScoring:
     def test_no_items_is_a_data_error(self):
         with pytest.raises(DataError, match="no items"):
             self._scorer("small_fcnn", False)([])
+
+    @pytest.mark.parametrize("int8", [False, True], ids=["float", "int8"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_items_run_on_one_blas_thread(self, int8, monkeypatch):
+        # every product is made with the BLAS at one thread, and the count
+        # the process had comes back after the items, also when one raises
+        threads = blas._threads or blas._find()
+        if not threads:
+            pytest.skip("no OpenBLAS thread control in this process")
+        set_, get = threads
+        score, seen, matmul = self._scorer("small_fcnn", int8), [], np.matmul
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return matmul(*args, **kwargs)
+
+        before = get()
+        set_(2)
+        try:
+            monkeypatch.setattr(np, "matmul", spy)
+            x = np.ones((2, *self.SHAPE), dtype=np.float32)
+            score(x)
+            assert get() == 2
+            x[1, 4, 5, 0] = np.inf
+            with pytest.raises(NumericError):
+                score(x)
+            assert get() == 2
+        finally:
+            set_(before)
+        assert seen and set(seen) == {1}
 
     def test_predict_memory_does_not_grow_with_item_count(self):
         # traced peaks, width 0.5: 4.2 MiB for 1 item and 4.2 MiB for 8;

@@ -473,13 +473,16 @@ def _run_kernel(kind, x, w, b, stride, padding, dout):
     return (out, *bwd(dout, w, cache))
 
 
-def _kernel_inputs(kind, stride, padding, mult, dtype, integer, kernel=(3, 3), channels=(3, 4)):
-    """Seeded (x, w, b, dout); integer=True draws whole numbers in -127..127.
-    A conv2d maps channels[0] to channels[1]; a depthwise reads 3."""
+def _kernel_inputs(
+    kind, stride, padding, mult, dtype, integer, kernel=(3, 3), channels=(3, 4), height=7
+):
+    """Seeded (x, w, b, dout), x of shape (2, height, 6, cin); integer=True
+    draws whole numbers in -127..127. A conv2d maps channels[0] to
+    channels[1]; a depthwise reads 3."""
     rng = np.random.default_rng([len(kind), *stride, len(padding), mult, int(integer)])
     draw = (lambda s: rng.integers(-127, 128, s)) if integer else rng.standard_normal
     cin, cout = (3, 3 * mult) if kind == "depthwise" else channels
-    x = draw((2, 7, 6, cin)).astype(dtype)
+    x = draw((2, height, 6, cin)).astype(dtype)
     w = draw((*kernel, cin, mult if kind == "depthwise" else cout)).astype(dtype)
     b = draw((cout,)).astype(dtype)
     xp, _ = _ref_pad(x, *kernel, stride, padding)
@@ -648,6 +651,30 @@ def test_conv2d_wider_than_its_map_matches_im2col(kind, stride, monkeypatch):
         for g, r in zip(got, _ref_depthwise(x, w, b, stride, "same", dout)):
             assert g.dtype == r.dtype and g.shape == r.shape
             np.testing.assert_allclose(g, r, rtol=1e-5, atol=1e-5 * np.abs(r).max())
+
+
+BANDED_CONV_KERNELS = [(1, 3), (2, 3), (3, 3), (5, 5)]
+BANDED_CONV_STRIDES = [(1, 1), (2, 2), (3, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("stride", BANDED_CONV_STRIDES, ids=lambda s: f"stride{s[0]}{s[1]}")
+@pytest.mark.parametrize("kernel", BANDED_CONV_KERNELS, ids=lambda k: f"{k[0]}x{k[1]}")
+@pytest.mark.parametrize("band", ["row", "short"])
+def test_banded_conv2d_matches_im2col(band, kernel, stride, padding, monkeypatch):
+    # 11 rows give each case at least 3 output rows. BAND_BYTES of 1 makes
+    # every band one output row; "short" makes the forward's bands all but
+    # one of its output rows, then a band of one. A band's first or last
+    # rows read top or bottom padding, which the reused column-tap buffer
+    # must hold as zeros after a band that read real rows there
+    x, w, b, dout = _kernel_inputs(
+        "conv2d", stride, padding, 1, np.float32, integer=False, kernel=kernel, height=11
+    )
+    ho = dout.shape[1]
+    assert ho >= 3
+    monkeypatch.setattr(L, "BAND_BYTES", 1 if band == "row" else (ho - 1) * dout[0, 0].nbytes)
+    got = _run_kernel("conv2d", x, w, b, stride, padding, dout)
+    _assert_conv2d_matches(got, _ref_conv2d(x, w, b, stride, padding, dout), kernel, stride)
 
 
 @pytest.mark.parametrize("stride,padding", KERNEL_GEOMETRY, ids=GEOMETRY_IDS)
