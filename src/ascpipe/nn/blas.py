@@ -6,13 +6,15 @@ pass it. Such a call can wait on the second thread, or on the virtual CPU
 it runs on, most likely after it has been idle: on a two-vCPU VM, single
 conv2d calls of a scoring run took 205-425 ms against a median of 3-9 ms,
 and one float small_fcnn `evaluate` of 8 items read 4.8 items/s against a
-median of 12.4. Scoring works one item at a time, so its products are
-small; on one thread small_fcnn scores about a sixth slower, but steadily.
+median of 12.4. Scoring multiplies one item at a time, so its products
+are small; ``engine.per_item`` scores as many items at once as the BLAS
+had threads instead.
 
 ``one_thread`` finds the OpenBLAS that numpy loaded among the process's
-mapped files and sets its thread count to 1 for the block, then back.
-Where there is no OpenBLAS to find (another BLAS, or no /proc), it does
-nothing.
+mapped files, sets its thread count to 1 for the block, then back, and
+yields the count it found. At start-up OpenBLAS caps that count at the
+CPUs the process may run on. Where there is no OpenBLAS to find (another
+BLAS, or no /proc), it changes nothing and yields 1.
 """
 
 from __future__ import annotations
@@ -59,12 +61,12 @@ def one_thread():
     if _threads is None:
         _threads = _find()
     if not _threads:
-        yield
+        yield 1
         return
     set_, get = _threads
     before = get()
     set_(1)
     try:
-        yield
+        yield before
     finally:
         set_(before)

@@ -8,6 +8,8 @@ layer itself runs. Softmax + cross-entropy use the fused gradient
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,15 +100,38 @@ def per_item(graph: ModelGraph, items, layer_forward=_output_only) -> np.ndarray
     """``forward`` on each item of ``items`` as a float32 batch of one, the
     outputs concatenated in item order; a NumericError names the item.
     Float ``predict`` and the int8 path differ only in ``layer_forward``.
-    The items run on one BLAS thread (``blas.one_thread``)."""
-    outs = []
-    with blas.one_thread():
-        for i, item in enumerate(items):
+
+    Each item runs on one BLAS thread (``blas.one_thread``), so its output
+    does not depend on the thread count, and as many items run at once as
+    the BLAS had threads. ``items`` is read in order on the calling
+    thread, the next item only once fewer than that many are in flight,
+    so memory holds one item's working set per item in flight. The first
+    failure in item order is raised, an item's or the iterable's own."""
+
+    def score(i, item):
+        try:
+            item = np.asarray(item, dtype=np.float32)[None]
+            return forward(graph, item, layer_forward=layer_forward)
+        except NumericError as exc:
+            raise NumericError(f"input item {i}: {exc}") from exc
+
+    outs, window, failure = [], deque(), None
+    with blas.one_thread() as n, ThreadPoolExecutor(n) as pool:
+        reading = enumerate(items)
+        while True:
+            if len(window) == n:
+                outs.append(window.popleft().result())
             try:
-                item = np.asarray(item, dtype=np.float32)[None]
-                outs.append(forward(graph, item, layer_forward=layer_forward))
-            except NumericError as exc:
-                raise NumericError(f"input item {i}: {exc}") from exc
+                i, item = next(reading)
+            except StopIteration:
+                break
+            except Exception as exc:  # raised once the items read before it are scored
+                failure = exc
+                break
+            window.append(pool.submit(score, i, item))
+        outs += [f.result() for f in window]
+    if failure is not None:
+        raise failure
     if not outs:
         raise DataError("no items to score")
     return np.concatenate(outs)

@@ -518,6 +518,21 @@ class TestAugment:
         assert texts[0] != texts[1]
 
 
+def _scores_at_blas_threads(model, ws, tmp_path):
+    """The scores.tsv bytes of `evaluate` in a fresh process at
+    OPENBLAS_NUM_THREADS 1 and 2."""
+    src = str(Path(ascpipe.__file__).parents[1])
+    scores = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        argv = ["evaluate", str(model), "--manifest", str(ws.feats / "features.tsv"), "--out", str(out)]
+        code = f"from ascpipe.cli import main; raise SystemExit(main({argv!r}))"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
+        scores.append((out / "scores.tsv").read_bytes())
+    return scores
+
+
 class TestTrainEvaluate:
     def test_artifacts_written(self, ws):
         assert ws.model.exists()
@@ -554,6 +569,11 @@ class TestTrainEvaluate:
                        "--out", out, "--config", ws.ini_fast,
                        "--arch", "fcnn", "--width", 0.125) == 0
         assert "trained fcnn (width 0.125" in capsys.readouterr().out
+
+    def test_float_scores_do_not_depend_on_the_blas_thread_count(self, ws, tmp_path):
+        # each item is scored on one BLAS thread, however many items run at once
+        scores = _scores_at_blas_threads(ws.model, ws, tmp_path)
+        assert scores[0] == scores[1]
 
     def test_evaluate_is_deterministic(self, ws, tmp_path):
         blobs = []
@@ -906,15 +926,7 @@ class TestQuantize:
         # integer sums are exact in any order, however BLAS splits them
         model = tmp_path / "model.ascq"
         assert run_cli("quantize", ws.model, "--out", model) == 0
-        src = str(Path(ascpipe.__file__).parents[1])
-        scores = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
-            argv = ["evaluate", str(model), "--manifest", str(ws.feats / "features.tsv"), "--out", str(out)]
-            code = f"from ascpipe.cli import main; raise SystemExit(main({argv!r}))"
-            subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
-            scores.append((out / "scores.tsv").read_bytes())
+        scores = _scores_at_blas_threads(model, ws, tmp_path)
         assert scores[0] == scores[1]
 
     def test_quantize_beside_the_model_keeps_the_one_sidecar(self, ws, tmp_path):

@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import threading
+import time
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -494,6 +497,60 @@ def test_float32_gradients_stay_near_a_float64_run(arch, old_error):
     assert errors[worst] <= 1.5 * old_error, worst
 
 
+@contextmanager
+def _scoring_threads(n):
+    """Run the block with OpenBLAS at n threads, so that ``per_item``
+    scores n items at once, each on one BLAS thread; the count the
+    process had comes back after it. With no OpenBLAS, items are scored
+    one at a time, and other counts are skipped."""
+    threads = blas._threads or blas._find()
+    if not threads:
+        if n != 1:
+            pytest.skip("no OpenBLAS thread control in this process")
+        yield
+        return
+    set_, get = threads
+    before = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+class _Probe:
+    """A ``per_item`` layer_forward that notes the threads items run on,
+    the most items running at once and the items scored. Item k is an
+    input whose [0, 0, 0] entry is k; its first layer sleeps ``delay(k)``
+    seconds first."""
+
+    def __init__(self, graph, delay=lambda k: 0.0):
+        self.graph, self.delay = graph, delay
+        self.done, self.threads, self.most = set(), set(), 0
+        self._running, self._item, self._lock = 0, threading.local(), threading.Lock()
+
+    def __call__(self, spec, params, ins, mode, seed):
+        if spec is self.graph.layers[0]:
+            self._item.k = int(ins[0][0, 0, 0, 0])
+            with self._lock:
+                self.threads.add(threading.get_ident())
+                self._running += 1
+                self.most = max(self.most, self._running)
+            time.sleep(self.delay(self._item.k))
+        out = OPS[spec.kind].forward(spec, params, ins, mode, seed)[0]
+        if spec is self.graph.layers[-1]:
+            with self._lock:
+                self._running -= 1
+                self.done.add(self._item.k)
+        return out, None
+
+
+def _numbered_items(n, shape=(6, 4, 1)):
+    x = np.random.default_rng(3).standard_normal((n, *shape)).astype(np.float32)
+    x[:, 0, 0, 0] = np.arange(n)
+    return x
+
+
 class TestPerItemScoring:
     """predict and quantized_forward score every item as a batch of one."""
 
@@ -509,12 +566,17 @@ class TestPerItemScoring:
     @pytest.mark.parametrize("int8", [False, True], ids=["float", "int8"])
     @pytest.mark.parametrize("arch", zoo.ARCH_NAMES)
     def test_an_item_scores_the_same_alone(self, arch, int8):
+        # and with 1, 2 or 3 items scored at once
         score = self._scorer(arch, int8)
         x = np.random.default_rng(5).standard_normal((3, *self.SHAPE)).astype(np.float32)
         x[1] *= 3.0  # a louder item shares the batch
-        batch = score(x)
-        for i in range(len(x)):
-            assert np.array_equal(score(x[i : i + 1]), batch[i : i + 1])
+        batches = []
+        for n in (1, 2, 3):
+            with _scoring_threads(n):
+                batches.append(score(x))
+                for i in range(len(x)):
+                    assert np.array_equal(score(x[i : i + 1]), batches[-1][i : i + 1])
+        assert all(np.array_equal(batch, batches[0]) for batch in batches)
 
     @pytest.mark.parametrize("int8", [False, True], ids=["float", "int8"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -533,7 +595,8 @@ class TestPerItemScoring:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_items_run_on_one_blas_thread(self, int8, monkeypatch):
         # every product is made with the BLAS at one thread, and the count
-        # the process had comes back after the items, also when one raises
+        # the process had comes back after the items, also when an item or
+        # the iterable raises
         threads = blas._threads or blas._find()
         if not threads:
             pytest.skip("no OpenBLAS thread control in this process")
@@ -544,26 +607,86 @@ class TestPerItemScoring:
             seen.append(get())
             return matmul(*args, **kwargs)
 
-        before = get()
-        set_(2)
-        try:
-            monkeypatch.setattr(np, "matmul", spy)
-            x = np.ones((2, *self.SHAPE), dtype=np.float32)
-            score(x)
-            assert get() == 2
-            x[1, 4, 5, 0] = np.inf
-            with pytest.raises(NumericError):
+        def unreadable(x):
+            yield x[0]
+            raise DataError("row 1 is unreadable")
+
+        monkeypatch.setattr(np, "matmul", spy)
+        for n in (2, 3):
+            with _scoring_threads(n):
+                x = np.ones((2, *self.SHAPE), dtype=np.float32)
                 score(x)
-            assert get() == 2
-        finally:
-            set_(before)
+                assert get() == n
+                with pytest.raises(DataError, match="row 1"):
+                    score(unreadable(x))
+                assert get() == n
+                x[1, 4, 5, 0] = np.inf
+                with pytest.raises(NumericError):
+                    score(x)
+                assert get() == n
         assert seen and set(seen) == {1}
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_the_first_failure_in_item_order_is_raised(self, n):
+        # item 1 is slow, so item 2 fails first in time
+        g = _toy_classifier()
+        probe = _Probe(g, lambda k: 0.05 if k == 1 else 0.0)
+        x = _numbered_items(6)
+        x[1, 2, 2, 0] = np.inf
+        both = x.copy()
+        both[2, 2, 2, 0] = np.inf
+
+        def unreadable_at(k):
+            yield from x[:k]
+            raise DataError(f"row {k} is unreadable")
+
+        with _scoring_threads(n):
+            with pytest.raises(NumericError, match=r"input item 1: "):
+                engine.per_item(g, both, probe)
+            with pytest.raises(NumericError, match=r"input item 1: "):
+                engine.per_item(g, unreadable_at(3), probe)
+            with pytest.raises(DataError, match="row 0 is unreadable"):
+                engine.per_item(g, unreadable_at(0), probe)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_an_item_is_read_once_fewer_than_n_are_in_flight(self, n):
+        # n items run at once, and item k is read only once every item
+        # before k - n + 1 has been scored
+        g = _toy_classifier()
+        probe, x, reads = _Probe(g, lambda k: 0.02), _numbered_items(8), []
+
+        def items():
+            for k, item in enumerate(x):
+                reads.append(probe.done.copy())
+                yield item
+
+        with _scoring_threads(n):
+            out = engine.per_item(g, items(), probe)
+        assert np.array_equal(out, engine.per_item(g, x))
+        assert probe.most == n
+        assert all(set(range(k - n + 1)) <= done for k, done in enumerate(reads))
+
+    def test_with_no_openblas_items_run_one_at_a_time(self, monkeypatch):
+        g = _toy_classifier()
+        x = _numbered_items(5)
+        found = engine.per_item(g, x)
+        monkeypatch.setattr(blas, "_threads", ())
+        probe = _Probe(g, lambda k: 0.01)
+        assert np.array_equal(engine.per_item(g, x, probe), found)
+        assert probe.most == 1
+        assert len(probe.threads) == 1 and threading.get_ident() not in probe.threads
+
     def test_predict_memory_does_not_grow_with_item_count(self):
-        # traced peaks, width 0.5: 4.2 MiB for 1 item and 4.2 MiB for 8;
-        # one batch of 8 took 33.1 MiB
+        # traced peaks, width 0.5: 2.38 MiB for 1 item and for 8 scored one
+        # at a time; 3.45-4.10 MiB for 16 scored two at a time, and 2.66-4.10
+        # for 2, as far as the two items' peaks happen to coincide. One batch
+        # of 8 took 33.1 MiB
         shape = (64, 128, 3)
         g = _zoo_graph("small_fcnn", 0.5, shape)
-        xs, _ = _batch(shape, 8)
-        one = _traced_peak_mib(lambda: predict(g, xs[:1]))
-        assert _traced_peak_mib(lambda: predict(g, xs)) <= 1.2 * one
+        xs, _ = _batch(shape, 16)
+        with _scoring_threads(1):
+            one = _traced_peak_mib(lambda: predict(g, xs[:1]))
+            assert _traced_peak_mib(lambda: predict(g, xs[:8])) <= 1.2 * one
+        with _scoring_threads(2):
+            assert _traced_peak_mib(lambda: predict(g, xs)) <= 1.2 * 2 * one
