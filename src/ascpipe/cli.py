@@ -2,7 +2,7 @@
 quantize, report.
 
 Every command prints a reproducibility block (config hash, seed, library
-versions, the BLAS and its thread setting) before doing work, and is
+versions, the BLAS and its thread count) before doing work, and is
 deterministic given (config, seed) regardless of the worker count. Exit
 codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import platform
 import shutil
 import sys
@@ -48,7 +47,7 @@ from .featio import (
 from .features import ScaleStats, apply_scale01, extract_clip_features, fit_scale01
 from .fusion import ClassHierarchy, average_ensemble, two_stage_fuse_batch
 from .manifest import DatasetManifest, read_manifest, write_manifest
-from .nn import load_checkpoint, one_hot, predict, save_checkpoint, train
+from .nn import blas, load_checkpoint, one_hot, predict, save_checkpoint, train
 from .quant import (
     load_quantized,
     quantize_model,
@@ -121,16 +120,12 @@ def _print_repro(command: str, cfg: RunConfig) -> None:
         f"python {platform.python_version()}"
     )
     # float sums, and so float output bytes, depend on the BLAS and its threads
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    threads = next(
-        (f"{k}={os.environ[k]}" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if k in os.environ),
-        None,
+    blas_dep = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = blas.threads()
+    print(
+        f"blas: {blas_dep['name']} {blas_dep['version']}, "
+        f"threads: {'unknown' if threads is None else threads}"
     )
-    if threads is None:
-        # sched_getaffinity is Linux-only
-        affinity = getattr(os, "sched_getaffinity", None)
-        threads = f"{len(affinity(0))} (cpu affinity)" if affinity else f"{os.cpu_count()} (cpu count)"
-    print(f"blas: {blas['name']} {blas['version']}, threads: {threads}")
 
 
 def _run_jobs(jobs, worker, n_workers: int):
@@ -337,7 +332,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         input_shape=(t_dim, xs.shape[2], xs.shape[3]),
     )
     graph = build(arch_cfg, seed=cfg.seed)
-    result = train(
+    losses = train(
         graph,
         xs,
         ys,
@@ -357,8 +352,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
         f"trained {cfg.arch} (width {cfg.width_mult:g}, {len(classes)} classes) "
         f"on {len(xs)} items for {cfg.epochs} epochs"
     )
-    if result.loss_curve:
-        print(f"final epoch loss: {result.loss_curve[-1]:.6f}")
+    if losses:
+        print(f"final epoch loss: {losses[-1]:.6f}")
     print(f"checkpoint -> {out}")
     print(f"scale stats -> {_stats_sidecar(out)}")
     return 0

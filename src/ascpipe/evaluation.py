@@ -32,15 +32,37 @@ _LOG_EPS = 1e-12
 
 @dataclass
 class EvalReport:
+    """What was measured; the summary accuracies follow from it."""
+
     classes: tuple[str, ...]
-    group_order: tuple[str, ...]
-    group_counts: dict[str, int]
+    group_counts: dict[str, int]  # items per group, in group order
     group_accuracy: dict[str, float]  # percent; nan for empty groups
     val_loss: float
-    avg_accuracy_items: float  # percent over all items
-    avg_accuracy_groups: float  # percent, mean over non-empty groups
-    per_class_accuracy: np.ndarray  # percent per class; nan when absent
     confusion: np.ndarray  # [true, predicted] counts
+
+    @property
+    def group_order(self) -> tuple[str, ...]:
+        return tuple(self.group_counts)
+
+    @property
+    def avg_accuracy_items(self) -> float:
+        """Percent over all items."""
+        return float(np.trace(self.confusion) / self.confusion.sum() * 100.0)
+
+    @property
+    def avg_accuracy_groups(self) -> float:
+        """Percent, the mean over non-empty groups."""
+        return float(np.mean(
+            [self.group_accuracy[name] for name, n in self.group_counts.items() if n]
+        ))
+
+    @property
+    def per_class_accuracy(self) -> np.ndarray:
+        """Percent per class; nan when the class is absent."""
+        totals = self.confusion.sum(axis=1)
+        return np.where(
+            totals > 0, np.diag(self.confusion) / np.maximum(totals, 1) * 100.0, math.nan
+        )
 
 
 def _group_of(source_label: str) -> str:
@@ -107,26 +129,11 @@ def evaluate(
     k = len(classes)
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (true, top1), 1)
-    class_totals = confusion.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        per_class = np.where(
-            class_totals > 0,
-            np.diag(confusion) / np.maximum(class_totals, 1) * 100.0,
-            math.nan,
-        )
-
-    present = [name for name in order if counts[name]]
     return EvalReport(
         classes=classes,
-        group_order=tuple(order),
         group_counts=counts,
         group_accuracy=accuracy,
         val_loss=val_loss,
-        avg_accuracy_items=float(hits.mean() * 100.0),
-        avg_accuracy_groups=float(
-            np.mean([accuracy[name] for name in present])
-        ),
-        per_class_accuracy=per_class,
         confusion=confusion,
     )
 
@@ -196,12 +203,12 @@ def report_to_json(report: EvalReport) -> str:
 
 
 def report_from_json(text: str) -> EvalReport:
+    """The measured fields of a report; the summaries are derived again."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"bad report JSON: {exc}") from exc
     try:
-        order = tuple(payload["group_order"])
         classes = payload["classes"]
         if not (isinstance(classes, list) and classes
                 and all(isinstance(c, str) for c in classes)):
@@ -211,31 +218,26 @@ def report_from_json(text: str) -> EvalReport:
         if not (confusion.shape == (k, k) and np.issubdtype(confusion.dtype, np.integer)
                 and (confusion >= 0).all()):
             raise DataError(f"bad report JSON: confusion must be a {k}x{k} array of counts")
-        per_class = payload["per_class_accuracy"]
-        if not (isinstance(per_class, list) and len(per_class) == k):
-            raise DataError(f"bad report JSON: per_class_accuracy must have {k} entries")
-        nan = math.nan
+        # report_to_json sorts the keys, and evaluate's group order is sorted
+        groups = payload["groups"]
+        if not isinstance(groups, dict):
+            raise DataError("bad report JSON: groups must be an object")
+        counts = {name: int(g["count"]) for name, g in groups.items()}
+        total = int(confusion.sum())
+        if total <= 0 or sum(counts.values()) != total or min(counts.values()) < 0:
+            raise DataError(
+                f"bad report JSON: group counts {counts} must be non-negative and "
+                f"add up to the confusion total ({total}), which must be above 0"
+            )
         return EvalReport(
             classes=tuple(classes),
-            group_order=order,
-            group_counts={
-                name: int(payload["groups"][name]["count"]) for name in order
-            },
+            group_counts=counts,
             group_accuracy={
-                name: (
-                    nan
-                    if payload["groups"][name]["accuracy"] is None
-                    else float(payload["groups"][name]["accuracy"])
-                )
-                for name in order
+                name: math.nan if g["accuracy"] is None else float(g["accuracy"])
+                for name, g in groups.items()
             },
             val_loss=float(payload["val_loss"]),
-            avg_accuracy_items=float(payload["avg_accuracy_items"]),
-            avg_accuracy_groups=float(payload["avg_accuracy_groups"]),
-            per_class_accuracy=np.array(
-                [nan if v is None else float(v) for v in per_class]
-            ),
             confusion=confusion.astype(np.int64),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad report JSON: {exc}") from exc

@@ -17,22 +17,9 @@ import numpy as np
 
 from .errors import DataError, read_text
 
-# Canonical label orders used across the toolkit. Class index = position.
-SCENE_LABELS = (
-    "airport",
-    "shopping_mall",
-    "metro_station",
-    "street_pedestrian",
-    "public_square",
-    "street_traffic",
-    "tram",
-    "bus",
-    "metro",
-    "park",
-)
-
-SUPERCLASS_LABELS = ("indoor", "outdoor", "transportation")
-
+# The default hierarchy. The canonical label orders used across the toolkit
+# follow from it: class index = position, and superclasses come in order of
+# first appearance.
 _DEFAULT_PARENT = {
     "airport": "indoor",
     "shopping_mall": "indoor",
@@ -45,45 +32,33 @@ _DEFAULT_PARENT = {
     "metro": "transportation",
     "park": "outdoor",
 }
+SCENE_LABELS = tuple(_DEFAULT_PARENT)
+SUPERCLASS_LABELS = tuple(dict.fromkeys(_DEFAULT_PARENT.values()))
 
 
 @dataclass(frozen=True)
 class ClassHierarchy:
-    """Assignment of every scene class to exactly one superclass."""
+    """Assignment of every scene class to exactly one superclass: one
+    ordered class -> superclass map. Classes are in map order, superclasses
+    in order of first appearance."""
 
-    classes: tuple[str, ...]
-    superclasses: tuple[str, ...]
     parent: Mapping[str, str]
 
     def __post_init__(self) -> None:
-        if not self.classes:
+        if not self.parent:
             raise DataError("hierarchy has no classes")
-        if not self.superclasses:
-            raise DataError("hierarchy has no superclasses")
-        if len(set(self.classes)) != len(self.classes):
-            raise DataError("duplicate class labels in hierarchy")
-        if len(set(self.superclasses)) != len(self.superclasses):
-            raise DataError("duplicate superclass labels in hierarchy")
-        missing = [c for c in self.classes if c not in self.parent]
-        if missing:
-            raise DataError(f"classes without a parent: {missing}")
-        extra = [c for c in self.parent if c not in self.classes]
-        if extra:
-            raise DataError(f"parent entries for unknown classes: {extra}")
-        bad = [
-            (c, p) for c, p in self.parent.items() if p not in self.superclasses
-        ]
-        if bad:
-            raise DataError(f"unknown superclass in parent map: {bad}")
-        childless = [
-            s for s in self.superclasses if s not in set(self.parent.values())
-        ]
-        if childless:
-            raise DataError(f"superclasses with no members: {childless}")
+
+    @property
+    def classes(self) -> tuple[str, ...]:
+        return tuple(self.parent)
+
+    @property
+    def superclasses(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(self.parent.values()))
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
+        return len(self.parent)
 
     @property
     def n_superclasses(self) -> int:
@@ -92,7 +67,7 @@ class ClassHierarchy:
     def parent_indices(self) -> np.ndarray:
         """Superclass index of every class, in class-index order."""
         sup = {s: i for i, s in enumerate(self.superclasses)}
-        return np.array([sup[self.parent[c]] for c in self.classes])
+        return np.array([sup[p] for p in self.parent.values()])
 
     def label_set(self, labels) -> tuple[str, ...]:
         """The class list that covers ``labels``: the classes if they hold
@@ -110,7 +85,7 @@ class ClassHierarchy:
 
     @classmethod
     def default(cls) -> "ClassHierarchy":
-        return cls(SCENE_LABELS, SUPERCLASS_LABELS, dict(_DEFAULT_PARENT))
+        return cls(dict(_DEFAULT_PARENT))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ClassHierarchy":
@@ -122,8 +97,6 @@ class ClassHierarchy:
         follows first appearance.
         """
         text = read_text(path, DataError, "hierarchy file")
-        classes: list[str] = []
-        supers: list[str] = []
         parent: dict[str, str] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -138,11 +111,8 @@ class ClassHierarchy:
             name, sup = tokens
             if name in parent:
                 raise DataError(f"{path}:{lineno}: duplicate class {name!r}")
-            classes.append(name)
             parent[name] = sup
-            if sup not in supers:
-                supers.append(sup)
-        return cls(tuple(classes), tuple(supers), parent)
+        return cls(parent)
 
 
 def two_stage_fuse(

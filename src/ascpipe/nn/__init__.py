@@ -13,7 +13,6 @@ from .optim import SgdMomentum
 from .schedule import ScheduleConfig, cosine_restart_lr, cycle_position
 from .train import (
     OnlineAugment,
-    TrainResult,
     one_hot,
     predict,
     train,
@@ -27,7 +26,6 @@ __all__ = [
     "ScheduleConfig",
     "SgdMomentum",
     "Tape",
-    "TrainResult",
     "backward",
     "cosine_restart_lr",
     "cross_entropy",

@@ -10,11 +10,12 @@ median of 12.4. Scoring multiplies one item at a time, so its products
 are small; ``engine.per_item`` scores as many items at once as the BLAS
 had threads instead.
 
-``one_thread`` finds the OpenBLAS that numpy loaded among the process's
-mapped files, sets its thread count to 1 for the block, then back, and
-yields the count it found. At start-up OpenBLAS caps that count at the
-CPUs the process may run on. Where there is no OpenBLAS to find (another
-BLAS, or no /proc), it changes nothing and yields 1.
+``threads`` finds the OpenBLAS that numpy loaded among the process's
+mapped files and reads its thread count; at start-up OpenBLAS caps that
+count at the CPUs the process may run on. ``one_thread`` sets the count to
+1 for the block, then back, and yields the count it found. Where there is
+no OpenBLAS to find (another BLAS, or no /proc), ``threads`` is None, and
+``one_thread`` changes nothing and yields 1.
 """
 
 from __future__ import annotations
@@ -55,16 +56,21 @@ def _find():
     return ()
 
 
-@contextmanager
-def one_thread():
+def threads():
+    """OpenBLAS's own thread count, or None where no OpenBLAS is found."""
     global _threads
     if _threads is None:
         _threads = _find()
-    if not _threads:
+    return _threads[1]() if _threads else None
+
+
+@contextmanager
+def one_thread():
+    before = threads()
+    if before is None:
         yield 1
         return
-    set_, get = _threads
-    before = get()
+    set_ = _threads[0]
     set_(1)
     try:
         yield before

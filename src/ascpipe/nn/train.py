@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,12 +38,6 @@ class OnlineAugment:
             raise ConfigError("mixup_alpha must be >= 0")
         if not (0 <= self.time_mask_frac <= 1 and 0 <= self.freq_mask_frac <= 1):
             raise ConfigError("time_mask_frac and freq_mask_frac must lie in [0, 1]")
-
-
-@dataclass
-class TrainResult:
-    graph: ModelGraph
-    loss_curve: list = field(default_factory=list)  # mean loss per epoch
 
 
 def _augment_batch(xb, yb, online: OnlineAugment, rng) -> LabeledBatch:
@@ -89,7 +83,8 @@ def train(
     seed: int = 0,
     batch_size: int = 32,
     online: OnlineAugment = OnlineAugment(),
-) -> TrainResult:
+) -> list[float]:
+    """Train ``graph`` in place; returns the mean loss of each epoch."""
     tensors = np.asarray(tensors, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.float32)
     if tensors.ndim != 4 or len(tensors) != len(labels):
@@ -99,7 +94,7 @@ def train(
     if epochs < 0 or batch_size < 1:
         raise DataError("epochs must be >= 0 and batch_size >= 1")
 
-    result = TrainResult(graph)
+    losses = []
     rng = np.random.default_rng(seed)
     opt = SgdMomentum(schedule.momentum)
     step = 0
@@ -114,8 +109,8 @@ def train(
             del batch, grads  # not held through the next step's backward
             epoch_losses.append(loss)
             step += 1
-        result.loss_curve.append(float(np.mean(epoch_losses)))
-    return result
+        losses.append(float(np.mean(epoch_losses)))
+    return losses
 
 
 def predict(graph: ModelGraph, items) -> np.ndarray:

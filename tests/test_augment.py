@@ -231,6 +231,18 @@ class TestReverbDrc:
         settled = np.abs(y[sr // 2 :])
         assert 0.07 < float(settled.max()) < 0.14
 
+    def test_an_instant_limiter_caps_every_loud_sample(self, rng):
+        # zero attack and release times follow the level sample by sample, so
+        # from the first loud sample on each one over the threshold sits on it
+        sr = 8000
+        x = np.concatenate([rng.normal(0, 0.01, 400), rng.uniform(-0.9, 0.9, 4000)])
+        drc = CompressorConfig(threshold_db=-20.0, ratio=math.inf, attack_ms=0, release_ms=0)
+        y = dynamic_range_compress(x, sr, drc)
+        loud = np.abs(x) > 0.1
+        assert loud[400:].any() and not loud[:400].any()
+        np.testing.assert_allclose(20 * np.log10(np.abs(y[loud])), -20.0, rtol=0, atol=1e-9)
+        assert np.array_equal(y[~loud], x[~loud])
+
     def test_compressor_never_boosts(self, rng):
         sr = 8000
         x = rng.normal(0, 0.2, sr)

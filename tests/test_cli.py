@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from ascpipe.manifest import read_manifest
 from ascpipe.nn import (
     LayerSpec,
     ModelGraph,
+    blas,
     fold_batchnorm,
     forward,
     initialize,
@@ -281,12 +283,16 @@ COMMAND_ARGS = {
 }
 
 
+def _blas_line(threads) -> str:
+    dep = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"blas: {dep['name']} {dep['version']}, threads: {'unknown' if threads is None else threads}"
+
+
 @pytest.mark.parametrize("missing_input", [False, True], ids=["ok", "missing-input"])
 @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
 def test_every_command_prints_the_reproducibility_block(
-    ws, tmp_path, capsys, monkeypatch, command, missing_input
+    ws, tmp_path, capsys, command, missing_input
 ):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     write_scores(tmp_path / "fine.tsv", np.full((3, 10), 0.1), SCENE_LABELS)
     absent = tmp_path / "absent"
     d = SimpleNamespace(manifest=absent / "meta.tsv", feats=absent, model=absent / "m.ascm",
@@ -298,27 +304,38 @@ def test_every_command_prints_the_reproducibility_block(
     assert lines[1].startswith("config hash: ")
     assert lines[2] == "seed: 7"
     assert lines[3].startswith("versions: ascpipe ")
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    assert lines[4] == f"blas: {blas['name']} {blas['version']}, threads: OPENBLAS_NUM_THREADS=1"
+    assert lines[4] == _blas_line(blas.threads())
 
 
-def test_the_reproducibility_block_falls_back_to_the_cpu_affinity(ws, capsys, monkeypatch):
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    run_cli("report", ws.evald / "report.json")
-    assert capsys.readouterr().out.splitlines()[4].endswith(", threads: OMP_NUM_THREADS=3")
-    monkeypatch.delenv("OMP_NUM_THREADS")
-    run_cli("report", ws.evald / "report.json")
-    cpus = len(os.sched_getaffinity(0))
-    assert capsys.readouterr().out.splitlines()[4].endswith(f", threads: {cpus} (cpu affinity)")
-    # a platform without sched_getaffinity (macOS, Windows) counts the CPUs,
-    # and a thread variable needs no count at all
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert run_cli("report", ws.evald / "report.json") == 0
-    assert capsys.readouterr().out.splitlines()[4].endswith(f", threads: {os.cpu_count()} (cpu count)")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert run_cli("report", ws.evald / "report.json") == 0
-    assert capsys.readouterr().out.splitlines()[4].endswith(", threads: OPENBLAS_NUM_THREADS=1")
+def test_the_reproducibility_block_reads_the_blas_thread_count(ws, capsys, monkeypatch):
+    # a thread variable set after numpy has loaded OpenBLAS changes nothing,
+    # so the line reads OpenBLAS's own count, not the variable
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "16")
+    found = blas.threads()
+
+    def line():
+        assert run_cli("report", ws.evald / "report.json") == 0
+        return capsys.readouterr().out.splitlines()[4]
+
+    assert line() == _blas_line(found)
+    with blas.one_thread():
+        assert line() == _blas_line(None if found is None else 1)
+    monkeypatch.setattr(blas, "_threads", ())  # no OpenBLAS found
+    assert line() == _blas_line(None)
+
+
+def test_the_module_runs_as_a_process(tmp_path):
+    # `python3 -m ascpipe.cli`, as the README runs it, exits with main's code
+    env = {**os.environ, "PYTHONPATH": str(Path(ascpipe.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ascpipe.cli", "report", str(tmp_path / "absent.json")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("data error: ")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "command: report"
+    assert lines[4].startswith("blas: ")
 
 
 class TestScoreFiles:
@@ -989,6 +1006,15 @@ class TestEvaluateQuantized:
         assert "Traceback" not in err
 
 
+def _negative_count(groups):
+    """One group's count below 0, with the sum unchanged."""
+    first, second = list(groups)[:2]
+    moved = groups[first]["count"] + 1
+    groups[first]["count"] -= moved
+    groups[second]["count"] += moved
+    return groups
+
+
 class TestReport:
     def test_scores_report_matches_evaluate(self, ws, tmp_path):
         out = tmp_path / "rep"
@@ -1010,8 +1036,13 @@ class TestReport:
             ("confusion", lambda conf: [[1]]),
             ("classes", lambda classes: []),
             ("confusion", lambda conf: [[[n, n] for n in row] for row in conf]),
+            ("groups", lambda groups: {k: {**g, "count": 0} for k, g in groups.items()}),
+            ("groups", _negative_count),
+            ("groups", lambda groups: []),
+            ("groups", lambda groups: {k: {**g, "count": math.inf} for k, g in groups.items()}),
         ],
-        ids=["confusion-1x1", "no-classes", "confusion-3d"],
+        ids=["confusion-1x1", "no-classes", "confusion-3d", "group-counts-zeroed",
+             "negative-group-count", "groups-not-an-object", "group-count-infinite"],
     )
     def test_malformed_json_exit_3(self, ws, tmp_path, capsys, field, damage):
         payload = json.loads((ws.evald / "report.json").read_text())
@@ -1020,6 +1051,19 @@ class TestReport:
         bad.write_text(json.dumps(payload))
         assert run_cli("report", bad) == 3
         assert "bad report JSON" in capsys.readouterr().err
+
+    def test_summaries_are_derived_from_the_counts(self, ws, tmp_path, capsys):
+        # stored summaries that contradict the confusion matrix are not read
+        payload = json.loads((ws.evald / "report.json").read_text())
+        payload["per_class_accuracy"] = [12.5] * len(payload["classes"])
+        payload["avg_accuracy_items"] = payload["avg_accuracy_groups"] = 12.5
+        payload["group_order"] = ["A"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli("report", bad) == 0
+        text = capsys.readouterr().out
+        assert "12.5" not in text
+        assert text.endswith((ws.evald / "report.txt").read_text())
 
     def test_scores_without_manifest(self, ws, capsys):
         code = run_cli("report", ws.evald / "scores.tsv")

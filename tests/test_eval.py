@@ -1,5 +1,6 @@
 """Tests for manifests, evaluation reports, and prediction overlap."""
 
+import json
 import math
 
 import numpy as np
@@ -317,6 +318,36 @@ class TestReportSerialization:
             report_from_json("{not json")
         with pytest.raises(DataError, match="bad report JSON"):
             report_from_json('{"classes": []}')
+
+    def test_summaries_follow_from_the_counts(self):
+        report = EvalReport(
+            classes=("bus", "tram", "park"),
+            group_counts={"A": 3, "B&C": 0, "unknown": 1},
+            group_accuracy={"A": 200 / 3, "B&C": math.nan, "unknown": 0.0},
+            val_loss=0.5,
+            confusion=np.array([[1, 1, 0], [0, 1, 1], [0, 0, 0]]),
+        )
+        assert report.group_order == ("A", "B&C", "unknown")
+        assert report.avg_accuracy_items == 50.0
+        assert report.avg_accuracy_groups == pytest.approx(100 / 3)
+        assert np.array_equal(report.per_class_accuracy, [50.0, 50.0, math.nan], equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "counts, zero_confusion",
+        [({"A": 2, "B&C": 0}, False), ({"A": 0, "B&C": 0}, True), ({"A": 4, "B&C": -1}, False)],
+        ids=["short-of-the-total", "total-zero", "negative"],
+    )
+    def test_counts_must_add_up_to_a_positive_total(self, counts, zero_confusion):
+        payload = json.loads(report_to_json(self.make_report()))
+        payload["groups"] = {
+            name: {"count": n, "accuracy": None} for name, n in counts.items()
+        }
+        if zero_confusion:
+            payload["confusion"] = np.zeros((10, 10), dtype=int).tolist()
+        else:
+            payload["confusion"] = np.diag([3] + [0] * 9).tolist()
+        with pytest.raises(DataError, match="bad report JSON: group counts"):
+            report_from_json(json.dumps(payload))
 
     def test_render_contains_table_columns(self):
         text = render_report(self.make_report())

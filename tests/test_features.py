@@ -21,6 +21,7 @@ from ascpipe.features import (
     extract_clip_features,
     fit_scale01,
     frame_count,
+    hann_window,
     hz_to_mel,
     istft,
     log_mel,
@@ -74,6 +75,24 @@ class TestStft:
         spec = stft_complex(x, CFG)
         y = istft(spec, CFG, len(x))
         np.testing.assert_allclose(y, x, atol=1e-9)
+
+    def test_a_window_shorter_than_n_fft_sits_zero_padded_in_the_middle(self, rng):
+        # the reference frames: centred, reflect-padded, times a
+        # hann_window(win_length) placed at (n_fft - win_length) // 2
+        cfg = SpectroConfig(n_fft=512, win_length=300, hop=128)
+        x = rng.standard_normal(4000) * 0.2
+        padded = np.pad(x, cfg.n_fft // 2, mode="reflect")
+        win = np.zeros(cfg.n_fft)
+        lpad = (cfg.n_fft - cfg.win_length) // 2
+        win[lpad : lpad + cfg.win_length] = hann_window(cfg.win_length)
+        frames = [
+            padded[t * cfg.hop : t * cfg.hop + cfg.n_fft] * win
+            for t in range(frame_count(len(x), cfg.hop))
+        ]
+        want = np.fft.rfft(frames, axis=1)
+        spec = stft_complex(x, cfg)
+        np.testing.assert_allclose(spec, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(istft(spec, cfg, len(x)), x, atol=1e-9)
 
     def test_stft_is_linear_in_the_mix(self, rng):
         a = rng.normal(0.0, 0.1, 11025)

@@ -93,17 +93,17 @@ class TestHierarchy:
         with pytest.raises(DataError, match="cannot read"):
             ClassHierarchy.from_file(tmp_path / "absent.txt")
 
-    def test_rejects_class_without_parent(self):
-        with pytest.raises(DataError, match="without a parent"):
-            ClassHierarchy(("a", "b"), ("s",), {"a": "s"})
+    def test_one_ordered_map_gives_classes_and_superclasses(self):
+        h = ClassHierarchy({"b": "y", "a": "x", "c": "y"})
+        assert h.classes == ("b", "a", "c")
+        assert h.superclasses == ("y", "x")
+        assert np.array_equal(h.parent_indices(), [0, 1, 0])
 
-    def test_rejects_unknown_superclass_in_map(self):
-        with pytest.raises(DataError, match="unknown superclass"):
-            ClassHierarchy(("a",), ("s",), {"a": "t"})
-
-    def test_rejects_childless_superclass(self):
-        with pytest.raises(DataError, match="no members"):
-            ClassHierarchy(("a",), ("s", "empty"), {"a": "s"})
+    def test_from_file_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "hier.txt"
+        path.write_text("# nothing but a comment\n\n")
+        with pytest.raises(DataError, match="no classes"):
+            ClassHierarchy.from_file(path)
 
     def test_label_set_is_classes_or_superclasses(self):
         h = ClassHierarchy.default()

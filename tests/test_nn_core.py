@@ -196,8 +196,8 @@ class TestTrainLoop:
         g = _toy_classifier(seed=1)
         before = {layer: {k: v.copy() for k, v in store.items()} for layer, store in g.params.items()}
         xs, ys = _toy_dataset()
-        result = train(g, xs, ys, self.SCHED, epochs=0, seed=0)
-        assert result.loss_curve == []
+        losses = train(g, xs, ys, self.SCHED, epochs=0, seed=0)
+        assert losses == []
         for layer, store in before.items():
             for key, arr in store.items():
                 assert np.array_equal(g.params[layer][key], arr)
@@ -205,8 +205,8 @@ class TestTrainLoop:
     def test_loss_decreases_on_separable_data(self):
         g = _toy_classifier(seed=2)
         xs, ys = _toy_dataset()
-        result = train(g, xs, ys, self.SCHED, epochs=8, seed=3, batch_size=16)
-        assert result.loss_curve[-1] < result.loss_curve[0] * 0.8
+        losses = train(g, xs, ys, self.SCHED, epochs=8, seed=3, batch_size=16)
+        assert losses[-1] < losses[0] * 0.8
         acc = (predict(g, xs).argmax(1) == ys.argmax(1)).mean()
         assert acc >= 0.9
 
@@ -237,11 +237,11 @@ class TestTrainLoop:
     def test_online_crop_feeds_reduced_time_axis(self):
         g = _toy_classifier(input_shape=(4, 4, 1), seed=6)
         xs, ys = _toy_dataset(shape=(6, 4, 1))
-        result = train(
+        losses = train(
             g, xs, ys, self.SCHED, epochs=1, seed=0, batch_size=16,
             online=OnlineAugment(crop_len=4),
         )
-        assert len(result.loss_curve) == 1
+        assert len(losses) == 1
 
     def test_empty_dataset_rejected(self):
         g = _toy_classifier()

@@ -198,6 +198,18 @@ class TestBatchnorm:
         want_mean = 0.1 * x.mean(axis=(0, 1, 2))
         assert np.allclose(g.params["bn"]["running_mean"], want_mean, atol=1e-6)
 
+    def test_eval_backward_matches_finite_differences(self):
+        # gradcheck's batchnorm case runs in train mode; eval mode normalizes
+        # by the running stats, here random, as are gamma and beta
+        g = self._graph()
+        rng = np.random.default_rng(8)
+        g.params["bn"]["running_mean"] = rng.standard_normal(2)
+        g.params["bn"]["running_var"] = rng.uniform(0.25, 4.0, 2)
+        g.params["bn"]["gamma"] = rng.uniform(0.5, 2.0, 2)
+        g.params["bn"]["beta"] = rng.standard_normal(2)
+        x = rng.standard_normal((4, 3, 2, 2))
+        assert max_rel_error(g, x, rng, mode="eval") <= TOL
+
     def test_eval_is_deterministic_affine(self):
         g = self._graph()
         g.params["bn"]["running_mean"] = np.array([1.0, -1.0], dtype=np.float32)
