@@ -78,6 +78,8 @@ def read_scores(path: str | Path) -> tuple[np.ndarray, tuple[str, ...]]:
     if len(lines) < 2:
         raise DataError(f"{path}: need a class header and at least one row")
     classes = tuple(lines[0][1].split("\t"))
+    if "" in classes:
+        raise DataError(f"{path}: empty class name in the header")
     repeated = next((c for i, c in enumerate(classes) if c in classes[:i]), None)
     if repeated is not None:
         raise DataError(f"{path}: class {repeated!r} appears twice in the header")
@@ -485,6 +487,9 @@ def cmd_quantize(args, cfg: RunConfig) -> int:
 def cmd_report(args, cfg: RunConfig) -> int:
     path = Path(args.scores)
     if path.suffix == ".json":
+        for flag in ("manifest", "out"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag} applies to a scores file, not to report JSON {path}")
         print(render_report(report_from_json(read_text(path, DataError, "report"))))
         return 0
     if args.manifest is None:

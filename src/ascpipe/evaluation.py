@@ -4,7 +4,8 @@ Test items are grouped by recording device: the reference device A, the
 real devices B and C together, and two trios of simulated devices. Any
 other source label lands in a catch-all "unknown" group row. Because
 "average accuracy" is ambiguous between weighting items and weighting
-device groups, the report carries both numbers.
+device groups, the report carries both numbers. A report stores one
+[true, predicted] count matrix per group; every accuracy follows from them.
 """
 
 from __future__ import annotations
@@ -32,37 +33,53 @@ _LOG_EPS = 1e-12
 
 @dataclass
 class EvalReport:
-    """What was measured; the summary accuracies follow from it."""
+    """What was measured; every accuracy follows from it."""
 
     classes: tuple[str, ...]
-    group_counts: dict[str, int]  # items per group, in group order
-    group_accuracy: dict[str, float]  # percent; nan for empty groups
     val_loss: float
-    confusion: np.ndarray  # [true, predicted] counts
+    # group -> k x k int64 [true, predicted] counts, in group order
+    group_confusion: dict[str, np.ndarray]
 
     @property
     def group_order(self) -> tuple[str, ...]:
-        return tuple(self.group_counts)
+        return tuple(self.group_confusion)
+
+    @property
+    def group_counts(self) -> dict[str, int]:
+        return {name: int(m.sum()) for name, m in self.group_confusion.items()}
+
+    @property
+    def group_accuracy(self) -> dict[str, float]:
+        """Percent per group; nan for empty groups."""
+        return {
+            name: float(np.trace(m) / m.sum() * 100.0) if m.sum() else math.nan
+            for name, m in self.group_confusion.items()
+        }
+
+    @property
+    def confusion(self) -> np.ndarray:
+        """[true, predicted] counts over all groups."""
+        return sum(self.group_confusion.values())
 
     @property
     def avg_accuracy_items(self) -> float:
         """Percent over all items."""
-        return float(np.trace(self.confusion) / self.confusion.sum() * 100.0)
+        confusion = self.confusion
+        return float(np.trace(confusion) / confusion.sum() * 100.0)
 
     @property
     def avg_accuracy_groups(self) -> float:
         """Percent, the mean over non-empty groups."""
         return float(np.mean(
-            [self.group_accuracy[name] for name, n in self.group_counts.items() if n]
+            [acc for acc in self.group_accuracy.values() if not math.isnan(acc)]
         ))
 
     @property
     def per_class_accuracy(self) -> np.ndarray:
         """Percent per class; nan when the class is absent."""
-        totals = self.confusion.sum(axis=1)
-        return np.where(
-            totals > 0, np.diag(self.confusion) / np.maximum(totals, 1) * 100.0, math.nan
-        )
+        confusion = self.confusion
+        totals = confusion.sum(axis=1)
+        return np.where(totals > 0, np.diag(confusion) / np.maximum(totals, 1) * 100.0, math.nan)
 
 
 def _group_of(source_label: str) -> str:
@@ -108,34 +125,20 @@ def evaluate(
 
     true = manifest.label_indices(classes)
     top1 = np.argmax(preds, axis=1)
-    hits = top1 == true
 
     probs = preds / row_sums[:, None]
-    val_loss = float(np.mean(-np.log(probs[np.arange(len(true)), true] + _LOG_EPS)))
-
-    groups = np.array([_group_of(r.source_label) for r in manifest.rows])
-    order = [name for name, _ in DEVICE_GROUPS]
-    if (groups == UNKNOWN_GROUP).any():
-        order.append(UNKNOWN_GROUP)
-    counts: dict[str, int] = {}
-    accuracy: dict[str, float] = {}
-    for name in order:
-        mask = groups == name
-        counts[name] = int(mask.sum())
-        accuracy[name] = (
-            float(hits[mask].mean() * 100.0) if counts[name] else math.nan
-        )
-
-    k = len(classes)
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (true, top1), 1)
-    return EvalReport(
-        classes=classes,
-        group_counts=counts,
-        group_accuracy=accuracy,
-        val_loss=val_loss,
-        confusion=confusion,
+    # the eps keeps the log finite, but would put a loss whose every p is 1 below 0
+    val_loss = max(
+        float(np.mean(-np.log(probs[np.arange(len(true)), true] + _LOG_EPS))), 0.0
     )
+
+    groups = [_group_of(r.source_label) for r in manifest.rows]
+    order = [name for name, _ in DEVICE_GROUPS]
+    if UNKNOWN_GROUP in groups:
+        order.append(UNKNOWN_GROUP)
+    counts = np.zeros((len(order), len(classes), len(classes)), dtype=np.int64)
+    np.add.at(counts, ([order.index(g) for g in groups], true, top1), 1)
+    return EvalReport(classes, val_loss, dict(zip(order, counts)))
 
 
 def _fmt(value: float, width: int) -> str:
@@ -148,7 +151,7 @@ def render_report(report: EvalReport) -> str:
     """Human-readable report table."""
     headers = [f"{name} acc. %" for name in report.group_order]
     headers += ["val loss", "Avg acc. %"]
-    values = [report.group_accuracy[name] for name in report.group_order]
+    values = list(report.group_accuracy.values())
     widths = [max(len(h), 8) for h in headers]
     cells = [_fmt(v, w) for v, w in zip(values, widths)]
     cells.append(f"{report.val_loss:.3f}".rjust(widths[-2]))
@@ -167,10 +170,11 @@ def render_report(report: EvalReport) -> str:
         lines.append(f"  {cls:<20} {shown}")
     lines.append("")
     lines.append("confusion matrix (rows true, columns predicted):")
+    confusion = report.confusion
     name_w = max(len(c) for c in report.classes)
-    cell_w = max(len(str(int(report.confusion.max()))), 3)
-    for i, cls in enumerate(report.classes):
-        row = " ".join(str(int(n)).rjust(cell_w) for n in report.confusion[i])
+    cell_w = max(len(str(int(confusion.max()))), 3)
+    for cls, counts in zip(report.classes, confusion):
+        row = " ".join(str(int(n)).rjust(cell_w) for n in counts)
         lines.append(f"  {cls:<{name_w}} {row}")
     return "\n".join(lines) + "\n"
 
@@ -181,13 +185,12 @@ def _none_for_nan(value: float):
 
 def report_to_json(report: EvalReport) -> str:
     """Machine-readable report; NaN accuracies become null."""
+    counts, accuracy = report.group_counts, report.group_accuracy
     payload = {
         "classes": list(report.classes),
+        "group_confusion": {name: m.tolist() for name, m in report.group_confusion.items()},
         "groups": {
-            name: {
-                "count": report.group_counts[name],
-                "accuracy": _none_for_nan(report.group_accuracy[name]),
-            }
+            name: {"count": counts[name], "accuracy": _none_for_nan(accuracy[name])}
             for name in report.group_order
         },
         "group_order": list(report.group_order),
@@ -203,41 +206,35 @@ def report_to_json(report: EvalReport) -> str:
 
 
 def report_from_json(text: str) -> EvalReport:
-    """The measured fields of a report; the summaries are derived again."""
+    """The measured fields of a report; everything else is derived again."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"bad report JSON: {exc}") from exc
     try:
         classes = payload["classes"]
-        if not (isinstance(classes, list) and classes
-                and all(isinstance(c, str) for c in classes)):
-            raise DataError("bad report JSON: classes must be a non-empty list of strings")
-        k = len(classes)
-        confusion = np.array(payload["confusion"])
-        if not (confusion.shape == (k, k) and np.issubdtype(confusion.dtype, np.integer)
-                and (confusion >= 0).all()):
-            raise DataError(f"bad report JSON: confusion must be a {k}x{k} array of counts")
-        # report_to_json sorts the keys, and evaluate's group order is sorted
-        groups = payload["groups"]
-        if not isinstance(groups, dict):
-            raise DataError("bad report JSON: groups must be an object")
-        counts = {name: int(g["count"]) for name, g in groups.items()}
-        total = int(confusion.sum())
-        if total <= 0 or sum(counts.values()) != total or min(counts.values()) < 0:
+        if not (isinstance(classes, list) and classes and len(set(classes)) == len(classes)
+                and all(isinstance(c, str) and c for c in classes)):
+            raise DataError("bad report JSON: classes must be distinct non-empty strings")
+        val_loss = float(payload["val_loss"])
+        if not (math.isfinite(val_loss) and val_loss >= 0):
+            raise DataError(f"bad report JSON: val_loss {val_loss} must be finite and >= 0")
+        if "group_confusion" not in payload:
             raise DataError(
-                f"bad report JSON: group counts {counts} must be non-negative and "
-                f"add up to the confusion total ({total}), which must be above 0"
+                "bad report JSON: no group_confusion; rerun evaluate to write this report again"
             )
-        return EvalReport(
-            classes=tuple(classes),
-            group_counts=counts,
-            group_accuracy={
-                name: math.nan if g["accuracy"] is None else float(g["accuracy"])
-                for name, g in groups.items()
-            },
-            val_loss=float(payload["val_loss"]),
-            confusion=confusion.astype(np.int64),
-        )
+        # report_to_json sorts the keys, and evaluate's group order is sorted
+        groups = payload["group_confusion"]
+        if not isinstance(groups, dict):
+            raise DataError("bad report JSON: group_confusion must be an object")
+        k = len(classes)
+        stack = np.array(list(groups.values()))
+        if not (stack.shape[1:] == (k, k) and stack.dtype == np.int64 and (stack >= 0).all()
+                and 0 < sum(map(int, stack.flat)) < 2**63):
+            raise DataError(
+                f"bad report JSON: group_confusion must map groups to {k}x{k} arrays "
+                f"of counts >= 0 whose int64 total is above 0"
+            )
+        return EvalReport(tuple(classes), val_loss, dict(zip(groups, stack)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad report JSON: {exc}") from exc

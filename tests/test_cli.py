@@ -382,6 +382,12 @@ class TestScoreFiles:
         with pytest.raises(DataError, match="cannot read scores"):
             read_scores(tmp_path / "absent.tsv")
 
+    def test_empty_class_rejected(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        path.write_text("bus\t\ttram\n0.2\t0.3\t0.5\n")
+        with pytest.raises(DataError, match=r"scores\.tsv: empty class name"):
+            read_scores(path)
+
     def test_repeated_class_rejected(self, tmp_path):
         # a column looked up by name would read the first of the two
         path = tmp_path / "scores.tsv"
@@ -1006,15 +1012,6 @@ class TestEvaluateQuantized:
         assert "Traceback" not in err
 
 
-def _negative_count(groups):
-    """One group's count below 0, with the sum unchanged."""
-    first, second = list(groups)[:2]
-    moved = groups[first]["count"] + 1
-    groups[first]["count"] -= moved
-    groups[second]["count"] += moved
-    return groups
-
-
 class TestReport:
     def test_scores_report_matches_evaluate(self, ws, tmp_path):
         out = tmp_path / "rep"
@@ -1033,16 +1030,25 @@ class TestReport:
     @pytest.mark.parametrize(
         "field, damage",
         [
-            ("confusion", lambda conf: [[1]]),
+            ("group_confusion", lambda groups: {k: [[1]] for k in groups}),
             ("classes", lambda classes: []),
-            ("confusion", lambda conf: [[[n, n] for n in row] for row in conf]),
-            ("groups", lambda groups: {k: {**g, "count": 0} for k, g in groups.items()}),
-            ("groups", _negative_count),
-            ("groups", lambda groups: []),
-            ("groups", lambda groups: {k: {**g, "count": math.inf} for k, g in groups.items()}),
+            ("group_confusion", lambda groups: {k: [[[n, n] for n in row] for row in m]
+                                                for k, m in groups.items()}),
+            ("group_confusion", lambda groups: {k: [[0] * len(m)] * len(m) for k, m in groups.items()}),
+            ("group_confusion", lambda groups: {k: [[-n for n in row] for row in m]
+                                                for k, m in groups.items()}),
+            ("group_confusion", lambda groups: {k: [[n / 2 for n in row] for row in m]
+                                                for k, m in groups.items()}),
+            ("group_confusion", lambda groups: list(groups.values())),
+            ("classes", lambda classes: classes[:1] * len(classes)),
+            ("classes", lambda classes: [""] + classes[1:]),
+            ("val_loss", lambda loss: math.nan),
+            ("val_loss", lambda loss: math.inf),
+            ("val_loss", lambda loss: -3.0),
         ],
-        ids=["confusion-1x1", "no-classes", "confusion-3d", "group-counts-zeroed",
-             "negative-group-count", "groups-not-an-object", "group-count-infinite"],
+        ids=["matrix-1x1", "no-classes", "matrix-3d", "matrices-zeroed", "matrices-negative",
+             "matrices-fractional", "matrices-not-an-object", "repeated-class", "empty-class",
+             "loss-nan", "loss-infinite", "loss-negative"],
     )
     def test_malformed_json_exit_3(self, ws, tmp_path, capsys, field, damage):
         payload = json.loads((ws.evald / "report.json").read_text())
@@ -1064,6 +1070,38 @@ class TestReport:
         text = capsys.readouterr().out
         assert "12.5" not in text
         assert text.endswith((ws.evald / "report.txt").read_text())
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda payload: payload["groups"]["A"].update(accuracy=250.0),
+            lambda payload: payload.update(confusion=[[1] * len(row) for row in payload["confusion"]]),
+            lambda payload: payload["groups"]["A"].update(count=1),
+        ],
+        ids=["group-accuracy-250", "confusion-contradicts", "group-count-contradicts"],
+    )
+    def test_group_values_are_derived_from_the_group_matrices(self, ws, tmp_path, capsys, damage):
+        payload = json.loads((ws.evald / "report.json").read_text())
+        damage(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli("report", bad) == 0
+        assert capsys.readouterr().out.endswith((ws.evald / "report.txt").read_text())
+
+    def test_report_json_without_group_matrices_exit_3(self, ws, tmp_path, capsys):
+        payload = json.loads((ws.evald / "report.json").read_text())
+        del payload["group_confusion"]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(payload))
+        assert run_cli("report", old) == 3
+        assert "rerun evaluate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--manifest", "--out"])
+    def test_report_json_takes_no_manifest_or_out(self, ws, tmp_path, capsys, flag):
+        out = tmp_path / "rep"
+        assert run_cli("report", ws.evald / "report.json", flag, out) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scores_without_manifest(self, ws, capsys):
         code = run_cli("report", ws.evald / "scores.tsv")

@@ -242,6 +242,28 @@ class TestEvaluate:
         assert report.per_class_accuracy[7] == pytest.approx(100.0)
         assert math.isnan(report.per_class_accuracy[9])
 
+    def test_one_matrix_per_group_sums_to_the_confusion(self):
+        labels = ["airport", "bus", "park", "tram", "metro", "airport"]
+        devices = ["a", "a", "b", "s2", "webcam", "s5"]
+        correct = [True, False, True, True, False, True]
+        m = manifest_of(zip(labels, devices))
+        report = evaluate(scores_for(labels, SCENE_LABELS, correct), m, SCENE_LABELS)
+        assert report.group_order == ("A", "B&C", "s1-s3", "s4-s6", "unknown")
+        a = report.group_confusion["A"]
+        assert a.shape == (10, 10) and a.dtype == np.int64
+        assert a.sum() == 2 and a[0, 0] == 1 and a[7, 8] == 1
+        assert np.array_equal(report.confusion, sum(report.group_confusion.values()))
+        assert report.group_counts == {"A": 2, "B&C": 1, "s1-s3": 1, "s4-s6": 1, "unknown": 1}
+
+    def test_certain_hits_give_a_zero_loss_that_reads_back(self):
+        # -log(1 + eps) is just below 0; a loss below 0 would not read back
+        labels = ["airport", "bus"]
+        m = manifest_of(zip(labels, ["a", "b"]))
+        report = evaluate(scores_for(labels, SCENE_LABELS, [True, True], strength=1.0), m,
+                          SCENE_LABELS)
+        assert report.val_loss == 0.0
+        assert report_from_json(report_to_json(report)).val_loss == 0.0
+
     def test_superclass_labels_score_against_superclass_columns(self):
         labels = ["indoor", "outdoor", "transportation", "indoor"]
         m = manifest_of(zip(labels, ["a", "b", "s1", "s9"]))
@@ -322,32 +344,73 @@ class TestReportSerialization:
     def test_summaries_follow_from_the_counts(self):
         report = EvalReport(
             classes=("bus", "tram", "park"),
-            group_counts={"A": 3, "B&C": 0, "unknown": 1},
-            group_accuracy={"A": 200 / 3, "B&C": math.nan, "unknown": 0.0},
             val_loss=0.5,
-            confusion=np.array([[1, 1, 0], [0, 1, 1], [0, 0, 0]]),
+            group_confusion={
+                "A": np.array([[1, 1, 0], [0, 1, 0], [0, 0, 0]]),
+                "B&C": np.zeros((3, 3), dtype=np.int64),
+                "unknown": np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+            },
         )
         assert report.group_order == ("A", "B&C", "unknown")
+        assert report.group_counts == {"A": 3, "B&C": 0, "unknown": 1}
+        assert report.group_accuracy["A"] == pytest.approx(200 / 3)
+        assert math.isnan(report.group_accuracy["B&C"])
+        assert report.group_accuracy["unknown"] == 0.0
+        assert np.array_equal(report.confusion, [[1, 1, 0], [0, 1, 1], [0, 0, 0]])
         assert report.avg_accuracy_items == 50.0
         assert report.avg_accuracy_groups == pytest.approx(100 / 3)
         assert np.array_equal(report.per_class_accuracy, [50.0, 50.0, math.nan], equal_nan=True)
 
     @pytest.mark.parametrize(
-        "counts, zero_confusion",
-        [({"A": 2, "B&C": 0}, False), ({"A": 0, "B&C": 0}, True), ({"A": 4, "B&C": -1}, False)],
-        ids=["short-of-the-total", "total-zero", "negative"],
+        "matrices",
+        [
+            {"A": [[1.0, 0], [0, 2]]},
+            {"A": [["1", 0], [0, 2]]},
+            {"A": [[1, 0], [0, 2]], "B&C": [[1]]},
+            {"A": [[2**62, 0], [0, 2**62]]},
+            {},
+        ],
+        ids=["float", "string", "ragged", "int64-overflow", "no-groups"],
     )
-    def test_counts_must_add_up_to_a_positive_total(self, counts, zero_confusion):
-        payload = json.loads(report_to_json(self.make_report()))
-        payload["groups"] = {
-            name: {"count": n, "accuracy": None} for name, n in counts.items()
-        }
-        if zero_confusion:
-            payload["confusion"] = np.zeros((10, 10), dtype=int).tolist()
-        else:
-            payload["confusion"] = np.diag([3] + [0] * 9).tolist()
-        with pytest.raises(DataError, match="bad report JSON: group counts"):
+    def test_group_matrices_must_hold_counts_with_a_positive_total(self, matrices):
+        payload = {"classes": ["bus", "tram"], "val_loss": 0.5, "group_confusion": matrices}
+        with pytest.raises(DataError, match="bad report JSON"):
             report_from_json(json.dumps(payload))
+
+    def test_render_is_unchanged(self):
+        report = EvalReport(
+            classes=("airport", "bus", "metro_station", "tram"),
+            val_loss=1.2345,
+            group_confusion={
+                name: np.array(m, dtype=np.int64)
+                for name, m in {
+                    "A": [[3, 1, 0, 0], [0, 2, 0, 1], [1, 0, 4, 0], [0, 0, 0, 0]],
+                    "B&C": [[0] * 4] * 4,
+                    "s1-s3": [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 0, 0]],
+                    "s4-s6": [[0, 2, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+                    "unknown": [[1000, 0, 0, 0], [0, 0, 1, 0], [0] * 4, [0] * 4],
+                }.items()
+            },
+        )
+        assert render_report(report) == (
+            "A acc. %  B&C acc. %  s1-s3 acc. %  s4-s6 acc. %  unknown acc. %  val loss  Avg acc. %\n"
+            "    75.0           -          60.0          25.0            99.9     1.234        99.1\n"
+            "\n"
+            "item-weighted average accuracy:  99.12 %\n"
+            "group-weighted average accuracy: 64.98 %\n"
+            "\n"
+            "per-class accuracy:\n"
+            "  airport              99.7 %\n"
+            "  bus                  50.0 %\n"
+            "  metro_station        66.7 %\n"
+            "  tram                 -\n"
+            "\n"
+            "confusion matrix (rows true, columns predicted):\n"
+            "  airport       1004    3    0    0\n"
+            "  bus              1    3    1    1\n"
+            "  metro_station    1    0    6    2\n"
+            "  tram             0    0    0    0\n"
+        )
 
     def test_render_contains_table_columns(self):
         text = render_report(self.make_report())
