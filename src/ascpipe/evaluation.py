@@ -216,7 +216,9 @@ def report_from_json(text: str) -> EvalReport:
         if not (isinstance(classes, list) and classes and len(set(classes)) == len(classes)
                 and all(isinstance(c, str) and c for c in classes)):
             raise DataError("bad report JSON: classes must be distinct non-empty strings")
-        val_loss = float(payload["val_loss"])
+        val_loss = payload["val_loss"]
+        if not isinstance(val_loss, (int, float)) or isinstance(val_loss, bool):
+            raise DataError(f"bad report JSON: val_loss {val_loss!r} must be a number")
         if not (math.isfinite(val_loss) and val_loss >= 0):
             raise DataError(f"bad report JSON: val_loss {val_loss} must be finite and >= 0")
         if "group_confusion" not in payload:
@@ -229,12 +231,14 @@ def report_from_json(text: str) -> EvalReport:
             raise DataError("bad report JSON: group_confusion must be an object")
         k = len(classes)
         stack = np.array(list(groups.values()))
+        # a JSON true inside a list of integers would read as the count 1
         if not (stack.shape[1:] == (k, k) and stack.dtype == np.int64 and (stack >= 0).all()
+                and all(type(n) is int for m in groups.values() for row in m for n in row)
                 and 0 < sum(map(int, stack.flat)) < 2**63):
             raise DataError(
                 f"bad report JSON: group_confusion must map groups to {k}x{k} arrays "
-                f"of counts >= 0 whose int64 total is above 0"
+                f"of integer counts >= 0 whose int64 total is above 0"
             )
-        return EvalReport(tuple(classes), val_loss, dict(zip(groups, stack)))
+        return EvalReport(tuple(classes), float(val_loss), dict(zip(groups, stack)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad report JSON: {exc}") from exc

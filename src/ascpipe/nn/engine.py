@@ -29,6 +29,9 @@ class Tape:
     the int8 path). ``acts`` maps the final layer's name to the graph
     output: every other activation was dropped once its last reader had
     run, and lives on only where a cache holds it.
+
+    A tape backs one ``run_backward``: the walk frees each layer's cache
+    as it passes the layer, so afterwards only ``acts`` is left.
     """
 
     acts: dict
@@ -145,8 +148,15 @@ def run_backward(graph: ModelGraph, tape: Tape, dout: np.ndarray, skip_last: boo
     (the fused softmax + cross-entropy path). With input_grad=False no
     gradient is computed for an activation with no parameterised layer at
     or upstream of it, the graph input's included, which comes back None.
+
+    The walk pops each layer's cache from ``tape.caches`` as it reaches
+    the layer (one it skips, and the final layer under skip_last,
+    included), so a cache is freed once its own backward has returned and
+    the tape backs no second backward.
     """
     layers = graph.layers
+    if len(tape.caches) != len(layers):
+        raise GraphError("a tape backs one backward: run_forward again")
     wanted = {INPUT: input_grad}
     for spec in layers:
         wanted[spec.name] = spec.name in graph.params or any(wanted[s] for s in spec.inputs)
@@ -156,6 +166,7 @@ def run_backward(graph: ModelGraph, tape: Tape, dout: np.ndarray, skip_last: boo
         if len(last.inputs) != 1:
             raise GraphError("fused head requires a single-input final layer")
         grads_acts[last.inputs[0]] = dout
+        tape.caches.pop(last.name)
         layers = layers[:-1]
     else:
         grads_acts[layers[-1].name] = dout
@@ -163,13 +174,15 @@ def run_backward(graph: ModelGraph, tape: Tape, dout: np.ndarray, skip_last: boo
     param_grads: dict[str, dict[str, np.ndarray]] = {}
     for spec in reversed(layers):
         if not wanted[spec.name]:
+            tape.caches.pop(spec.name)
             continue
         if spec.name not in grads_acts:
             raise GraphError(f"layer {spec.name!r} received no output gradient")
-        d = grads_acts.pop(spec.name)
         params = graph.params.get(spec.name, {})
         need_dx = any(wanted[s] for s in spec.inputs)
-        dins, dparams = OPS[spec.kind].backward(spec, params, tape.caches[spec.name], d, need_dx)
+        dins, dparams = OPS[spec.kind].backward(
+            spec, params, tape.caches.pop(spec.name), grads_acts.pop(spec.name), need_dx
+        )
         for src, dx in zip(spec.inputs, dins):
             if wanted[src]:
                 grads_acts[src] = grads_acts[src] + dx if src in grads_acts else dx

@@ -304,16 +304,27 @@ def softmax_backward(dout, p):
     return p * (dout - inner)
 
 
+def _scaled_by_mask(a, kept, keep):
+    """``a * (kept.astype(a.dtype) / keep)``, value for value, with no
+    temporary besides the result."""
+    out = kept.astype(a.dtype)
+    out /= keep
+    out *= a
+    return out
+
+
 def dropout_forward(x, rate, mode, rng):
+    """Inverted dropout. The cache is the boolean mask of kept entries and
+    ``keep``, a quarter of a float32 mask's bytes; None outside training."""
     if mode != "train" or rate == 0.0:
         return x, None
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
-    return x * mask, mask
+    kept = rng.random(x.shape) < keep
+    return _scaled_by_mask(x, kept, keep), (kept, keep)
 
 
-def dropout_backward(dout, mask):
-    return dout if mask is None else dout * mask
+def dropout_backward(dout, cache):
+    return dout if cache is None else _scaled_by_mask(dout, *cache)
 
 
 def _sigmoid(x):

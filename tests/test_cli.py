@@ -1045,10 +1045,15 @@ class TestReport:
             ("val_loss", lambda loss: math.nan),
             ("val_loss", lambda loss: math.inf),
             ("val_loss", lambda loss: -3.0),
+            ("group_confusion", lambda groups: {k: [[True, *m[0][1:]], *m[1:]]
+                                                for k, m in groups.items()}),
+            ("val_loss", lambda loss: True),
+            ("val_loss", lambda loss: str(loss)),
         ],
         ids=["matrix-1x1", "no-classes", "matrix-3d", "matrices-zeroed", "matrices-negative",
              "matrices-fractional", "matrices-not-an-object", "repeated-class", "empty-class",
-             "loss-nan", "loss-infinite", "loss-negative"],
+             "loss-nan", "loss-infinite", "loss-negative", "matrix-boolean-count", "loss-boolean",
+             "loss-string"],
     )
     def test_malformed_json_exit_3(self, ws, tmp_path, capsys, field, damage):
         payload = json.loads((ws.evald / "report.json").read_text())

@@ -381,6 +381,25 @@ class TestDropout:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_boolean_mask_gives_the_float_mask_values(self, dtype, rate):
+        g = self._graph(rate)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 8, 8, 4)).astype(dtype)
+        dout = rng.standard_normal(x.shape).astype(dtype)
+        out, tape = run_forward(g, x, "train", (3, 9))
+        kept, keep = tape.caches["drop"]
+        assert kept.dtype == bool and keep == 1.0 - rate
+        _, dx = run_backward(g, tape, dout)
+        # the float mask the cache held before, from the layer's seed (key..., index)
+        mask = (np.random.default_rng([3, 9, 0]).random(x.shape) < 1.0 - rate).astype(dtype)
+        mask = mask / (1.0 - rate)
+        assert out.dtype == dx.dtype == dtype
+        assert np.array_equal(out, x * mask) and np.array_equal(dx, dout * mask)
+        out, tape = run_forward(g, x, "eval")
+        assert out is x and tape.caches == {"drop": None}
+
 
 class TestSplitConcat:
     def test_split_halves_and_concat_restores(self):
