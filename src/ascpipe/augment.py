@@ -15,12 +15,24 @@ from __future__ import annotations
 import array
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .audio import AudioClip
 from .errors import DataError
-from .features import FeatureTensor, SpectroConfig, istft, stft_complex
+from .features import (
+    BLOCK_FRAMES,
+    FeatureTensor,
+    SpectroConfig,
+    frame_count,
+    istft,
+    stft_complex,
+)
+
+
+MAX_PITCH_SEMITONES = 24.0  # two octaves either way
+MAX_RT60_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -37,11 +49,13 @@ class AugmentConfig:
         lo, hi = self.speed_range
         if not (0 < lo <= hi <= 2):
             raise DataError("speed_range must lie within (0, 2]")
+        # the caps bound what a drawn value allocates: an impulse response
+        # of rt60 seconds, and a resampled clip of up to 4 times the input
         lo, hi = self.rt60_range
-        if not 0 < lo <= hi:
-            raise DataError("rt60_range must be positive and ascending")
-        if not self.pitch_semitones >= 0:
-            raise DataError("pitch_semitones must be non-negative")
+        if not 0 < lo <= hi <= MAX_RT60_S:
+            raise DataError(f"rt60_range must be ascending within (0, {MAX_RT60_S:g}] s")
+        if not 0 <= self.pitch_semitones <= MAX_PITCH_SEMITONES:
+            raise DataError(f"pitch_semitones must lie within [0, {MAX_PITCH_SEMITONES:g}]")
         if not self.noise_std >= 0:
             raise DataError("noise_std must be non-negative")
 
@@ -168,8 +182,9 @@ def synth_rir(rt60: float, sample_rate: int, rng: np.random.Generator) -> np.nda
 def _fft_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     n = len(x) + len(kernel) - 1
     size = 1 << (n - 1).bit_length()
-    out = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(kernel, size), size)
-    return out[:n]
+    spec = np.fft.rfft(x, size)
+    spec *= np.fft.rfft(kernel, size)
+    return np.fft.irfft(spec, size)[:n]
 
 
 def _smoothing_alpha(time_ms: float, sample_rate: int) -> float:
@@ -181,43 +196,62 @@ def _smoothing_alpha(time_ms: float, sample_rate: int) -> float:
 def dynamic_range_compress(
     samples: np.ndarray, sample_rate: int, drc: CompressorConfig
 ) -> np.ndarray:
-    """Feed-forward compressor with attack/release smoothing on a dB envelope."""
-    x = np.atleast_2d(np.asarray(samples, dtype=np.float64).T).T  # (n, ch)
-    level_db = 20.0 * np.log10(np.abs(x.T) + 1e-12)  # (ch, n)
+    """Feed-forward compressor with attack/release smoothing on a dB envelope.
+
+    Takes (n,) or (n, channels) samples and returns a new array of that
+    shape, compressing one channel at a time.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    out = np.empty(x.shape)
+    for src, dst in zip(x.reshape(len(x), -1).T, out.reshape(len(x), -1).T):
+        np.multiply(src, _gain(src, sample_rate, drc), out=dst)
+    return out
+
+
+def _gain(x: np.ndarray, sample_rate: int, drc: CompressorConfig) -> np.ndarray:
+    """Linear gain of the compressor for one channel. The level, its
+    envelope and the gain are computed in turn in one buffer."""
     attack = _smoothing_alpha(drc.attack_ms, sample_rate)
     release = _smoothing_alpha(drc.release_ms, sample_rate)
     slope = 1.0 if math.isinf(drc.ratio) else 1.0 - 1.0 / drc.ratio
-
-    env_db = np.empty_like(level_db)
-    for levels, row in zip(level_db, env_db):
-        # Python floats read from and appended to a flat float64 buffer: the
-        # same sums, with no numpy scalar or float object kept per sample
-        env, envs = float(levels[0]), array.array("d")
-        for lvl in memoryview(levels):
-            env += (attack if lvl > env else release) * (lvl - env)
-            envs.append(env)
-        row[:] = envs
-    # the gain of each envelope sample, taken over the whole envelope at once
-    over = env_db - drc.threshold_db
-    gain_db = np.where(over > 0, -slope * over, 0.0)
-    out = x * 10.0 ** ((gain_db.T + drc.makeup_db) / 20.0)
-    return out if np.asarray(samples).ndim == 2 else out[:, 0]
+    db = np.abs(x)  # the level: 20 log10(|x| + 1e-12)
+    db += 1e-12
+    np.log10(db, out=db)
+    db *= 20.0
+    # Python floats read from and appended to a flat float64 buffer: the
+    # same sums, with no numpy scalar or float object kept per sample
+    env, envs = float(db[0]), array.array("d")
+    for lvl in memoryview(db):
+        env += (attack if lvl > env else release) * (lvl - env)
+        envs.append(env)
+    db[:] = envs  # the envelope
+    db -= drc.threshold_db
+    over = db > 0
+    db *= -slope  # the gain in dB: -slope times the envelope's excess, if any
+    np.copyto(db, 0.0, where=~over)
+    db += drc.makeup_db
+    db /= 20.0
+    return np.power(10.0, db, out=db)
 
 
 def apply_reverb_drc(
     clip: AudioClip, rir: np.ndarray, drc: CompressorConfig
 ) -> AudioClip:
-    """Convolve with an impulse response, compress, re-peak to the input."""
+    """Convolve with an impulse response, compress, re-peak to the input.
+
+    One channel at a time: a channel's convolution is compressed into its
+    column of the output before the next channel is convolved.
+    """
     orig_peak = float(np.max(np.abs(clip.samples)))
-    wet = np.stack(
-        [_fft_convolve(clip.channel(c), rir)[: clip.n_samples] for c in range(clip.channels)],
-        axis=1,
-    )
-    compressed = dynamic_range_compress(wet, clip.sample_rate, drc)
-    peak = float(np.max(np.abs(compressed)))
+    out = np.empty(clip.samples.shape)
+    for c in range(clip.channels):
+        wet = _fft_convolve(clip.channel(c), rir)[: clip.n_samples]
+        out[:, c] = dynamic_range_compress(wet, clip.sample_rate, drc)
+        del wet  # before the next channel's convolution allocates
+    peak = float(np.max(np.abs(out)))
     if peak > 0 and orig_peak > 0:
-        compressed = compressed * (orig_peak / peak)
-    return AudioClip(compressed, clip.sample_rate)
+        out *= orig_peak / peak
+    return AudioClip(out, clip.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -248,42 +282,72 @@ def pitch_shift_by(clip: AudioClip, semitones: float) -> AudioClip:
 
 
 def _stretch_to_length(x: np.ndarray, out_len: int, sample_rate: int) -> np.ndarray:
-    """Phase-vocoder time stretch to an exact number of samples."""
+    """Phase-vocoder time stretch to an exact number of samples.
+
+    Analysis, synthesis and the inverse STFT pass BLOCK_FRAMES frames at a
+    time from one to the next, so no whole-clip spectrum is held.
+    """
     win = 2048 if len(x) >= 4096 else 512
     cfg = SpectroConfig(n_fft=win, win_length=win, hop=win // 4)
     spec = stft_complex(x, cfg)
-    n_in = spec.shape[0]
-    n_out = out_len // cfg.hop + 1
+    n_in = frame_count(len(x), cfg.hop)
+    n_out = frame_count(out_len, cfg.hop)
+    return istft(_vocoded(spec, n_in, n_out, cfg), cfg, out_len)
+
+
+def _vocoded(
+    spec: Iterator[np.ndarray], n_in: int, n_out: int, cfg: SpectroConfig
+) -> Iterator[np.ndarray]:
+    """Phase-vocoder output spectrum of n_out frames, as blocks of up to
+    BLOCK_FRAMES rows, read from the blocks of an n_in-frame spectrum.
+
+    Output frame j interpolates input frames i and i + 1 around j * rate,
+    which may straddle two blocks, so the last two blocks read are kept.
+    """
     rate = (n_in - 1) / max(n_out - 1, 1)
-
-    omega = 2.0 * np.pi * cfg.hop * np.arange(spec.shape[1]) / cfg.n_fft
-    mags = np.abs(spec)
-    phases = np.angle(spec)
-
-    out = np.empty((n_out, spec.shape[1]), dtype=complex)
+    first = next(spec)
+    bins = first.shape[1]
+    omega = 2.0 * np.pi * cfg.hop * np.arange(bins) / cfg.n_fft
+    head = first[0].copy()  # output frame 0 is input frame 0
+    mags, phases = np.abs(first), np.angle(first)
+    del first
+    base = 0  # the input frame in row 0 of mags and phases
     phase = phases[0].copy()
-    out[0] = spec[0]
-    for j in range(1, n_out):
-        pos = j * rate
-        i = min(int(pos), n_in - 2)
-        frac = pos - i
-        mag = (1 - frac) * mags[i] + frac * mags[i + 1]
-        dphi = phases[i + 1] - phases[i] - omega
-        dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
-        phase = phase + omega + dphi
-        out[j] = mag * np.exp(1j * phase)
-    y = istft(out, cfg, out_len)
-    return y
+    for lo in range(0, n_out, BLOCK_FRAMES):
+        out = np.empty((min(BLOCK_FRAMES, n_out - lo), bins), dtype=complex)
+        if lo == 0:
+            out[0] = head
+        for j in range(max(lo, 1), lo + out.shape[0]):
+            pos = j * rate
+            i = min(int(pos), n_in - 2)
+            while i + 1 >= base + mags.shape[0]:
+                block = next(spec)
+                drop = max(mags.shape[0] - BLOCK_FRAMES, 0)
+                mags = np.concatenate([mags[drop:], np.abs(block)])
+                phases = np.concatenate([phases[drop:], np.angle(block)])
+                base += drop
+            frac = pos - i
+            r = i - base
+            mag = (1 - frac) * mags[r] + frac * mags[r + 1]
+            dphi = phases[r + 1] - phases[r] - omega
+            dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
+            phase = phase + omega + dphi
+            out[j - lo] = mag * np.exp(1j * phase)
+        yield out
 
 
 def speed_change_by(clip: AudioClip, ratio: float) -> AudioClip:
+    """Play the clip ratio times as fast; the length is kept, so a speed-up
+    ends in zeros and a slow-down is cut off.
+
+    Only the kept samples are resampled. A ratio of 1 or less keeps all n,
+    and n / ratio is not computed, as it may overflow for a tiny ratio.
+    """
     n = clip.n_samples
-    out_len = int(round(n / ratio))
+    keep = n if ratio <= 1 else min(n, int(round(n / ratio)))
     out = np.zeros_like(clip.samples)
     for c in range(clip.channels):
-        resampled = _resample_linear(clip.channel(c), ratio, out_len)
-        keep = min(out_len, n)
-        out[:keep, c] = resampled[:keep]
+        out[:keep, c] = _resample_linear(clip.channel(c), ratio, keep)
     return AudioClip(out, clip.sample_rate)
 
 

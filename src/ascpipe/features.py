@@ -13,7 +13,7 @@ than the spectrogram.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +24,11 @@ from .errors import DataError
 _DELTA_HALF_WIDTH = 2
 _DELTA_NORM = 10.0
 DELTA_TRIM = 2 * _DELTA_HALF_WIDTH  # frames lost per application
+
+# STFT frames transformed at once: rfft and irfft give each row the same
+# bytes whatever the block, so a block bounds the spectrum held in memory
+# and changes no result
+BLOCK_FRAMES = 64
 
 
 @dataclass(frozen=True)
@@ -127,26 +132,46 @@ def _window(cfg: SpectroConfig) -> np.ndarray:
     return win
 
 
-def stft_complex(samples: np.ndarray, cfg: SpectroConfig) -> np.ndarray:
-    """Complex STFT of one channel, shape (T, n_fft//2 + 1)."""
+def stft_complex(samples: np.ndarray, cfg: SpectroConfig) -> Iterator[np.ndarray]:
+    """Complex STFT of one channel: its T frames in order, as blocks of up
+    to BLOCK_FRAMES rows of n_fft//2 + 1 bins.
+
+    The clip is padded and checked at the call; each block is transformed
+    when it is read, so the whole spectrum never exists at once.
+    """
     frames = _framed(np.asarray(samples, dtype=np.float64), cfg)
-    return np.fft.rfft(frames * _window(cfg), n=cfg.n_fft, axis=1)
-
-
-def istft(spec: np.ndarray, cfg: SpectroConfig, n_samples: int) -> np.ndarray:
-    """Least-squares inverse of stft_complex, trimmed to n_samples."""
     win = _window(cfg)
-    frames = np.fft.irfft(spec, n=cfg.n_fft, axis=1) * win
-    t = spec.shape[0]
+    return (
+        np.fft.rfft(frames[lo : lo + BLOCK_FRAMES] * win, n=cfg.n_fft, axis=1)
+        for lo in range(0, frames.shape[0], BLOCK_FRAMES)
+    )
+
+
+def istft(spec: Iterable[np.ndarray], cfg: SpectroConfig, n_samples: int) -> np.ndarray:
+    """Least-squares inverse of stft_complex, trimmed to n_samples.
+
+    spec holds the frame_count(n_samples, hop) frames of a clip, as blocks
+    of rows in frame order; each block's inverse frames exist only while
+    they are overlap-added.
+    """
+    win = _window(cfg)
+    wsq = win * win
+    t = frame_count(n_samples, cfg.hop)
     total = cfg.hop * (t - 1) + cfg.n_fft
     out = np.zeros(total)
     norm = np.zeros(total)
-    wsq = win * win
-    for i in range(t):
-        lo = i * cfg.hop
-        out[lo : lo + cfg.n_fft] += frames[i]
-        norm[lo : lo + cfg.n_fft] += wsq
-    out = np.where(norm > 1e-12, out / np.maximum(norm, 1e-12), out)
+    i = 0
+    for block in spec:
+        if i + block.shape[0] > t:
+            raise DataError(f"more than the {t} frames of {n_samples} samples at hop {cfg.hop}")
+        for frame in np.fft.irfft(block, n=cfg.n_fft, axis=1) * win:
+            lo = i * cfg.hop
+            out[lo : lo + cfg.n_fft] += frame
+            norm[lo : lo + cfg.n_fft] += wsq
+            i += 1
+    if i != t:
+        raise DataError(f"{i} frames given, {n_samples} samples at hop {cfg.hop} need {t}")
+    np.divide(out, np.maximum(norm, 1e-12), out=out, where=norm > 1e-12)
     pad = cfg.n_fft // 2
     return out[pad : pad + n_samples]
 
@@ -155,9 +180,13 @@ def stft_magnitude(clip: AudioClip, cfg: SpectroConfig) -> np.ndarray:
     """Magnitude spectrogram per channel, shape (channels, T, n_fft//2 + 1)."""
     if cfg.downmix:
         clip = clip.downmixed()
-    return np.stack(
-        [np.abs(stft_complex(clip.channel(c), cfg)) for c in range(clip.channels)]
-    )
+    mags = np.empty((clip.channels, frame_count(clip.n_samples, cfg.hop), cfg.n_fft // 2 + 1))
+    for c in range(clip.channels):
+        lo = 0
+        for block in stft_complex(clip.channel(c), cfg):
+            np.abs(block, out=mags[c, lo : lo + block.shape[0]])
+            lo += block.shape[0]
+    return mags
 
 
 def hz_to_mel(f):

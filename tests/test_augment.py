@@ -1,12 +1,15 @@
 """Tests for waveform and feature-tensor augmentations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ascpipe.audio import AudioClip
 from ascpipe.augment import (
+    MAX_PITCH_SEMITONES,
+    MAX_RT60_S,
     AugmentConfig,
     CompressorConfig,
     LabeledBatch,
@@ -23,7 +26,7 @@ from ascpipe.augment import (
     synth_rir,
 )
 from ascpipe.errors import DataError
-from ascpipe.features import FeatureTensor, SpectroConfig, stft_complex
+from ascpipe.features import BLOCK_FRAMES, FeatureTensor, SpectroConfig, hann_window, stft_complex
 
 
 class _ForcedRng:
@@ -269,7 +272,7 @@ def _tone(freq, seconds, sr, amp=0.5):
 
 def _peak_bin(clip, n_fft=2048):
     cfg = SpectroConfig(n_fft=n_fft, win_length=n_fft, hop=n_fft // 2)
-    mag = np.abs(stft_complex(clip.channel(0), cfg))
+    mag = np.abs(np.concatenate(list(stft_complex(clip.channel(0), cfg))))
     mid = mag[mag.shape[0] // 4 : -mag.shape[0] // 4]
     return int(np.argmax(mid.mean(axis=0)))
 
@@ -331,7 +334,7 @@ class TestSpeedChange:
         clip = _tone(440, 1.0, sr)
         out = speed_change_by(clip, 1.1)
         cfg = SpectroConfig(n_fft=2048, win_length=2048, hop=1024)
-        mag = np.abs(stft_complex(out.channel(0), cfg))
+        mag = np.abs(np.concatenate(list(stft_complex(out.channel(0), cfg))))
         # only the first 1/1.1 of the output carries signal
         lead = mag[: int(mag.shape[0] * 0.8)]
         got = int(np.argmax(lead.mean(axis=0)))
@@ -380,3 +383,244 @@ class TestConfigValidation:
     def test_bad_speed_range_rejected(self):
         with pytest.raises(DataError):
             AugmentConfig(speed_range=(0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pitch_semitones", MAX_PITCH_SEMITONES + 0.5),
+            ("pitch_semitones", 300.0),
+            ("rt60_range", (0.1, MAX_RT60_S + 0.5)),
+            ("rt60_range", (1e9, 1e9)),
+        ],
+    )
+    def test_values_past_the_caps_rejected(self, field, value):
+        with pytest.raises(DataError, match=field):
+            AugmentConfig(**{field: value})
+
+    def test_the_caps_themselves_accepted(self):
+        AugmentConfig(pitch_semitones=MAX_PITCH_SEMITONES, rt60_range=(MAX_RT60_S, MAX_RT60_S))
+
+
+class TestSpeedKeepsOnlyWhatItKeeps:
+    @pytest.mark.parametrize("ratio", [0.5, 0.9, 1.0, 1.1, 1.7, 2.0])
+    def test_kept_values_are_those_of_the_full_resampling(self, rng, ratio):
+        clip = _noise_clip(rng, seconds=0.2, sr=8000, channels=2)
+        n = clip.n_samples
+        out_len = int(round(n / ratio))
+        keep = min(out_len, n)
+        want = np.zeros((n, 2))
+        for c in range(2):
+            full = np.interp(np.arange(out_len) * ratio, np.arange(n), clip.channel(c))
+            want[:keep, c] = full[:keep]
+        assert np.array_equal(speed_change_by(clip, ratio).samples, want)
+
+    @pytest.mark.parametrize("ratio", [1e-300, 5e-324])
+    def test_a_tiny_ratio_holds_the_first_sample(self, rng, ratio):
+        # n / 5e-324 is infinite and n / 1e-300 has no array of its size
+        clip = _noise_clip(rng, seconds=0.1, sr=8000)
+        out = speed_change_by(clip, ratio)
+        assert np.array_equal(out.samples, np.full_like(clip.samples, clip.samples[0, 0]))
+
+
+# ---------------------------------------------------------------------------
+# the block-wise vocoder and the channel-wise compressor against the
+# whole-array versions they replaced: same bytes
+
+
+def _ref_stft(x, n_fft, hop):
+    pad = n_fft // 2
+    padded = np.pad(x, (pad, n_fft - pad), mode="reflect")
+    t = len(x) // hop + 1
+    frames = np.stack([padded[i * hop : i * hop + n_fft] for i in range(t)])
+    return np.fft.rfft(frames * hann_window(n_fft), n=n_fft, axis=1)
+
+
+def _ref_istft(spec, n_fft, hop, n_samples):
+    win = hann_window(n_fft)
+    frames = np.fft.irfft(spec, n=n_fft, axis=1) * win
+    total = hop * (spec.shape[0] - 1) + n_fft
+    out = np.zeros(total)
+    norm = np.zeros(total)
+    for i in range(spec.shape[0]):
+        out[i * hop : i * hop + n_fft] += frames[i]
+        norm[i * hop : i * hop + n_fft] += win * win
+    out = np.where(norm > 1e-12, out / np.maximum(norm, 1e-12), out)
+    return out[n_fft // 2 : n_fft // 2 + n_samples]
+
+
+def _ref_stretch(x, out_len):
+    """The phase vocoder over whole-clip arrays; also says whether the
+    last input frame pair was clamped to n_in - 2."""
+    win = 2048 if len(x) >= 4096 else 512
+    hop = win // 4
+    spec = _ref_stft(x, win, hop)
+    n_in = spec.shape[0]
+    n_out = out_len // hop + 1
+    rate = (n_in - 1) / max(n_out - 1, 1)
+    omega = 2.0 * np.pi * hop * np.arange(spec.shape[1]) / win
+    mags, phases = np.abs(spec), np.angle(spec)
+    out = np.empty((n_out, spec.shape[1]), dtype=complex)
+    phase = phases[0].copy()
+    out[0] = spec[0]
+    clamped = False
+    for j in range(1, n_out):
+        pos = j * rate
+        clamped |= int(pos) > n_in - 2
+        i = min(int(pos), n_in - 2)
+        frac = pos - i
+        mag = (1 - frac) * mags[i] + frac * mags[i + 1]
+        dphi = phases[i + 1] - phases[i] - omega
+        dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
+        phase = phase + omega + dphi
+        out[j] = mag * np.exp(1j * phase)
+    return _ref_istft(out, win, hop, out_len), (win, n_out, clamped)
+
+
+def _ref_pitch_shift(samples, semitones):
+    factor = 2.0 ** (semitones / 12.0)
+    out = np.empty_like(samples)
+    for c in range(samples.shape[1]):
+        x = samples[:, c]
+        m = max(int(round(len(x) / factor)), 2)
+        resampled = np.interp(np.arange(m) * factor, np.arange(len(x)), x)
+        out[:, c], info = _ref_stretch(resampled, len(x))
+    return out, info
+
+
+def _ref_compress(x, sr, drc):
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64).T).T
+    level_db = 20.0 * np.log10(np.abs(x.T) + 1e-12)
+    attack = 1.0 if drc.attack_ms <= 0 else 1.0 - math.exp(-1.0 / (sr * drc.attack_ms / 1000.0))
+    release = 1.0 if drc.release_ms <= 0 else 1.0 - math.exp(-1.0 / (sr * drc.release_ms / 1000.0))
+    slope = 1.0 if math.isinf(drc.ratio) else 1.0 - 1.0 / drc.ratio
+    env_db = np.empty_like(level_db)
+    for levels, row in zip(level_db, env_db):
+        env = float(levels[0])
+        for k, lvl in enumerate(levels.tolist()):
+            env += (attack if lvl > env else release) * (lvl - env)
+            row[k] = env
+    over = env_db - drc.threshold_db
+    gain_db = np.where(over > 0, -slope * over, 0.0)
+    return x * 10.0 ** ((gain_db.T + drc.makeup_db) / 20.0)
+
+
+def _ref_reverb_drc(samples, sr, rir, drc):
+    n = len(samples) + len(rir) - 1
+    size = 1 << (n - 1).bit_length()
+    wet = np.stack([
+        np.fft.irfft(np.fft.rfft(samples[:, c], size) * np.fft.rfft(rir, size), size)[: len(samples)]
+        for c in range(samples.shape[1])
+    ], axis=1)
+    out = _ref_compress(wet, sr, drc)
+    peak = float(np.max(np.abs(out)))
+    return out * (float(np.max(np.abs(samples))) / peak)
+
+
+COMPRESSORS = [CompressorConfig(), CompressorConfig(ratio=math.inf, attack_ms=0, release_ms=0)]
+
+
+class TestStreamingMatchesWholeArrays:
+    @pytest.mark.parametrize(
+        "n, sr, channels, semitones, win, n_out",
+        [
+            # a clip shorter than 4096 samples: the 512 window, fewer
+            # output frames than one block
+            (3000, 8000, 1, 1.5, 512, 3000 // 128 + 1),
+            (3000, 8000, 2, -2.0, 512, 3000 // 128 + 1),
+            # the 2048 window over exactly two blocks of output frames
+            (127 * 512, 22050, 1, 2.0, 2048, 2 * BLOCK_FRAMES),
+            (127 * 512, 22050, 2, -0.7, 2048, 2 * BLOCK_FRAMES),
+            # many blocks, and shifts whose frame rate skips ahead by more
+            # than one frame per output frame
+            (44100, 44100, 2, -12.0, 2048, 44100 // 512 + 1),
+            (30000, 16000, 1, -24.0, 2048, 30000 // 512 + 1),
+            (12000, 16000, 1, 24.0, 512, 12000 // 128 + 1),
+        ],
+    )
+    def test_pitch_shift_bytes(self, rng, n, sr, channels, semitones, win, n_out):
+        clip = _noise_clip(rng, seconds=n / sr, sr=sr, channels=channels)
+        want, (ref_win, ref_n_out, _) = _ref_pitch_shift(clip.samples, semitones)
+        assert (ref_win, ref_n_out) == (win, n_out)
+        assert np.array_equal(pitch_shift_by(clip, semitones).samples, want)
+
+    def test_the_last_frame_pair_clamp_is_reached(self, rng):
+        # at -1 semitone the last output frame reads past input frame n_in - 2
+        clip = _noise_clip(rng, seconds=0.5, sr=16000)
+        want, (_, _, clamped) = _ref_pitch_shift(clip.samples, -1.0)
+        assert clamped
+        assert np.array_equal(pitch_shift_by(clip, -1.0).samples, want)
+
+    @pytest.mark.parametrize("drc", COMPRESSORS, ids=["default", "limiter"])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_reverb_drc_bytes(self, rng, drc, channels):
+        clip = _noise_clip(rng, seconds=0.5, sr=16000, channels=channels)
+        rir = synth_rir(0.3, clip.sample_rate, np.random.default_rng(4))
+        want = _ref_reverb_drc(clip.samples, clip.sample_rate, rir, drc)
+        assert np.array_equal(apply_reverb_drc(clip, rir, drc).samples, want)
+
+    @pytest.mark.parametrize(
+        "drc",
+        COMPRESSORS + [CompressorConfig(threshold_db=-30.0, ratio=2.0, makeup_db=3.0)],
+        ids=["default", "limiter", "makeup"],
+    )
+    def test_compressor_bytes(self, rng, drc):
+        x = rng.normal(0.0, 0.3, (4000, 2))
+        assert np.array_equal(dynamic_range_compress(x, 8000, drc), _ref_compress(x, 8000, drc))
+        assert np.array_equal(dynamic_range_compress(x[:, 1], 8000, drc), _ref_compress(x[:, 1], 8000, drc)[:, 0])
+
+
+class TestWaveformOpsLeaveTheirInput:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3000,), (3000, 1), (3000, 2)])
+    def test_compressor(self, rng, dtype, shape):
+        x = rng.normal(0.0, 0.3, shape).astype(dtype)
+        before = x.copy()
+        y = dynamic_range_compress(x, 8000, CompressorConfig(ratio=math.inf))
+        assert y.shape == shape and y.dtype == np.float64
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3000,), (3000, 2)])
+    def test_reverb_drc(self, rng, dtype, shape):
+        # a float64 input is the clip's own samples array, not a copy
+        x = rng.normal(0.0, 0.3, shape).astype(dtype)
+        before = x.copy()
+        clip = AudioClip(x, 8000)
+        apply_reverb_drc(clip, synth_rir(0.2, 8000, rng), CompressorConfig())
+        assert np.array_equal(x, before)
+        assert np.array_equal(clip.samples, before.reshape(3000, -1))
+
+
+def _traced_peak_mib(fn) -> float:
+    """Peak MiB allocated while fn runs, above what was allocated when it
+    started. numpy reports its buffers to tracemalloc, so this repeats
+    exactly."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+# Traced peaks on a 10 s 48 kHz stereo clip. The whole-array vocoder held
+# the clip's spectrum, magnitudes, phases and output spectrum at once, and
+# reverb+DRC both channels' convolutions and float64 envelopes: 89.1 and
+# 55.0 MiB. Block by block and channel by channel they measure PITCH_MIB
+# and REVERB_MIB; the bounds allow about 10 % more.
+PITCH_MIB, REVERB_MIB = 34.4, 23.3
+
+
+class TestWaveformOpMemory:
+    @pytest.fixture(scope="class")
+    def clip(self):
+        return _noise_clip(np.random.default_rng(0), seconds=10.0, sr=48000, channels=2)
+
+    def test_pitch_shift(self, clip):
+        # -2 semitones, the default cap, gives the longest resampled clip
+        assert _traced_peak_mib(lambda: pitch_shift_by(clip, -2.0)) <= 1.1 * PITCH_MIB
+
+    def test_reverb_drc(self, clip):
+        rir = synth_rir(AugmentConfig().rt60_range[1], clip.sample_rate, np.random.default_rng(1))
+        assert _traced_peak_mib(lambda: apply_reverb_drc(clip, rir, CompressorConfig())) <= 1.1 * REVERB_MIB

@@ -240,6 +240,10 @@ class TestRunConfig:
             ("width_mult = 0.25", "width_mult = nan", "width_mult"),
             ("lr_max = 0.02", "lr_max = inf", "lr_max"),
             ("[run]", "[augment]\nrt60_range = 0.1, inf\n\n[run]", "rt60_range"),
+            ("[run]", "[augment]\nrt60_range = 1e9, 1e9\n\n[run]", "rt60_range"),
+            ("[run]", "[augment]\nrt60_range = 0.1, 10.5\n\n[run]", "rt60_range"),
+            ("[run]", "[augment]\npitch_semitones = 300\n\n[run]", "pitch_semitones"),
+            ("[run]", "[augment]\npitch_semitones = 24.5\n\n[run]", "pitch_semitones"),
             ("n_mels = 32", "n_mels = 32\nfmin = 3000\nfmax = 1000", "fmin"),
             ("n_mels = 32", "n_mels = 32\nlog_floor = nan", "log_floor"),
             ("seed = 7", "seed = -1", "seed"),
@@ -530,6 +534,17 @@ class TestAugment:
                            "--config", ws.ini, "--workers", workers) == 0
             outs.append(dir_bytes(out))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("ratio", ["1e-300", "5e-324"])
+    def test_a_tiny_speed_ratio_runs(self, ws, tmp_path, ratio):
+        # only the kept samples are resampled, so n / ratio, which is huge
+        # or infinite here, is never computed
+        ini = tmp_path / "slow.ini"
+        ini.write_text(INI.replace("[run]", f"[augment]\nspeed_range = {ratio}, {ratio}\n\n[run]"))
+        out = tmp_path / "aug"
+        assert run_cli("augment", "--manifest", ws.manifest, "--out", out, "--config", ini) == 0
+        rows = (out / "augmented.tsv").read_text().splitlines()[1:]
+        assert any(row.split("\t")[4] == "speed_change" for row in rows)
 
     def test_seed_changes_parameters(self, ws, tmp_path):
         texts = []

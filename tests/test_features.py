@@ -12,6 +12,7 @@ from ascpipe.featio import (
     write_scale_stats,
 )
 from ascpipe.features import (
+    BLOCK_FRAMES,
     FeatureTensor,
     ScaleStats,
     SpectroConfig,
@@ -33,6 +34,11 @@ from ascpipe.features import (
 from conftest import make_tone
 
 CFG = SpectroConfig()
+
+
+def _spectrum(x, cfg):
+    """The whole complex STFT, joined from stft_complex's blocks."""
+    return np.concatenate(list(stft_complex(x, cfg)))
 
 
 class TestStft:
@@ -90,17 +96,54 @@ class TestStft:
             for t in range(frame_count(len(x), cfg.hop))
         ]
         want = np.fft.rfft(frames, axis=1)
-        spec = stft_complex(x, cfg)
+        spec = _spectrum(x, cfg)
         np.testing.assert_allclose(spec, want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(istft(spec, cfg, len(x)), x, atol=1e-9)
+        np.testing.assert_allclose(istft([spec], cfg, len(x)), x, atol=1e-9)
 
     def test_stft_is_linear_in_the_mix(self, rng):
         a = rng.normal(0.0, 0.1, 11025)
         b = rng.normal(0.0, 0.1, 11025)
         cfg = SpectroConfig(n_fft=256, win_length=256, hop=128)
-        mixed = stft_complex(0.45 * a + 0.55 * b, cfg)
-        parts = 0.45 * stft_complex(a, cfg) + 0.55 * stft_complex(b, cfg)
+        mixed = _spectrum(0.45 * a + 0.55 * b, cfg)
+        parts = 0.45 * _spectrum(a, cfg) + 0.55 * _spectrum(b, cfg)
         np.testing.assert_allclose(mixed, parts, atol=1e-6)
+
+    def test_the_spectrum_comes_in_blocks_of_block_frames(self, rng):
+        x = rng.standard_normal(3 * BLOCK_FRAMES * CFG.hop) * 0.1
+        sizes = [block.shape for block in stft_complex(x, CFG)]
+        t = frame_count(len(x), CFG.hop)
+        assert sizes == [(BLOCK_FRAMES, 1025)] * 3 + [(t - 3 * BLOCK_FRAMES, 1025)]
+
+    def test_blocks_give_the_bytes_of_one_whole_array_transform(self, rng):
+        # rfft, irfft and abs work row by row, so the blocks change no byte:
+        # the reference is the one-array STFT, magnitude and overlap-add
+        cfg = SpectroConfig(n_fft=512, win_length=512, hop=128)
+        x = rng.standard_normal(5 * BLOCK_FRAMES * cfg.hop + 77) * 0.2
+        padded = np.pad(x, (cfg.n_fft // 2, cfg.n_fft - cfg.n_fft // 2), mode="reflect")
+        t = frame_count(len(x), cfg.hop)
+        frames = np.stack([padded[i * cfg.hop : i * cfg.hop + cfg.n_fft] for i in range(t)])
+        win = hann_window(cfg.n_fft)
+        want = np.fft.rfft(frames * win, n=cfg.n_fft, axis=1)
+        assert np.array_equal(_spectrum(x, cfg), want)
+        assert np.array_equal(stft_magnitude(AudioClip(x, 8000), cfg)[0], np.abs(want))
+
+        inverse = np.fft.irfft(want, n=cfg.n_fft, axis=1) * win
+        out = np.zeros(cfg.hop * (t - 1) + cfg.n_fft)
+        norm = np.zeros_like(out)
+        for i in range(t):
+            out[i * cfg.hop : i * cfg.hop + cfg.n_fft] += inverse[i]
+            norm[i * cfg.hop : i * cfg.hop + cfg.n_fft] += win * win
+        out = np.where(norm > 1e-12, out / np.maximum(norm, 1e-12), out)
+        ref = out[cfg.n_fft // 2 : cfg.n_fft // 2 + len(x)]
+        assert np.array_equal(istft(stft_complex(x, cfg), cfg, len(x)), ref)
+        assert np.array_equal(istft([want[:5], want[5:]], cfg, len(x)), ref)
+
+    @pytest.mark.parametrize("cut", [-1, 1])
+    def test_istft_needs_the_frame_count_of_its_length(self, rng, cut):
+        x = rng.standard_normal(20000) * 0.1
+        spec = _spectrum(x, CFG)
+        with pytest.raises(DataError, match="frames"):
+            istft([spec], CFG, len(x) + cut * CFG.hop)
 
 
 class TestMelFilterbank:
