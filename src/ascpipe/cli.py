@@ -324,7 +324,12 @@ def cmd_train(args, cfg: RunConfig) -> int:
         raise DataError(f"training features must share one shape, got {sorted(shapes)}")
     stats_path = base / "scale_stats.txt"
     stats = read_scale_stats(stats_path) if stats_path.exists() else fit_scale01(tensors)
-    xs = np.stack([apply_scale01(t, stats).data for t in tensors])
+    # each raw tensor goes once its scaled row is written, so training
+    # holds the set once
+    xs = np.empty((len(tensors), *shapes.pop()), dtype=np.float32)
+    for i in range(len(xs)):
+        xs[i] = apply_scale01(tensors[i], stats).data
+        tensors[i] = None
 
     t_dim = cfg.online.crop_len if cfg.online.crop_len else xs.shape[1]
     arch_cfg = ArchConfig(

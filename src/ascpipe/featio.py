@@ -42,7 +42,7 @@ def read_features(path: str | Path) -> FeatureTensor:
     dtype = _DTYPE_TAGS.get(raw[20:24])
     if dtype is None:
         raise DataError(f"{path}: unknown dtype tag {raw[20:24]!r}")
-    body = raw[24:]
+    body = memoryview(raw)[24:]  # a view: the payload is not copied
     expected = int(t) * int(f) * int(c) * dtype.itemsize
     if len(body) != expected:
         raise DataError(f"{path}: payload is {len(body)} bytes, expected {expected}")

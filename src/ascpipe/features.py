@@ -30,6 +30,10 @@ DELTA_TRIM = 2 * _DELTA_HALF_WIDTH  # frames lost per application
 # and changes no result
 BLOCK_FRAMES = 64
 
+# 8 times the default n_fft; it bounds what a frame and the mel filterbank
+# allocate, and n_mels is bounded by the n_fft // 2 + 1 bins it gives
+MAX_N_FFT = 16384
+
 
 @dataclass(frozen=True)
 class SpectroConfig:
@@ -43,16 +47,17 @@ class SpectroConfig:
     downmix: bool = False  # force mono before analysis
 
     def __post_init__(self):
-        if self.n_fft < 1:
-            raise DataError("n_fft must be positive")
+        if not 1 <= self.n_fft <= MAX_N_FFT:
+            raise DataError(f"n_fft must lie within [1, {MAX_N_FFT}]")
         if self.win_length < 1:
             raise DataError("win_length must be positive")
         if self.win_length > self.n_fft:
             raise DataError("win_length must not exceed n_fft")
         if self.hop <= 0:
             raise DataError("hop must be positive")
-        if self.n_mels <= 0:
-            raise DataError("n_mels must be positive")
+        bins = self.n_fft // 2 + 1
+        if not 1 <= self.n_mels <= bins:
+            raise DataError(f"n_mels must lie within [1, n_fft // 2 + 1 = {bins}]")
         if self.log_floor <= 0:
             raise DataError("log_floor must be positive")
         if not self.fmin >= 0:

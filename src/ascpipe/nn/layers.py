@@ -234,13 +234,24 @@ def batchnorm_backward(dout, cache):
     return dx, dgamma, dbeta
 
 
+def _packed(mask):
+    """A boolean mask's bits, 8 to a byte, in C order: an eighth of its bytes."""
+    return np.packbits(mask, axis=None)
+
+
+def _unpacked(bits, shape):
+    """The boolean mask of the given shape that ``_packed`` packed into bits."""
+    return np.unpackbits(bits, count=int(np.prod(shape))).view(bool).reshape(shape)
+
+
 def relu_forward(x):
+    """The cache is the mask of positive inputs, one bit per element."""
     out = np.maximum(x, 0)
-    return out, x > 0
+    return out, _packed(x > 0)
 
 
-def relu_backward(dout, mask):
-    return dout * mask
+def relu_backward(dout, bits):
+    return dout * _unpacked(bits, dout.shape)
 
 
 def _pool_offsets(ho, wo, ph, pw):
@@ -314,17 +325,20 @@ def _scaled_by_mask(a, kept, keep):
 
 
 def dropout_forward(x, rate, mode, rng):
-    """Inverted dropout. The cache is the boolean mask of kept entries and
-    ``keep``, a quarter of a float32 mask's bytes; None outside training."""
+    """Inverted dropout. The cache is the mask of kept entries, one bit per
+    element, and ``keep``; None outside training."""
     if mode != "train" or rate == 0.0:
         return x, None
     keep = 1.0 - rate
     kept = rng.random(x.shape) < keep
-    return _scaled_by_mask(x, kept, keep), (kept, keep)
+    return _scaled_by_mask(x, kept, keep), (_packed(kept), keep)
 
 
 def dropout_backward(dout, cache):
-    return dout if cache is None else _scaled_by_mask(dout, *cache)
+    if cache is None:
+        return dout
+    bits, keep = cache
+    return _scaled_by_mask(dout, _unpacked(bits, dout.shape), keep)
 
 
 def _sigmoid(x):

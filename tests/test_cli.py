@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -249,6 +250,11 @@ class TestRunConfig:
             ("seed = 7", "seed = -1", "seed"),
             ("n_fft = 512\nwin_length = 512", "n_fft = 0\nwin_length = 0", "n_fft"),
             ("win_length = 512", "win_length = -5", "win_length"),
+            ("n_fft = 512\nwin_length = 512", "n_fft = 1000000000000\nwin_length = 1024", "n_fft"),
+            ("n_fft = 512", "n_fft = 16385", "n_fft"),
+            ("n_mels = 32", "n_mels = 1000000000", "n_mels"),
+            ("n_mels = 32", "n_mels = 258", "n_mels"),
+            ("n_mels = 32", "n_mels = 0", "n_mels"),
         ],
     )
     def test_out_of_range_value_exits_2(self, ws, tmp_path, capsys, old, new, message):
@@ -687,6 +693,30 @@ class TestTrainEvaluate:
                        "--out", tmp_path / "m.ascm", "--config", ws.ini_fast)
         assert code == 3
         assert "training features must share one shape" in capsys.readouterr().err
+
+    def test_train_holds_the_scaled_set_in_one_array(self, tmp_path):
+        # the raw items as read, plus one float32 array their scaled rows
+        # go into: 2 sets and a few items' temporaries. Stacking a list of
+        # scaled copies would hold 3 sets
+        n, shape = 24, (400, 64, 3)
+        rng = np.random.default_rng(0)
+        lines = ["filename\tscene_label\tsource_label\tsplit"]
+        for i in range(n):
+            write_features(tmp_path / f"f{i}.ascf", FeatureTensor(rng.standard_normal(shape)))
+            scene = ("indoor", "outdoor", "transportation")[i % 3]
+            lines.append(f"f{i}.ascf\t{scene}\ta\ttrain")
+        (tmp_path / "features.tsv").write_text("\n".join(lines) + "\n")
+        ini = tmp_path / "run.ini"
+        ini.write_text(INI_FAST.replace("epochs = 1", "epochs = 0"))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run_cli("train", "--manifest", tmp_path / "features.tsv",
+                           "--out", tmp_path / "m.ascm", "--config", ini) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * n * np.prod(shape) * 4
 
     @pytest.mark.parametrize("suffix", [".ascm", ".ascq"])
     def test_class_count_is_checked_before_any_feature_is_read(

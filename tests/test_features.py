@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ascpipe.featio import (
 )
 from ascpipe.features import (
     BLOCK_FRAMES,
+    MAX_N_FFT,
     FeatureTensor,
     ScaleStats,
     SpectroConfig,
@@ -176,6 +178,12 @@ class TestMelFilterbank:
         cfg = SpectroConfig(fmax=30000.0)
         with pytest.raises(DataError):
             mel_filterbank(cfg, 44100)
+
+    def test_the_caps_themselves_accepted(self):
+        # no more bands than FFT bins, and n_fft at most 8 times the default
+        cfg = SpectroConfig(n_fft=MAX_N_FFT, win_length=1024, n_mels=MAX_N_FFT // 2 + 1)
+        assert cfg.n_mels == 8193
+        assert SpectroConfig(n_fft=512, n_mels=257, win_length=512).n_mels == 257
 
 
 class TestLogMel:
@@ -349,6 +357,22 @@ class TestFeatureIO:
         assert np.frombuffer(raw[4:20], dtype="<u4").tolist() == [1, 2, 3, 1]
         assert raw[20:24] == b"f32 "
         assert len(raw) == 24 + 2 * 3 * 1 * 4
+
+    def test_read_holds_the_payload_once(self, tmp_path, rng):
+        # the tensor is a view of the bytes read, and the finiteness check
+        # adds a boolean per value, a quarter of the file; a copy of the
+        # payload would take the peak past twice the file
+        path = tmp_path / "x.ascf"
+        write_features(path, FeatureTensor(rng.standard_normal((200, 64, 3))))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            t = read_features(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert t.shape == (200, 64, 3)
+        assert peak <= 1.5 * path.stat().st_size
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.ascf"

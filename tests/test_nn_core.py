@@ -393,16 +393,16 @@ def _traced_peak_mib(fn) -> float:
 # cache and conv2d's im2col matrix. This one, whose conv2d and depthwise
 # work one band of output rows per item from the inputs that exist, with
 # no padded batch, measures eval forward 2.4 / 3.6 / 3.5 MiB. Its backward
-# frees each cache once the walk has passed it and dropout keeps a boolean
-# mask: 6.97 / 19.33 / 22.19 MiB, against 9.64 / 23.35 / 22.93 with every
-# cache held to the end and a float mask. The backward shares allow the
-# measured peak plus about 10 %. The peak now comes early in the
-# backward, while most caches are still held: the train forward alone
-# peaks at 6.5 / 19.2 / 21.5 MiB.
+# frees each cache once the walk has passed it, and relu and dropout keep
+# one bit per element of their masks: 6.29 / 17.62 / 20.33 MiB, against
+# 6.97 / 19.33 / 22.19 with a byte per element and 9.64 / 23.35 / 22.93
+# with every cache held to the end and a float dropout mask. The backward
+# shares allow the measured peak plus about 5 %. The peak comes early in
+# the backward, while most caches are still held.
 MEMORY_CASES = [
-    ("small_fcnn", (42.6, 0.18), (32.9, 0.27)),
-    ("mobnet", (47.4, 0.45), (41.8, 0.25)),
-    ("resnet", (124.2, 0.2), (117.2, 0.25)),
+    ("small_fcnn", (42.6, 0.155), (32.9, 0.27)),
+    ("mobnet", (47.4, 0.39), (41.8, 0.25)),
+    ("resnet", (124.2, 0.172), (117.2, 0.25)),
 ]
 
 

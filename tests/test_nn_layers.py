@@ -9,13 +9,21 @@ import zlib
 import numpy as np
 import pytest
 
+from ascpipe import zoo
 from ascpipe.errors import GraphError, NumericError
 from ascpipe.nn import LayerSpec, ModelGraph, forward, initialize, run_forward
 from ascpipe.nn import layers as L
 from ascpipe.nn.engine import backward, check_finite, cross_entropy, run_backward
 from ascpipe.nn.ops import _pads
 
-from gradcheck import H, LAYER_CASES, TOL, max_rel_error, max_rel_error_cross_entropy
+from gradcheck import (
+    H,
+    LAYER_CASES,
+    TOL,
+    max_rel_error,
+    max_rel_error_cross_entropy,
+    promote_to_float64,
+)
 
 
 def _spec(kind, name, inputs, **attrs):
@@ -389,8 +397,8 @@ class TestDropout:
         x = rng.standard_normal((3, 8, 8, 4)).astype(dtype)
         dout = rng.standard_normal(x.shape).astype(dtype)
         out, tape = run_forward(g, x, "train", (3, 9))
-        kept, keep = tape.caches["drop"]
-        assert kept.dtype == bool and keep == 1.0 - rate
+        bits, keep = tape.caches["drop"]
+        assert bits.dtype == np.uint8 and bits.shape == (-(-x.size // 8),) and keep == 1.0 - rate
         _, dx = run_backward(g, tape, dout)
         # the float mask the cache held before, from the layer's seed (key..., index)
         mask = (np.random.default_rng([3, 9, 0]).random(x.shape) < 1.0 - rate).astype(dtype)
@@ -399,6 +407,99 @@ class TestDropout:
         assert np.array_equal(out, x * mask) and np.array_equal(dx, dout * mask)
         out, tape = run_forward(g, x, "eval")
         assert out is x and tape.caches == {"drop": None}
+
+
+# shapes of 9, 105 and 54 elements, none a multiple of 8
+ODD_SHAPES = [(1, 3, 3, 1), (3, 5, 7, 1), (2, 3, 3, 3)]
+
+
+class TestPackedMasks:
+    """relu and dropout keep one bit per element of their masks."""
+
+    @pytest.mark.parametrize("shape", ODD_SHAPES)
+    def test_relu_caches_a_bit_per_element(self, shape):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(shape).astype(np.float32)
+        dout = rng.standard_normal(shape).astype(np.float32)
+        out, cache = L.relu_forward(x)
+        assert cache.nbytes <= -(-x.size // 8)
+        assert np.array_equal(out, np.maximum(x, 0))
+        assert np.array_equal(L.relu_backward(dout, cache), dout * (x > 0))
+
+    @pytest.mark.parametrize("shape", ODD_SHAPES)
+    def test_dropout_caches_a_bit_per_element(self, shape):
+        x = np.random.default_rng(3).standard_normal(shape)
+        out, (bits, keep) = L.dropout_forward(x, 0.5, "train", np.random.default_rng(4))
+        assert bits.nbytes <= -(-x.size // 8) and keep == 0.5
+        kept = np.random.default_rng(4).random(shape) < 0.5
+        assert np.array_equal(out, x * (kept / 0.5))
+        dout = np.ones(shape)
+        assert np.array_equal(L.dropout_backward(dout, (bits, keep)), kept / 0.5)
+
+    def test_every_mask_on_a_zoo_tape_is_packed(self):
+        g = zoo.build(zoo.ArchConfig("small_fcnn", 0.25, 10, (45, 38, 3)), 0)
+        x = np.random.default_rng(0).standard_normal((3, 45, 38, 3)).astype(np.float32)
+        _, tape = run_forward(g, x, "train", (0, 0))
+        masked = [s for s in g.layers if s.kind in ("relu", "dropout")]
+        assert {s.kind for s in masked} == {"relu", "dropout"}
+        for spec in masked:
+            cache = tape.caches[spec.name]
+            bits = cache if spec.kind == "relu" else cache[0]
+            n = 3 * int(np.prod(g.shapes[spec.name]))
+            assert bits.nbytes <= -(-n // 8), spec.name
+
+
+# the relu and dropout kernels that cached a byte per mask element, kept as
+# references: the packed masks must give the same bytes in every gradient
+def _bool_relu_forward(x):
+    return np.maximum(x, 0), x > 0
+
+
+def _bool_relu_backward(dout, mask):
+    return dout * mask
+
+
+def _bool_dropout_forward(x, rate, mode, rng):
+    if mode != "train" or rate == 0.0:
+        return x, None
+    keep = 1.0 - rate
+    kept = rng.random(x.shape) < keep
+    return x * (kept.astype(x.dtype) / keep), (kept, keep)
+
+
+def _bool_dropout_backward(dout, cache):
+    if cache is None:
+        return dout
+    kept, keep = cache
+    return dout * (kept.astype(dout.dtype) / keep)
+
+
+def _loss_and_grads(arch, dtype):
+    g = zoo.build(zoo.ArchConfig(arch, 0.25, 10, (45, 38, 3)), 0)
+    if dtype == np.float64:
+        promote_to_float64(g)
+    x = np.random.default_rng(1).standard_normal((3, 45, 38, 3)).astype(dtype)
+    t = np.eye(10, dtype=dtype)[np.arange(3)]
+    loss, grads, _ = backward(g, x, t, (2, 5))
+    return loss, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("arch", zoo.ARCH_NAMES)
+def test_packed_masks_give_the_bytes_of_boolean_masks(arch, dtype, monkeypatch):
+    loss, grads = _loss_and_grads(arch, dtype)
+    monkeypatch.setattr(L, "relu_forward", _bool_relu_forward)
+    monkeypatch.setattr(L, "relu_backward", _bool_relu_backward)
+    monkeypatch.setattr(L, "dropout_forward", _bool_dropout_forward)
+    monkeypatch.setattr(L, "dropout_backward", _bool_dropout_backward)
+    want_loss, want = _loss_and_grads(arch, dtype)
+    assert np.array_equal(loss, want_loss)
+    assert grads.keys() == want.keys()
+    for name, store in want.items():
+        assert store.keys() == grads[name].keys(), name
+        for key, grad in store.items():
+            assert grads[name][key].dtype == grad.dtype, (name, key)
+            assert np.array_equal(grads[name][key], grad), (name, key)
 
 
 class TestSplitConcat:
