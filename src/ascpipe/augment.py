@@ -180,11 +180,12 @@ def synth_rir(rt60: float, sample_rate: int, rng: np.random.Generator) -> np.nda
 
 
 def _fft_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The first len(x) samples of the convolution of x and kernel."""
     n = len(x) + len(kernel) - 1
     size = 1 << (n - 1).bit_length()
     spec = np.fft.rfft(x, size)
     spec *= np.fft.rfft(kernel, size)
-    return np.fft.irfft(spec, size)[:n]
+    return np.fft.irfft(spec, size)[: len(x)]
 
 
 def _smoothing_alpha(time_ms: float, sample_rate: int) -> float:
@@ -196,21 +197,12 @@ def _smoothing_alpha(time_ms: float, sample_rate: int) -> float:
 def dynamic_range_compress(
     samples: np.ndarray, sample_rate: int, drc: CompressorConfig
 ) -> np.ndarray:
-    """Feed-forward compressor with attack/release smoothing on a dB envelope.
-
-    Takes (n,) or (n, channels) samples and returns a new array of that
-    shape, compressing one channel at a time.
-    """
+    """Feed-forward compressor with attack/release smoothing on a dB envelope,
+    for one channel of (n,) samples. The level, its envelope, the gain and
+    the output are computed in turn in one new float64 buffer."""
     x = np.asarray(samples, dtype=np.float64)
-    out = np.empty(x.shape)
-    for src, dst in zip(x.reshape(len(x), -1).T, out.reshape(len(x), -1).T):
-        np.multiply(src, _gain(src, sample_rate, drc), out=dst)
-    return out
-
-
-def _gain(x: np.ndarray, sample_rate: int, drc: CompressorConfig) -> np.ndarray:
-    """Linear gain of the compressor for one channel. The level, its
-    envelope and the gain are computed in turn in one buffer."""
+    if x.ndim != 1:
+        raise DataError(f"the compressor takes one channel of (n,) samples, got shape {x.shape}")
     attack = _smoothing_alpha(drc.attack_ms, sample_rate)
     release = _smoothing_alpha(drc.release_ms, sample_rate)
     slope = 1.0 if math.isinf(drc.ratio) else 1.0 - 1.0 / drc.ratio
@@ -226,32 +218,38 @@ def _gain(x: np.ndarray, sample_rate: int, drc: CompressorConfig) -> np.ndarray:
         envs.append(env)
     db[:] = envs  # the envelope
     db -= drc.threshold_db
-    over = db > 0
-    db *= -slope  # the gain in dB: -slope times the envelope's excess, if any
-    np.copyto(db, 0.0, where=~over)
+    np.maximum(db, 0.0, out=db)  # the envelope's excess over the threshold
+    db *= -slope  # the gain in dB
     db += drc.makeup_db
     db /= 20.0
-    return np.power(10.0, db, out=db)
+    np.power(10.0, db, out=db)  # the linear gain
+    db *= x
+    return db
 
 
-def apply_reverb_drc(
-    clip: AudioClip, rir: np.ndarray, drc: CompressorConfig
-) -> AudioClip:
+def _per_channel(clip: AudioClip, fn) -> AudioClip:
+    """The clip whose channel c is fn(clip.channel(c)). Each channel's
+    result is written into its column before the next one is computed."""
+    out = np.empty(clip.samples.shape)
+    for c in range(clip.channels):
+        out[:, c] = fn(clip.channel(c))
+    return AudioClip(out, clip.sample_rate)
+
+
+def apply_reverb_drc(clip: AudioClip, rir: np.ndarray, drc: CompressorConfig) -> AudioClip:
     """Convolve with an impulse response, compress, re-peak to the input.
 
     One channel at a time: a channel's convolution is compressed into its
     column of the output before the next channel is convolved.
     """
     orig_peak = float(np.max(np.abs(clip.samples)))
-    out = np.empty(clip.samples.shape)
-    for c in range(clip.channels):
-        wet = _fft_convolve(clip.channel(c), rir)[: clip.n_samples]
-        out[:, c] = dynamic_range_compress(wet, clip.sample_rate, drc)
-        del wet  # before the next channel's convolution allocates
-    peak = float(np.max(np.abs(out)))
+    out = _per_channel(
+        clip, lambda x: dynamic_range_compress(_fft_convolve(x, rir), clip.sample_rate, drc)
+    )
+    peak = float(np.max(np.abs(out.samples)))
     if peak > 0 and orig_peak > 0:
-        out *= orig_peak / peak
-    return AudioClip(out, clip.sample_rate)
+        out.samples *= orig_peak / peak
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +270,12 @@ def pitch_shift_by(clip: AudioClip, semitones: float) -> AudioClip:
     """
     if semitones == 0.0:
         return clip
-    factor = 2.0 ** (semitones / 12.0)
-    out = np.empty_like(clip.samples)
-    for c in range(clip.channels):
-        x = clip.channel(c)
-        resampled = _resample_linear(x, factor, max(int(round(len(x) / factor)), 2))
-        out[:, c] = _stretch_to_length(resampled, clip.n_samples, clip.sample_rate)
-    return AudioClip(out, clip.sample_rate)
+    factor, n = 2.0 ** (semitones / 12.0), clip.n_samples
+    m = max(int(round(n / factor)), 2)  # the resampled length
+    return _per_channel(clip, lambda x: _stretch_to_length(_resample_linear(x, factor, m), n))
 
 
-def _stretch_to_length(x: np.ndarray, out_len: int, sample_rate: int) -> np.ndarray:
+def _stretch_to_length(x: np.ndarray, out_len: int) -> np.ndarray:
     """Phase-vocoder time stretch to an exact number of samples.
 
     Analysis, synthesis and the inverse STFT pass BLOCK_FRAMES frames at a
@@ -289,10 +283,8 @@ def _stretch_to_length(x: np.ndarray, out_len: int, sample_rate: int) -> np.ndar
     """
     win = 2048 if len(x) >= 4096 else 512
     cfg = SpectroConfig(n_fft=win, win_length=win, hop=win // 4)
-    spec = stft_complex(x, cfg)
-    n_in = frame_count(len(x), cfg.hop)
-    n_out = frame_count(out_len, cfg.hop)
-    return istft(_vocoded(spec, n_in, n_out, cfg), cfg, out_len)
+    n_in, n_out = frame_count(len(x), cfg.hop), frame_count(out_len, cfg.hop)
+    return istft(_vocoded(stft_complex(x, cfg), n_in, n_out, cfg), cfg, out_len)
 
 
 def _vocoded(
@@ -301,39 +293,34 @@ def _vocoded(
     """Phase-vocoder output spectrum of n_out frames, as blocks of up to
     BLOCK_FRAMES rows, read from the blocks of an n_in-frame spectrum.
 
-    Output frame j interpolates input frames i and i + 1 around j * rate,
-    which may straddle two blocks, so the last two blocks read are kept.
+    Output frame 0 is input frame 0; frame j > 0 interpolates input frames
+    i and i + 1 around j * rate. Input rows are read one output block at a
+    time, and a refill keeps only the rows from the block's first i on.
     """
     rate = (n_in - 1) / max(n_out - 1, 1)
-    first = next(spec)
-    bins = first.shape[1]
-    omega = 2.0 * np.pi * cfg.hop * np.arange(bins) / cfg.n_fft
-    head = first[0].copy()  # output frame 0 is input frame 0
-    mags, phases = np.abs(first), np.angle(first)
-    del first
-    base = 0  # the input frame in row 0 of mags and phases
-    phase = phases[0].copy()
-    for lo in range(0, n_out, BLOCK_FRAMES):
-        out = np.empty((min(BLOCK_FRAMES, n_out - lo), bins), dtype=complex)
-        if lo == 0:
-            out[0] = head
-        for j in range(max(lo, 1), lo + out.shape[0]):
-            pos = j * rate
-            i = min(int(pos), n_in - 2)
-            while i + 1 >= base + mags.shape[0]:
-                block = next(spec)
-                drop = max(mags.shape[0] - BLOCK_FRAMES, 0)
-                mags = np.concatenate([mags[drop:], np.abs(block)])
-                phases = np.concatenate([phases[drop:], np.angle(block)])
-                base += drop
-            frac = pos - i
-            r = i - base
-            mag = (1 - frac) * mags[r] + frac * mags[r + 1]
-            dphi = phases[r + 1] - phases[r] - omega
-            dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
-            phase = phase + omega + dphi
-            out[j - lo] = mag * np.exp(1j * phase)
-        yield out
+    rows, base = next(spec), 0  # rows holds input frames base, base + 1, ...
+    omega = 2.0 * np.pi * cfg.hop * np.arange(rows.shape[1]) / cfg.n_fft
+    phase = np.angle(rows[0])
+    yield rows[:1]
+    for lo in range(1, n_out, BLOCK_FRAMES):
+        pos = np.arange(lo, min(lo + BLOCK_FRAMES, n_out)) * rate
+        i = np.minimum(pos.astype(np.int64), n_in - 2)
+        first, unread = i[0], i[-1] + 2 - base - len(rows)
+        if unread > 0:  # every spectrum block but the last has BLOCK_FRAMES rows
+            more = (next(spec) for _ in range(-(-unread // BLOCK_FRAMES)))
+            rows, base = np.concatenate([rows[first - base :], *more]), first
+        span = rows[first - base : i[-1] + 2 - base]
+        frac, i = (pos - i)[:, None], i - first
+        # the span's magnitudes and phases are replaced by the block's, so
+        # only block-sized arrays are held while the block is passed on
+        mag = np.abs(span)
+        mag = (1 - frac) * mag[i] + frac * mag[i + 1]
+        dphi = np.angle(span)
+        dphi = dphi[i + 1] - dphi[i] - omega
+        dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
+        for d in dphi:  # the running phase, summed frame by frame in order
+            d[:] = phase = phase + omega + d
+        yield mag * np.exp(1j * dphi)
 
 
 def speed_change_by(clip: AudioClip, ratio: float) -> AudioClip:
@@ -345,10 +332,7 @@ def speed_change_by(clip: AudioClip, ratio: float) -> AudioClip:
     """
     n = clip.n_samples
     keep = n if ratio <= 1 else min(n, int(round(n / ratio)))
-    out = np.zeros_like(clip.samples)
-    for c in range(clip.channels):
-        out[:keep, c] = _resample_linear(clip.channel(c), ratio, keep)
-    return AudioClip(out, clip.sample_rate)
+    return _per_channel(clip, lambda x: np.pad(_resample_linear(x, ratio, keep), (0, n - keep)))
 
 
 def add_noise(

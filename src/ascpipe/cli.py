@@ -131,7 +131,9 @@ def _print_repro(command: str, cfg: RunConfig) -> None:
 
 
 def _run_jobs(jobs, worker, n_workers: int):
-    if n_workers <= 1 or len(jobs) <= 1:
+    """worker(job) for every job, in order; at most one process per job."""
+    n_workers = min(n_workers, len(jobs))
+    if n_workers <= 1:
         return [worker(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(worker, jobs))

@@ -24,6 +24,9 @@ from .features import SpectroConfig
 from .nn import OnlineAugment, ScheduleConfig
 from .zoo import ArchConfig
 
+# it bounds the worker processes a command starts, all at once under fork
+MAX_WORKERS = 64
+
 _TRUE = {"1", "yes", "true", "on"}
 _FALSE = {"0", "no", "false", "off"}
 
@@ -50,8 +53,8 @@ class RunConfig:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ConfigError(f"workers must lie within [1, {MAX_WORKERS}]")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 

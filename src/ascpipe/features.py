@@ -55,6 +55,10 @@ class SpectroConfig:
             raise DataError("win_length must not exceed n_fft")
         if self.hop <= 0:
             raise DataError("hop must be positive")
+        # a frame every hop samples holds n_fft // 2 + 1 <= 8 * hop + 1 float64
+        # magnitudes, so a spectrum takes at most 72 bytes per input sample
+        if self.n_fft > 16 * self.hop:
+            raise DataError(f"hop must be at least n_fft / 16 = {self.n_fft / 16:g}")
         bins = self.n_fft // 2 + 1
         if not 1 <= self.n_mels <= bins:
             raise DataError(f"n_mels must lie within [1, n_fft // 2 + 1 = {bins}]")
@@ -209,7 +213,9 @@ def mel_filterbank(cfg: SpectroConfig, sample_rate: int) -> np.ndarray:
     Corner frequencies are equally spaced on the mel scale between fmin and
     fmax; each filter is a peak-1 triangle sampled at the FFT bin centers.
     A filter with no positive sample means the mel resolution exceeds the
-    FFT resolution, which is rejected rather than silently accepted.
+    FFT resolution, which is rejected rather than silently accepted, and
+    before the bank is built: a filter is positive exactly at the bins
+    strictly between its outer corners.
     """
     fmax = cfg.resolve_fmax(sample_rate)
     if fmax > sample_rate / 2.0 + 1e-9:
@@ -220,6 +226,13 @@ def mel_filterbank(cfg: SpectroConfig, sample_rate: int) -> np.ndarray:
     n_bins = cfg.n_fft // 2 + 1
     bin_hz = np.arange(n_bins) * sample_rate / cfg.n_fft
     corners = mel_to_hz(np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(fmax), cfg.n_mels + 2))
+    inside = np.searchsorted(bin_hz, corners[2:]) - np.searchsorted(bin_hz, corners[:-2], "right")
+    empty = np.flatnonzero(inside <= 0)
+    if empty.size:
+        raise DataError(
+            f"{empty.size} mel filters have no FFT bin (first: {empty[0]}); "
+            "reduce n_mels or increase n_fft"
+        )
 
     bank = np.zeros((cfg.n_mels, n_bins))
     for m in range(cfg.n_mels):
@@ -227,13 +240,6 @@ def mel_filterbank(cfg: SpectroConfig, sample_rate: int) -> np.ndarray:
         rising = (bin_hz - lo) / max(mid - lo, 1e-12)
         falling = (hi - bin_hz) / max(hi - mid, 1e-12)
         bank[m] = np.maximum(0.0, np.minimum(rising, falling))
-
-    empty = np.where(~bank.any(axis=1))[0]
-    if empty.size:
-        raise DataError(
-            f"{empty.size} mel filters have no FFT bin (first: {empty[0]}); "
-            "reduce n_mels or increase n_fft"
-        )
     return bank
 
 

@@ -1,6 +1,7 @@
 """Tests for waveform and feature-tensor augmentations."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -564,20 +565,27 @@ class TestStreamingMatchesWholeArrays:
         ids=["default", "limiter", "makeup"],
     )
     def test_compressor_bytes(self, rng, drc):
+        # the compressor takes one channel: each column of a stereo input
+        # against that column of the reference
         x = rng.normal(0.0, 0.3, (4000, 2))
-        assert np.array_equal(dynamic_range_compress(x, 8000, drc), _ref_compress(x, 8000, drc))
-        assert np.array_equal(dynamic_range_compress(x[:, 1], 8000, drc), _ref_compress(x[:, 1], 8000, drc)[:, 0])
+        want = _ref_compress(x, 8000, drc)
+        for c in range(x.shape[1]):
+            assert np.array_equal(dynamic_range_compress(x[:, c], 8000, drc), want[:, c])
 
 
 class TestWaveformOpsLeaveTheirInput:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(3000,), (3000, 1), (3000, 2)])
-    def test_compressor(self, rng, dtype, shape):
-        x = rng.normal(0.0, 0.3, shape).astype(dtype)
+    def test_compressor(self, rng, dtype):
+        x = rng.normal(0.0, 0.3, 3000).astype(dtype)
         before = x.copy()
         y = dynamic_range_compress(x, 8000, CompressorConfig(ratio=math.inf))
-        assert y.shape == shape and y.dtype == np.float64
+        assert y.shape == (3000,) and y.dtype == np.float64
         assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("shape", [(3000, 1), (3000, 2)])
+    def test_compressor_takes_one_channel(self, shape):
+        with pytest.raises(DataError, match=re.escape(f"got shape {shape}")):
+            dynamic_range_compress(np.zeros(shape), 8000, CompressorConfig())
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(3000,), (3000, 2)])

@@ -17,7 +17,7 @@ import ascpipe
 from ascpipe import cli
 from ascpipe.audio import AudioClip, save_wav
 from ascpipe.cli import main, read_scores, write_scores
-from ascpipe.config import _SCHEMA, RunConfig, config_hash, load_config
+from ascpipe.config import _SCHEMA, MAX_WORKERS, RunConfig, config_hash, load_config
 from ascpipe.errors import ConfigError, DataError
 from ascpipe.featio import read_features, read_scale_stats, write_features
 from ascpipe.features import FeatureTensor, apply_scale01, fit_scale01
@@ -91,6 +91,29 @@ def write_corpus(root, n=12, amp=0.4, seed=3):
     return manifest
 
 
+def _record_pools(monkeypatch):
+    """Replace the CLI's ProcessPoolExecutor by a stand-in that records the
+    size of every pool asked for and runs its jobs in this process, so
+    no process is started whatever the size."""
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    return sizes
+
+
 def dir_bytes(d):
     return {
         p.relative_to(d).as_posix(): p.read_bytes()
@@ -126,6 +149,28 @@ def ws(tmp_path_factory):
         model=model,
         evald=evald,
     )
+
+
+# The numeric keys that load at 10**12, each with what then happens. Each
+# was checked by running the command at that value on a four-clip corpus:
+# every run but epochs' ended within a second, under 50 MB of peak RSS,
+# and none started a process.
+LOADS_AT_10_12 = {
+    "hop": "one frame per clip: extract's deltas exit 3",
+    "fmin": "above fmax: extract's mel filterbank exits 3",
+    "fmax": "above Nyquist: extract's mel filterbank exits 3",
+    "log_floor": "a constant inside the log: extract's scale stats are degenerate, exit 3",
+    "noise_std": "scales a noise array of the clip's own shape",
+    "width_mult": "zoo.build exits 2 at MAX_PARAMS before it allocates",
+    "first_cycle_len": "a schedule length, in arithmetic only",
+    "lr_max": "a step size, in arithmetic only",
+    "cycle_mult": "a schedule factor, in arithmetic only",
+    "epochs": "run time only: each epoch allocates what the one before it freed",
+    "batch_size": "a batch holds at most the training set",
+    "crop_len": "longer than every tensor: train exits 3 at the first batch",
+    "mixup_alpha": "a Beta parameter, one draw per batch",
+    "seed": "any non-negative int seeds numpy's generator",
+}
 
 
 class TestRunConfig:
@@ -255,6 +300,10 @@ class TestRunConfig:
             ("n_mels = 32", "n_mels = 1000000000", "n_mels"),
             ("n_mels = 32", "n_mels = 258", "n_mels"),
             ("n_mels = 32", "n_mels = 0", "n_mels"),
+            # n_fft at most 16 hops, so 128 at the default n_fft of 2048
+            ("n_fft = 512\nwin_length = 512\nhop = 256", "hop = 1", "hop must be at least n_fft / 16 = 128"),
+            ("hop = 256", "hop = 31", "hop"),
+            ("seed = 7", "seed = 7\nworkers = 65", "workers"),
         ],
     )
     def test_out_of_range_value_exits_2(self, ws, tmp_path, capsys, old, new, message):
@@ -265,6 +314,28 @@ class TestRunConfig:
         assert code == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and str(ini) in err and message in err
+
+    def test_every_numeric_key_at_10_12_is_rejected_or_known_to_be_safe(self, tmp_path):
+        # only load_config runs, so nothing is allocated or started
+        defaults = RunConfig()
+        loaded = set()
+        for section, keys in _SCHEMA.items():
+            for key, (attr, name) in keys.items():
+                default = getattr(getattr(defaults, attr) if attr else defaults, name)
+                if isinstance(default, (bool, str)):
+                    continue
+                if isinstance(default, tuple):
+                    raw = "1e12, 1e12"
+                else:  # an int key does not parse "1e12"; fmax's default is None
+                    raw = str(10**12) if isinstance(default, int) else "1e12"
+                path = tmp_path / f"{key}.ini"
+                path.write_text(f"[{section}]\n{key} = {raw}\n")
+                try:
+                    load_config(path)
+                except ConfigError:
+                    continue
+                loaded.add(key)
+        assert loaded == set(LOADS_AT_10_12)
 
     def test_a_width_past_the_parameter_cap_exits_2(self, ws, tmp_path, capsys):
         # the cap is checked before any parameter is allocated: at width 1e6
@@ -474,6 +545,29 @@ class TestExtract:
             outs.append(dir_bytes(out))
         assert outs[0] == outs[1]
         assert outs[0] == outs[2]
+
+    def test_a_worker_count_past_the_cap_exits_2_before_any_pool(self, tmp_path, capsys, monkeypatch):
+        pools = _record_pools(monkeypatch)
+        manifest = write_corpus(tmp_path / "wavs", n=2)
+        code = run_cli("extract", "--manifest", manifest, "--out", tmp_path / "f",
+                       "--workers", 100000)
+        assert code == 2 and pools == []
+        assert f"workers must lie within [1, {MAX_WORKERS}]" in capsys.readouterr().err
+        assert RunConfig(workers=MAX_WORKERS).workers == MAX_WORKERS
+
+    def test_a_pool_has_at_most_one_process_per_row(self, tmp_path, monkeypatch):
+        pools = _record_pools(monkeypatch)
+        manifest = write_corpus(tmp_path / "wavs", n=2)
+        ini = tmp_path / "run.ini"
+        ini.write_text(INI)
+        outs = []
+        for workers in (1, 8):
+            out = tmp_path / f"w{workers}"
+            assert run_cli("extract", "--manifest", manifest, "--out", out,
+                           "--config", ini, "--workers", workers) == 0
+            outs.append(dir_bytes(out))
+        assert pools == [2]
+        assert outs[0] == outs[1]
 
     def test_empty_manifest_fails(self, tmp_path, capsys):
         manifest = tmp_path / "meta.tsv"

@@ -29,6 +29,7 @@ from ascpipe.features import (
     istft,
     log_mel,
     mel_filterbank,
+    mel_to_hz,
     stft_complex,
     stft_magnitude,
 )
@@ -148,6 +149,23 @@ class TestStft:
             istft([spec], CFG, len(x) + cut * CFG.hop)
 
 
+def _bank_built_whole(cfg, sample_rate):
+    """The filterbank built as mel_filterbank builds it, and the indices of
+    its filters with no positive value: the rule that rejected a config
+    once its whole bank was built."""
+    n_bins = cfg.n_fft // 2 + 1
+    bin_hz = np.arange(n_bins) * sample_rate / cfg.n_fft
+    mels = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.resolve_fmax(sample_rate)), cfg.n_mels + 2)
+    corners = mel_to_hz(mels)
+    bank = np.zeros((cfg.n_mels, n_bins))
+    for m in range(cfg.n_mels):
+        lo, mid, hi = corners[m], corners[m + 1], corners[m + 2]
+        rising = (bin_hz - lo) / max(mid - lo, 1e-12)
+        falling = (hi - bin_hz) / max(hi - mid, 1e-12)
+        bank[m] = np.maximum(0.0, np.minimum(rising, falling))
+    return bank, np.flatnonzero(~bank.any(axis=1))
+
+
 class TestMelFilterbank:
     def test_htk_formula_at_700hz(self):
         assert math.isclose(hz_to_mel(700.0), 2595.0 * math.log10(2.0), rel_tol=1e-12)
@@ -178,6 +196,41 @@ class TestMelFilterbank:
         cfg = SpectroConfig(fmax=30000.0)
         with pytest.raises(DataError):
             mel_filterbank(cfg, 44100)
+
+    def test_counting_bins_rejects_what_the_built_bank_rejected(self):
+        rejected = total = 0
+        for n_fft in (64, 256, 1000, 2048):
+            for sample_rate in (8000, 22050, 44100):
+                # the last pair is two adjacent bins at n_fft 64 and 8 kHz, which
+                # the mel scale maps back to exactly: no bin lies strictly between
+                for fmin, fmax in ((0.0, None), (50.0, None), (300.0, 3000.0), (1375.0, 1500.0)):
+                    for n_mels in (1, 4, 16, 32, 48, 64, 96, 128, 192, n_fft // 2 + 1):
+                        if n_mels > n_fft // 2 + 1:
+                            continue
+                        cfg = SpectroConfig(n_fft=n_fft, win_length=n_fft, hop=n_fft,
+                                            n_mels=n_mels, fmin=fmin, fmax=fmax)
+                        bank, empty = _bank_built_whole(cfg, sample_rate)
+                        total += 1
+                        if empty.size:
+                            rejected += 1
+                            message = rf"^{empty.size} mel filters have no FFT bin \(first: {empty[0]}\)"
+                            with pytest.raises(DataError, match=message):
+                                mel_filterbank(cfg, sample_rate)
+                        else:
+                            assert np.array_equal(mel_filterbank(cfg, sample_rate), bank)
+        assert 0 < rejected < total  # 170 of 408
+
+    def test_empty_filters_are_rejected_before_the_bank_is_built(self):
+        # this bank alone would take 8193 * 8193 * 8 bytes, 537 MB
+        cfg = SpectroConfig(n_fft=MAX_N_FFT, n_mels=MAX_N_FFT // 2 + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="^1720 mel filters have no FFT bin"):
+                mel_filterbank(cfg, 44100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_the_caps_themselves_accepted(self):
         # no more bands than FFT bins, and n_fft at most 8 times the default
