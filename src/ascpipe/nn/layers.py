@@ -205,12 +205,18 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode, momentum=
         new_rm, new_rv = running_mean, running_var
         out = x - mean
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    # one output array, the ops of gamma * ((x - mean) * inv_std) + beta
-    out *= inv_std
-    out *= gamma
-    out += beta
+    out = batchnorm_affine(out, inv_std, gamma, beta)
     cache = (x, mean, inv_std, gamma, mode, axes)
     return out, cache, new_rm.astype(running_mean.dtype), new_rv.astype(running_var.dtype)
+
+
+def batchnorm_affine(centred, inv_std, gamma, beta):
+    """gamma * (centred * inv_std) + beta, op by op in ``centred``, which
+    holds x - mean; the operands broadcast along its last axis."""
+    centred *= inv_std
+    centred *= gamma
+    centred += beta
+    return centred
 
 
 def batchnorm_backward(dout, cache):
@@ -260,17 +266,23 @@ def _pool_offsets(ho, wo, ph, pw):
     return [np.s_[:, p : ho * ph : ph, q : wo * pw : pw] for p in range(ph) for q in range(pw)]
 
 
+def pool_max(x, ph, pw):
+    """maxpool's output: a running max over the window offsets, in order."""
+    offsets = _pool_offsets(x.shape[1] // ph, x.shape[2] // pw, ph, pw)
+    out = x[offsets[0]].copy()
+    for s in offsets[1:]:
+        np.maximum(out, x[s], out=out)
+    return out
+
+
 def maxpool_forward(x, ph, pw):
-    """A running max over the window offsets; each output's index, of the
-    first offset that holds its max, counts the offsets before it that do not."""
-    wins = [x[s] for s in _pool_offsets(x.shape[1] // ph, x.shape[2] // pw, ph, pw)]
-    out = wins[0].copy()
-    for win in wins[1:]:
-        np.maximum(out, win, out=out)
+    """pool_max; each output's index, of the first offset that holds its
+    max, counts the offsets before it that do not."""
+    out = pool_max(x, ph, pw)
     held = np.zeros(out.shape, dtype=bool)
     idx = np.zeros(out.shape, dtype=np.min_scalar_type(ph * pw - 1))
-    for win in wins[:-1]:
-        held |= win == out
+    for s in _pool_offsets(*out.shape[1:3], ph, pw)[:-1]:
+        held |= x[s] == out
         idx += ~held
     return out, (idx, x.shape, ph, pw)
 

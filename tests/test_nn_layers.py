@@ -4,6 +4,7 @@ The full 20-trial finite-difference sweep lives in the acceptance
 suite; here each layer kind gets two seeds as a fast regression guard.
 """
 
+import importlib
 import zlib
 
 import numpy as np
@@ -11,10 +12,20 @@ import pytest
 
 from ascpipe import zoo
 from ascpipe.errors import GraphError, NumericError
-from ascpipe.nn import LayerSpec, ModelGraph, forward, initialize, run_forward
+from ascpipe.nn import (
+    LayerSpec,
+    ModelGraph,
+    OnlineAugment,
+    ScheduleConfig,
+    forward,
+    initialize,
+    run_forward,
+    save_checkpoint,
+    train,
+)
 from ascpipe.nn import layers as L
 from ascpipe.nn.engine import backward, check_finite, cross_entropy, run_backward
-from ascpipe.nn.ops import _pads
+from ascpipe.nn.ops import OPS, _pads
 
 from gradcheck import (
     H,
@@ -474,25 +485,26 @@ def _bool_dropout_backward(dout, cache):
     return dout * (kept.astype(dout.dtype) / keep)
 
 
-def _loss_and_grads(arch, dtype):
+def _loss_and_grads(arch, dtype, step=backward):
     g = zoo.build(zoo.ArchConfig(arch, 0.25, 10, (45, 38, 3)), 0)
+    # batchnorm away from its identity init, where a scale of 1 and a
+    # shift of 0 would hide an op out of order
+    rng = np.random.default_rng(4)
+    for spec in g.layers:
+        if spec.kind == "batchnorm":
+            p = g.params[spec.name]
+            p["gamma"] = rng.uniform(0.5, 1.5, p["gamma"].shape).astype(np.float32)
+            p["beta"] = rng.uniform(-0.5, 0.5, p["beta"].shape).astype(np.float32)
     if dtype == np.float64:
         promote_to_float64(g)
     x = np.random.default_rng(1).standard_normal((3, 45, 38, 3)).astype(dtype)
     t = np.eye(10, dtype=dtype)[np.arange(3)]
-    loss, grads, _ = backward(g, x, t, (2, 5))
+    loss, grads, _ = step(g, x, t, (2, 5))
     return loss, grads
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-@pytest.mark.parametrize("arch", zoo.ARCH_NAMES)
-def test_packed_masks_give_the_bytes_of_boolean_masks(arch, dtype, monkeypatch):
-    loss, grads = _loss_and_grads(arch, dtype)
-    monkeypatch.setattr(L, "relu_forward", _bool_relu_forward)
-    monkeypatch.setattr(L, "relu_backward", _bool_relu_backward)
-    monkeypatch.setattr(L, "dropout_forward", _bool_dropout_forward)
-    monkeypatch.setattr(L, "dropout_backward", _bool_dropout_backward)
-    want_loss, want = _loss_and_grads(arch, dtype)
+def _assert_same_bytes(got, want):
+    (loss, grads), (want_loss, want) = got, want
     assert np.array_equal(loss, want_loss)
     assert grads.keys() == want.keys()
     for name, store in want.items():
@@ -500,6 +512,56 @@ def test_packed_masks_give_the_bytes_of_boolean_masks(arch, dtype, monkeypatch):
         for key, grad in store.items():
             assert grads[name][key].dtype == grad.dtype, (name, key)
             assert np.array_equal(grads[name][key], grad), (name, key)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("arch", zoo.ARCH_NAMES)
+def test_packed_masks_give_the_bytes_of_boolean_masks(arch, dtype, monkeypatch):
+    got = _loss_and_grads(arch, dtype)
+    monkeypatch.setattr(L, "relu_forward", _bool_relu_forward)
+    monkeypatch.setattr(L, "relu_backward", _bool_relu_backward)
+    monkeypatch.setattr(L, "dropout_forward", _bool_dropout_forward)
+    monkeypatch.setattr(L, "dropout_backward", _bool_dropout_backward)
+    _assert_same_bytes(got, _loss_and_grads(arch, dtype))
+
+
+def _every_conv_input_kept(graph, x, targets, drop_key):
+    """engine.backward as it was before conv inputs were rebuilt, kept as
+    the reference: the op table's own forwards, passed as
+    ``layer_forward``, store every cache as its kernel returned it, each
+    conv2d and depthwise cache with the layer's input."""
+
+    def op_forward(spec, params, ins, mode, seed):
+        return OPS[spec.kind].forward(spec, params, ins, mode, seed)
+
+    probs, tape = run_forward(graph, x, "train", drop_key, op_forward)
+    assert tape.chains == {}
+    seed = (probs - targets) / len(x)
+    grads, _ = run_backward(graph, tape, seed, skip_last=True, input_grad=False)
+    return cross_entropy(probs, targets), grads, tape
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("arch", zoo.ARCH_NAMES)
+def test_rebuilt_conv_inputs_give_the_bytes_of_kept_ones(arch, dtype):
+    _assert_same_bytes(
+        _loss_and_grads(arch, dtype), _loss_and_grads(arch, dtype, _every_conv_input_kept)
+    )
+
+
+def test_rebuilt_conv_inputs_train_the_checkpoint_of_kept_ones(tmp_path, monkeypatch):
+    # a random crop, SpecAugment masks and mixup change every batch
+    online = OnlineAugment(crop_len=40, mixup_alpha=0.4, time_mask_frac=0.1, freq_mask_frac=0.1)
+    xs = np.random.default_rng(2).standard_normal((6, 45, 38, 3)).astype(np.float32)
+    ys = np.eye(10, dtype=np.float32)[np.arange(6)]
+    blobs = []
+    for _ in range(2):
+        g = zoo.build(zoo.ArchConfig("small_fcnn", 0.25, 10, (40, 38, 3)), 0)
+        train(g, xs, ys, ScheduleConfig(first_cycle_len=2), 2, seed=3, batch_size=3, online=online)
+        save_checkpoint(tmp_path / "m.ascm", g)
+        blobs.append((tmp_path / "m.ascm").read_bytes())
+        monkeypatch.setattr(importlib.import_module("ascpipe.nn.train"), "backward", _every_conv_input_kept)
+    assert blobs[0] == blobs[1]
 
 
 class TestSplitConcat:

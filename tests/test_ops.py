@@ -40,6 +40,11 @@ def calls(monkeypatch):
     return seen
 
 
+# per arch, the dropouts that end the chain a conv's input is rebuilt from:
+# each one's backward kernel also runs once to rebuild that input
+REBUILT_DROPOUTS = {"small_fcnn": 4, "mobnet": 0, "resnet": 0}
+
+
 @pytest.mark.parametrize("arch", ARCHS)
 def test_every_layer_reaches_its_kernel_through_the_module(arch, calls):
     cfg = zoo.ArchConfig(arch, width_mult=0.125, n_classes=3, input_shape=(16, 32, 3))
@@ -50,7 +55,9 @@ def test_every_layer_reaches_its_kernel_through_the_module(arch, calls):
     assert calls == Counter(f"{_kernel(s.kind)}_forward" for s in graph.layers)
     calls.clear()
     run_backward(graph, tape, np.ones_like(out))
-    assert calls == Counter(f"{_kernel(s.kind)}_backward" for s in graph.layers)
+    assert calls == Counter(f"{_kernel(s.kind)}_backward" for s in graph.layers) + Counter(
+        dropout_backward=REBUILT_DROPOUTS[arch]
+    )
 
     qm = quant.quantize_model(graph)
     calls.clear()
