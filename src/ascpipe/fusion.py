@@ -40,13 +40,17 @@ SUPERCLASS_LABELS = tuple(dict.fromkeys(_DEFAULT_PARENT.values()))
 class ClassHierarchy:
     """Assignment of every scene class to exactly one superclass: one
     ordered class -> superclass map. Classes are in map order, superclasses
-    in order of first appearance."""
+    in order of first appearance. No name is both a class and a
+    superclass, so a label names one level of the hierarchy."""
 
     parent: Mapping[str, str]
 
     def __post_init__(self) -> None:
         if not self.parent:
             raise DataError("hierarchy has no classes")
+        both = [name for name in self.parent if name in self.parent.values()]
+        if both:
+            raise DataError(f"hierarchy names {both} both as classes and as superclasses")
 
     @property
     def classes(self) -> tuple[str, ...]:

@@ -58,10 +58,13 @@ def read_manifest(path: str | Path) -> DatasetManifest:
     if not lines:
         raise DataError(f"{path}: empty manifest")
     header = [h.strip() for h in lines[0].split("\t")]
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise DataError(f"{path}: manifest header repeats columns {repeated}")
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise DataError(f"{path}: manifest header missing columns {missing}")
-    col = {name: header.index(name) for name in header}
+    col = {name: i for i, name in enumerate(header)}
     has_split = "split" in col
 
     rows: list[ManifestRow] = []

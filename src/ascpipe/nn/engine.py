@@ -16,18 +16,8 @@ import numpy as np
 
 from ..errors import DataError, GraphError, NumericError
 from . import blas
-from . import layers as L
 from .graph import INPUT, ModelGraph
 from .ops import OPS
-
-# the layer kinds, in order, of a chain that a conv2d or depthwise input
-# can be rebuilt from: batchnorm -> relu [-> maxpool] [-> dropout]
-_CHAINS = {
-    ("batchnorm", "relu"),
-    ("batchnorm", "relu", "maxpool"),
-    ("batchnorm", "relu", "dropout"),
-    ("batchnorm", "relu", "maxpool", "dropout"),
-}
 
 
 @dataclass
@@ -40,10 +30,9 @@ class Tape:
     output: every other activation was dropped once its last reader had
     run, and lives on only where a cache holds it.
 
-    ``chains`` maps each conv2d or depthwise layer whose cache was stored
-    without its input to the batchnorm -> relu [-> maxpool] [-> dropout]
-    chain (its specs in order) whose output that input was. It is empty
-    unless a train-mode forward used the op-table forwards.
+    ``chains`` maps each layer whose cache was stored without its input to
+    the run of layers (specs in order) whose ``replay`` gives it back; it is
+    empty unless a train-mode forward used the op-table forwards.
 
     A tape backs one ``run_backward``: the walk frees each layer's cache
     as it passes the layer, so afterwards only ``acts`` is left.
@@ -66,21 +55,6 @@ def check_finite(name: str, out: np.ndarray) -> None:
     )
 
 
-def _chains(layers) -> dict:
-    """Each conv2d or depthwise layer whose input is the output of a chain
-    of ``_CHAINS``, mapped to that chain's specs in order."""
-    by_name = {spec.name: spec for spec in layers}
-    chains = {}
-    for spec in layers:
-        if spec.kind in ("conv2d", "depthwise_conv2d"):
-            chain = [by_name.get(spec.inputs[0])]
-            while chain[0] is not None and chain[0].kind in ("relu", "maxpool", "dropout"):
-                chain.insert(0, by_name.get(chain[0].inputs[0]))
-            if None not in chain and tuple(s.kind for s in chain) in _CHAINS:
-                chains[spec.name] = tuple(chain)
-    return chains
-
-
 def run_forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=None,
                 layer_forward=None):
     """Execute every layer; returns (output, Tape). NaN anywhere is an error.
@@ -90,10 +64,12 @@ def run_forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=N
     held, plus the caches. The returned tape holds the output and every
     layer's cache.
 
-    In train mode with the op-table forwards, a conv2d or depthwise layer
-    whose input is the output of a batchnorm -> relu [-> maxpool]
-    [-> dropout] chain stores its cache without that input (``Tape.chains``),
-    so the tape holds no copy of what the chain's caches give back.
+    In train mode with the op-table forwards, a run of replays starts at a
+    layer with a ``replay`` whose cache starts with its input (batchnorm)
+    and goes on through each layer with a ``replay`` that reads its output
+    (relu, maxpool, dropout). A layer with no ``replay`` whose cache starts
+    with a run's output stores its cache without it (``Tape.chains``), so
+    the tape holds no copy of what the run's caches give back.
 
     ``layer_forward`` takes the op table's forward signature and replaces
     ``OPS[spec.kind].forward`` for every layer (``forward`` and the int8
@@ -107,7 +83,8 @@ def run_forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=N
             f"graph {graph.name!r} expects input (B,)+{graph.input_shape}, got {x.shape}"
         )
     last_reader = {src: idx for idx, spec in enumerate(graph.layers) for src in spec.inputs}
-    chains = _chains(graph.layers) if mode == "train" and layer_forward is None else {}
+    replaying = mode == "train" and layer_forward is None
+    runs, chains = {}, {}  # runs: a replaying layer's name -> its run's specs up to it
     acts = {INPUT: x}
     caches = {}
     # dropout seeds its mask from (drop_key..., layer index)
@@ -121,7 +98,14 @@ def run_forward(graph: ModelGraph, x: np.ndarray, mode: str = "eval", drop_key=N
         out, cache = (layer_forward or OPS[spec.kind].forward)(spec, params, ins, mode, [*seed, idx])
         check_finite(spec.name, out)
         acts[spec.name] = out
-        # a conv2d or depthwise cache starts with the layer's input
+        if replaying:
+            # a kernel whose backward reads its input caches it first
+            keeps_input = isinstance(cache, tuple) and cache[0] is ins[0]
+            run = () if keeps_input else runs.get(spec.inputs[0])
+            if OPS[spec.kind].replay is not None and run is not None:
+                runs[spec.name] = (*run, spec)  # a run starts or goes on
+            elif keeps_input and spec.inputs[0] in runs:
+                chains[spec.name] = runs[spec.inputs[0]]
         caches[spec.name] = cache[1:] if spec.name in chains else cache
     return out, Tape(acts, caches, mode, chains)
 
@@ -191,8 +175,9 @@ def run_backward(graph: ModelGraph, tape: Tape, dout: np.ndarray, skip_last: boo
     the layer (one it skips, and the final layer under skip_last,
     included), so a cache is freed once its own backward has returned and
     the tape backs no second backward. Just before the backward of a layer
-    in ``tape.chains``, its input is rebuilt from its chain's caches, which
-    the reverse walk has not reached yet, and goes with its cache.
+    in ``tape.chains``, its input is rebuilt by the ``replay`` of each layer
+    of its run in turn, from their caches, which the reverse walk has not
+    reached yet, and goes with its cache.
     """
     layers = graph.layers
     if len(tape.caches) != len(layers):
@@ -232,33 +217,17 @@ def run_backward(graph: ModelGraph, tape: Tape, dout: np.ndarray, skip_last: boo
 
 
 def _popped_cache(graph: ModelGraph, tape: Tape, name: str):
-    """Layer ``name``'s cache, popped from the tape, with its input rebuilt
-    in front when the layer is in ``tape.chains``."""
-    cache = tape.caches.pop(name)
-    chain = tape.chains.get(name)
-    return cache if chain is None else (_chain_output(graph, chain, tape.caches), *cache)
-
-
-def _chain_output(graph: ModelGraph, chain, caches) -> np.ndarray:
-    """The output of a batchnorm -> relu [-> maxpool] [-> dropout] chain,
-    replayed from its caches with the forward kernels' own ops in their
-    order, so it has the bytes the forward gave."""
-    bn, _, *rest = chain
-    x, mean, inv_std, gamma = caches[bn.name][:4]
-    # the per-channel ops on a (B*T, F*C) view with their operands tiled F
-    # times: each element meets the same operands, in fewer, longer loops
-    # than with a broadcast over C
-    reps = x.shape[-2]
-    out = x.reshape(-1, reps * x.shape[-1]) - np.tile(mean, reps)
-    beta = graph.params[bn.name]["beta"]
-    out = L.batchnorm_affine(out, *(np.tile(v, reps) for v in (inv_std, gamma, beta)))
-    out = np.maximum(out, 0, out=out).reshape(x.shape)
-    for spec in rest:
-        cache = caches[spec.name]
-        # a maxpool cache ends with its pool size; dropout's backward is
-        # its forward's multiply
-        out = L.pool_max(out, *cache[-2:]) if spec.kind == "maxpool" else L.dropout_backward(out, cache)
-    return out
+    """Layer ``name``'s cache, popped from the tape. For a layer in
+    ``tape.chains`` its input is rebuilt in front: each layer of its run
+    replays its forward from its cache, starting at the input that the
+    first one's cache holds, so it has the bytes the forward gave."""
+    cache, run = tape.caches.pop(name), tape.chains.get(name)
+    if run is None:
+        return cache
+    x = tape.caches[run[0].name][0]
+    for spec in run:
+        x = OPS[spec.kind].replay(spec, graph.params.get(spec.name, {}), tape.caches[spec.name], x)
+    return (x, *cache)
 
 
 def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:

@@ -5,6 +5,8 @@ gradient-check harness feeds float64 through the same code. Activations
 are (B, T, F, C); dense layers operate on (B, D). Layer attributes are
 resolved by ``nn.ops``: a kernel takes arrays and the numbers it needs,
 such as a stride pair, ((top, bottom), (left, right)) pads or an axis.
+A kernel whose backward reads its input among other values puts that
+input first in its cache, a tuple.
 """
 
 from __future__ import annotations
@@ -208,6 +210,17 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode, momentum=
     out = batchnorm_affine(out, inv_std, gamma, beta)
     cache = (x, mean, inv_std, gamma, mode, axes)
     return out, cache, new_rm.astype(running_mean.dtype), new_rv.astype(running_var.dtype)
+
+
+def batchnorm_output(x, cache, beta):
+    """batchnorm_forward's train-mode output for its input x, from its cache:
+    its ops on a (B*T, F*C) view with the per-channel operands tiled F times,
+    the same operands per element in fewer, longer loops than a broadcast."""
+    _, mean, inv_std, gamma = cache[:4]
+    reps = x.shape[-2]
+    out = x.reshape(-1, reps * x.shape[-1]) - np.tile(mean, reps)
+    out = batchnorm_affine(out, *(np.tile(v, reps) for v in (inv_std, gamma, beta)))
+    return out.reshape(x.shape)
 
 
 def batchnorm_affine(centred, inv_std, gamma, beta):

@@ -1,10 +1,11 @@
 """The layer-kind table: one entry per kind, read by every graph consumer.
 
 Each entry holds the kind's input arity, output-shape inference,
-parameter shapes with their init rule, forward, backward and, for the
-kinds that quantize, the multiply-accumulates per output element. Graph
-validation, initialization, the executor and the int8 path all look a
-layer up here and branch on nothing else.
+parameter shapes with their init rule, forward and backward; for the
+kinds that quantize, the multiply-accumulates per output element; and for
+the kinds whose cache gives their train-mode output back cheaply, a
+replay. Graph validation, initialization, the executor and the int8 path
+all look a layer up here and branch on nothing else.
 
 This module alone reads layer attributes. An entry turns them into
 numbers (stride, zero padding, pool size, concat axis) before it calls a
@@ -36,6 +37,9 @@ class Op:
     backward: Callable  # (spec, params, cache, dout, need_dx) -> (input grads, param grads)
     params: Callable | None = None  # (spec, input shape) -> {key: (shape, init)}
     macs: Callable | None = None  # (spec, input shape) -> MACs per output element
+    # (spec, params, train-mode cache, x) -> the output the forward gave for
+    # input x, by its own ops in their order; it may write into x unless the cache holds x
+    replay: Callable | None = None
 
 
 def _is_count(v) -> bool:
@@ -292,18 +296,23 @@ OPS: dict[str, Op] = {
         _depthwise_params,
         lambda s, x: math.prod(_kernel(s)),
     ),
-    "batchnorm": Op(1, _same, _batchnorm_forward, _batchnorm_backward, _batchnorm_params),
+    "batchnorm": Op(
+        1, _same, _batchnorm_forward, _batchnorm_backward, _batchnorm_params,
+        replay=lambda s, p, cache, x: L.batchnorm_output(x, cache, p["beta"]),
+    ),
     "relu": Op(
         1,
         _same,
         lambda s, p, ins, mode, seed: L.relu_forward(ins[0]),
         lambda s, p, cache, d, _: ([L.relu_backward(d, cache)], {}),
+        replay=lambda s, p, cache, x: np.maximum(x, 0, out=x),
     ),
     "maxpool": Op(
         1,
         _maxpool_infer,
         lambda s, p, ins, mode, seed: L.maxpool_forward(ins[0], *_pair(s, "pool")),
         lambda s, p, cache, d, _: ([L.maxpool_backward(d, cache)], {}),
+        replay=lambda s, p, cache, x: L.pool_max(x, *_pair(s, "pool")),
     ),
     "global_avg_pool": Op(
         1,
@@ -330,6 +339,7 @@ OPS: dict[str, Op] = {
         _dropout_infer,
         _dropout_forward,
         lambda s, p, cache, d, _: ([L.dropout_backward(d, cache)], {}),
+        replay=lambda s, p, cache, x: L.dropout_backward(x, cache),  # the forward's multiply
     ),
     "channel_attention": Op(
         1,

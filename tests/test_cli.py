@@ -576,6 +576,17 @@ class TestExtract:
         assert code == 3
         assert "empty manifest" in capsys.readouterr().err
 
+    def test_repeated_manifest_column_fails(self, tmp_path, capsys):
+        # read by its first scene_label column, the row would be a park
+        manifest = tmp_path / "meta.tsv"
+        manifest.write_text(
+            "filename\tscene_label\tsource_label\tscene_label\n"
+            "a.wav\tpark\ta\tbus\n"
+        )
+        code = run_cli("extract", "--manifest", manifest, "--out", tmp_path / "o")
+        assert code == 3
+        assert "manifest header repeats columns ['scene_label']" in capsys.readouterr().err
+
     def test_missing_wav_collected_and_reported(self, tmp_path, capsys):
         manifest = tmp_path / "meta.tsv"
         manifest.write_text(
@@ -943,6 +954,20 @@ class TestCustomLabels:
     def test_four_class_hierarchy_trains_and_evaluates(self, ws, tmp_path):
         classes = ("airport", "park", "bus", "tram")  # under three superclasses
         assert self.scores_header(ws, tmp_path, classes) == classes
+
+    def test_a_class_that_is_also_a_superclass_exits_3(self, ws, tmp_path, capsys):
+        # a manifest labelled by superclass must not train as scene classes
+        manifest = self.write_manifest(ws, tmp_path, ("indoor",) * 4)
+        hier = tmp_path / "hier.txt"
+        hier.write_text("airport indoor\nindoor outdoor\n")
+        ini = tmp_path / "run.ini"
+        ini.write_text(INI_FAST + f"\n[paths]\nhierarchy = {hier}\n")
+        code = run_cli("train", "--manifest", manifest, "--out", tmp_path / "m.ascm",
+                       "--config", ini)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "hierarchy names ['indoor'] both as classes and as superclasses" in err
+        assert not (tmp_path / "m.ascm").exists()
 
     def test_custom_labels_without_hierarchy_exit_3(self, ws, tmp_path, capsys):
         manifest = self.write_manifest(ws, tmp_path)

@@ -89,6 +89,20 @@ class TestHierarchy:
         with pytest.raises(DataError, match="duplicate"):
             ClassHierarchy.from_file(path)
 
+    @pytest.mark.parametrize(
+        "parent, both",
+        [({"airport": "indoor", "indoor": "outdoor"}, "indoor"), ({"a": "a", "b": "x"}, "a")],
+    )
+    def test_a_name_is_not_both_a_class_and_a_superclass(self, parent, both):
+        with pytest.raises(DataError, match=rf"\['{both}'\] both as classes and as superclasses"):
+            ClassHierarchy(parent)
+
+    def test_from_file_rejects_a_class_that_is_also_a_superclass(self, tmp_path):
+        path = tmp_path / "hier.txt"
+        path.write_text("airport indoor\nindoor outdoor\n")
+        with pytest.raises(DataError, match=r"hierarchy names \['indoor'\] both"):
+            ClassHierarchy.from_file(path)
+
     def test_from_file_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             ClassHierarchy.from_file(tmp_path / "absent.txt")

@@ -376,48 +376,62 @@ def test_backward_frees_each_cache_as_it_passes(arch, monkeypatch):
         run_backward(g, tape, tape.acts[names[-1]])
 
 
-# per arch, the conv2d and depthwise layers whose input is the output of a
-# batchnorm -> relu [-> maxpool] [-> dropout] chain, of all of them
-REBUILT_CONVS = {
-    "fcnn": (8, 9),
-    "fsfcnn": (10, 11),
-    "fsfcnn_s": (21, 24),
-    "resnet": (8, 17),
-    "resnet_d": (8, 17),
-    "mobnet": (17, 26),
-    "small_fcnn": (8, 9),
+# per arch and kind of the layers whose forward keeps its input in its
+# cache: how many of them have that input rebuilt from the run of replays
+# before it (batchnorm [-> relu] [-> maxpool] [-> dropout]), of all of them
+REBUILT_INPUTS = {
+    "fcnn": {"conv2d": (8, 9), "channel_attention": (1, 1), "batchnorm": (0, 9)},
+    "fsfcnn": {"conv2d": (10, 11), "channel_attention": (1, 1), "batchnorm": (0, 11)},
+    "fsfcnn_s": {"conv2d": (21, 24), "batchnorm": (0, 24)},
+    "resnet": {"conv2d": (8, 17), "batchnorm": (0, 17)},
+    "resnet_d": {"conv2d": (8, 17), "batchnorm": (0, 17)},
+    "mobnet": {"conv2d": (13, 18), "depthwise_conv2d": (8, 8), "batchnorm": (0, 26)},
+    "small_fcnn": {"conv2d": (8, 9), "channel_attention": (1, 1), "batchnorm": (0, 9)},
 }
 
 
 @pytest.mark.parametrize("arch", zoo.ARCH_NAMES)
-def test_a_train_tape_holds_no_conv_input_that_a_chain_gives_back(arch, monkeypatch):
+def test_a_train_tape_holds_no_input_that_a_run_of_replays_gives_back(arch, monkeypatch):
     shape = (16, 32, 3)
     g = _zoo_graph(arch, 0.25, shape)
     by_name = {s.name: s for s in g.layers}
-    inputs = {}  # conv name -> weak reference to its input
-    for kind in ("conv2d", "depthwise_conv2d"):
+    inputs, lengths = {}, {}  # per layer whose cache keeps its input: a weak reference, cache length
+    for kind, op in list(OPS.items()):
 
-        def spy(spec, p, ins, mode, seed, _forward=OPS[kind].forward):
-            inputs[spec.name] = weakref.ref(ins[0])
-            return _forward(spec, p, ins, mode, seed)
+        def spy(spec, p, ins, mode, seed, _forward=op.forward):
+            out, cache = _forward(spec, p, ins, mode, seed)
+            if isinstance(cache, tuple) and cache and cache[0] is ins[0]:
+                inputs[spec.name], lengths[spec.name] = weakref.ref(ins[0]), len(cache)
+            return out, cache
 
-        monkeypatch.setitem(OPS, kind, dataclasses.replace(OPS[kind], forward=spy))
+        monkeypatch.setitem(OPS, kind, dataclasses.replace(op, forward=spy))
     x = _batch(shape, 2)[0]
     _, tape = run_forward(g, x, "train", (0, 0))
     rebuilt = {name for name, ref in inputs.items() if ref() is None}
-    assert (len(rebuilt), len(inputs)) == REBUILT_CONVS[arch]
+    kinds = {by_name[name].kind for name in inputs}
+    counts = {
+        k: (sum(by_name[n].kind == k for n in rebuilt), sum(by_name[n].kind == k for n in inputs))
+        for k in kinds
+    }
+    assert counts == REBUILT_INPUTS[arch]
     assert rebuilt == tape.chains.keys()
     for name in rebuilt:
-        # the input is gone, and the cache holds no array at all
-        assert not any(isinstance(a, np.ndarray) for a in tape.caches[name]), name
+        # the cache lost its leading input and nothing else; the run starts
+        # at a batchnorm, replays all the way and ends at this layer's input
+        assert len(tape.caches[name]) == lengths[name] - 1, name
+        run = tape.chains[name]
+        assert run[0].kind == "batchnorm" and run[-1].name == by_name[name].inputs[0], name
+        assert all(OPS[s.kind].replay is not None for s in run), name
     for name in inputs.keys() - rebuilt:
         assert tape.caches[name][0] is inputs[name](), name
+        if OPS[by_name[name].kind].replay is not None:
+            continue
         # the entry convs read the graph input or a band of it; the others
-        # read a concat, a residual sum, a batchnorm or a relu of a sum
+        # read a concat, a residual sum or a relu of a sum
         src = by_name.get(by_name[name].inputs[0])
         if src is not None and src.kind == "relu":
             src = by_name[src.inputs[0]]
-        assert src is None or src.kind in ("freq_split", "concat", "residual_add", "batchnorm"), name
+        assert src is None or src.kind in ("freq_split", "concat", "residual_add"), name
     assert run_forward(g, x, "eval")[1].chains == {}
 
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from ascpipe import quant, zoo
+from ascpipe.nn import LayerSpec, engine, predict
 from ascpipe.nn import layers as L
-from ascpipe.nn import predict
 from ascpipe.nn.engine import run_backward, run_forward
 from ascpipe.nn.graph import fold_batchnorm
 from ascpipe.nn.ops import OPS
@@ -40,9 +40,10 @@ def calls(monkeypatch):
     return seen
 
 
-# per arch, the dropouts that end the chain a conv's input is rebuilt from:
-# each one's backward kernel also runs once to rebuild that input
-REBUILT_DROPOUTS = {"small_fcnn": 4, "mobnet": 0, "resnet": 0}
+# per arch, the dropouts that end the run of replays a layer's input is
+# rebuilt from: each one's backward kernel also runs once to rebuild that
+# input, for the conv2d layers and the squeeze-excitation gate
+REBUILT_DROPOUTS = {"small_fcnn": 5, "mobnet": 0, "resnet": 0}
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -122,6 +123,56 @@ def test_layer_kernels_import_only_numpy_and_read_no_attribute_value():
     # a convolution tap reads only the inputs that exist: no kernel pads a copy
     calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert not calls & {"np.pad", "numpy.pad"}
+
+
+# kind, attributes: the op-table entries with a replay. The maps are 5 x 7,
+# so a 2 x 2 pool drops a row and a column and a 1 x 2 pool a column.
+REPLAY_CASES = [
+    ("batchnorm", {}),
+    ("relu", {}),
+    ("maxpool", {"pool": (2, 2)}),
+    ("maxpool", {"pool": (1, 2)}),
+    ("dropout", {"rate": 0.3}),
+    ("dropout", {"rate": 0.0}),
+]
+
+
+def test_every_replay_has_a_case():
+    assert {kind for kind, op in OPS.items() if op.replay} == {kind for kind, _ in REPLAY_CASES}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize(
+    "kind,attrs", REPLAY_CASES, ids=["batchnorm", "relu", "pool2x2", "pool1x2", "drop0.3", "drop0"]
+)
+def test_each_replay_gives_the_bytes_of_its_forward(kind, attrs, dtype):
+    rng = np.random.default_rng(4)
+    spec = LayerSpec(kind, kind, ("input",), attrs)
+    params = {}
+    if kind == "batchnorm":
+        params = {
+            "gamma": rng.uniform(0.5, 1.5, 3).astype(dtype),
+            "beta": rng.uniform(-0.5, 0.5, 3).astype(dtype),
+            "running_mean": np.zeros(3, dtype),
+            "running_var": np.ones(3, dtype),
+        }
+    x = (rng.standard_normal((2, 5, 7, 3)) * 2 + 0.5).astype(dtype)
+    held = x.copy()
+    out, cache = OPS[kind].forward(spec, params, [x], "train", [1, 2])
+    # a replay may write into x unless the cache holds it
+    kept = isinstance(cache, tuple) and cache[0] is x
+    got = OPS[kind].replay(spec, params, cache, x if kept else x.copy())
+    assert got.dtype == out.dtype == dtype
+    assert np.array_equal(got, out)
+    assert np.array_equal(x, held)
+
+
+def test_the_executor_names_no_layer_kind_but_the_fused_head():
+    # the executor looks a layer up in the op table and branches on nothing
+    # else; only backward's fused softmax + cross-entropy head names a kind
+    tree = ast.parse(Path(engine.__file__).read_text())
+    strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert strings & OPS.keys() == {"softmax"}
 
 
 def test_quant_imports_no_kernel_and_defines_no_fold():
