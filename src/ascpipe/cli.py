@@ -190,6 +190,15 @@ def _stats_sidecar(model_path: str | Path) -> Path:
     return Path(model_path).with_suffix(".stats.txt")
 
 
+def _sidecar_stats(model_path: str | Path) -> ScaleStats:
+    """The scale stats beside a model; a missing or malformed sidecar is a
+    DataError naming it."""
+    sidecar = _stats_sidecar(model_path)
+    if not sidecar.exists():
+        raise DataError(f"missing scale stats sidecar {sidecar}")
+    return read_scale_stats(sidecar)
+
+
 def _crop_to_model(data: np.ndarray, t_model: int, row_name: str) -> np.ndarray:
     t = data.shape[0]
     if t == t_model:
@@ -406,10 +415,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     else:
         graph = model = load_checkpoint(args.model)
         score = predict
-    sidecar = _stats_sidecar(args.model)
-    if not sidecar.exists():
-        raise DataError(f"missing scale stats sidecar {sidecar}")
-    stats = read_scale_stats(sidecar)
+    stats = _sidecar_stats(args.model)
 
     base, subset = _read_split(args.manifest, "test")
     classes = _hierarchy_from(cfg).label_set(subset.scene_labels())
@@ -468,13 +474,15 @@ TASK1B_LIMIT_KB = 500
 
 def cmd_quantize(args, cfg: RunConfig) -> int:
     graph = load_checkpoint(args.model)
+    # checked before anything is written: `evaluate` of the .ascq reads it
+    _sidecar_stats(args.model)
     qm = quantize_model(graph)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     report = save_quantized(out, qm)
     # the float model's scale stats, so `evaluate` can score the .ascq
     sidecar, out_sidecar = _stats_sidecar(args.model), _stats_sidecar(out)
-    if sidecar.exists() and sidecar.resolve() != out_sidecar.resolve():
+    if sidecar.resolve() != out_sidecar.resolve():
         shutil.copyfile(sidecar, out_sidecar)
     float_bytes = Path(args.model).stat().st_size
     for section, size in dataclasses.asdict(report).items():

@@ -1131,6 +1131,24 @@ class TestQuantize:
         assert code == 3
         assert "cannot read checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sidecar,message",
+        [(None, "missing scale stats sidecar {}"), ("0 0.0 1.0\n2 0.0 1.0\n", "{}:2: channel indices")],
+        ids=["missing", "malformed"],
+    )
+    def test_a_model_without_valid_scale_stats_writes_nothing(self, ws, tmp_path, capsys, sidecar, message):
+        # `evaluate` of the .ascq would exit 3 on it, so quantize does first
+        model = tmp_path / "model.ascm"
+        model.write_bytes(ws.model.read_bytes())
+        stats = model.with_suffix(".stats.txt")
+        if sidecar is not None:
+            stats.write_text(sidecar)
+        out = tmp_path / "q" / "model.ascq"
+        assert run_cli("quantize", model, "--out", out) == 3
+        assert message.format(stats) in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".stats.txt").exists()
+
 
 class TestEvaluateQuantized:
     @pytest.fixture

@@ -1,5 +1,7 @@
 """Tests for 8-bit quantization, batchnorm folding, and int8 inference."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,12 @@ from ascpipe.nn import (
 from ascpipe.nn.engine import per_item
 from ascpipe.nn.ops import OPS
 from ascpipe.quant import (
+    BLOCK_ELEMS,
     F32_EXACT_MACS,
     MAX_MACS_PER_OUTPUT,
     QuantizedModel,
     _int_accumulate,
+    _quantize_activation,
     check_mac_budget,
     fold_batchnorm,
     load_quantized,
@@ -33,6 +37,7 @@ from ascpipe.quant import (
 )
 from ascpipe.synthetic import spectro_corpus
 from ascpipe.zoo import ARCH_NAMES, ArchConfig, build
+from test_nn_core import _traced_peak_mib
 
 
 def conv_bn_net(use_bias=False, attention=False, seed=0):
@@ -140,6 +145,71 @@ class TestQuantizeTensor:
     def test_non_finite_rejected(self):
         with pytest.raises(DataError, match="non-finite"):
             quantize_tensor(np.array([1.0, np.nan]))
+
+    def test_a_subnormal_scale_still_clips_to_127(self):
+        # 190 / 127 steps of 2**-149 round to a scale of one step
+        w = np.array([190.0, -3.0, 0.0]) * 2.0**-149
+        qt = quantize_tensor(w)
+        assert qt.scale == 2.0**-149
+        assert np.array_equal(qt.values, [127, -3, 0])
+
+
+def _six_step_rounding(x, scale):
+    """Rounding as one float64 array: floor(|x / scale| + 0.5), clipped to
+    127 and given x's sign, then cast to float32."""
+    q = np.divide(x, scale, dtype=np.float64)
+    np.abs(q, out=q)
+    q += 0.5
+    np.floor(q, out=q)
+    np.minimum(q, 127, out=q)
+    return np.copysign(q, x, out=q).astype(np.float32)
+
+
+# +-0.0, +-1016 and each tie (k + 1/2) * 8, and their integers: with
+# max|x| = 1016 the scale is 1016 / 127 = 8, so a tie divides to k + 1/2
+# exactly and rounds away from zero
+_K = np.arange(-127, 127)
+PLANTED = np.array([0.0, -0.0, 1016.0, -1016.0, *((_K + 0.5) * 8)], dtype=np.float32)
+ROUNDED = np.array([0.0, -0.0, 127.0, -127.0, *np.where(_K >= 0, _K + 1, _K)], dtype=np.float32)
+
+
+class TestBlockRounding:
+    """Rounding in blocks of BLOCK_ELEMS against the whole-array rounding,
+    bit for bit, so -0.0 must stay -0.0."""
+
+    def signed(self, rng, shape):
+        """Magnitudes 1e-6 to 1e3 of either sign, with PLANTED spread evenly
+        over the flat array, and the planted positions."""
+        n = math.prod(shape)
+        x = 10.0 ** rng.uniform(-6, 3, n) * rng.choice([-1.0, 1.0], n)
+        at = np.linspace(0, n - 1, len(PLANTED)).astype(int)
+        x[at] = PLANTED
+        return x.astype(np.float32).reshape(shape), at
+
+    def assert_bits_equal(self, x):
+        qa, scale = _quantize_activation(x)
+        assert scale == float(np.abs(x).max()) / 127
+        assert qa.dtype == np.float32
+        assert np.array_equal(qa.view(np.uint32), _six_step_rounding(x, scale).view(np.uint32))
+        return qa
+
+    def test_activations_of_several_blocks(self, rng):
+        x, at = self.signed(rng, (1, 61, 64, 56))
+        assert BLOCK_ELEMS * 3 < x.size < BLOCK_ELEMS * 4
+        qa = self.assert_bits_equal(x).reshape(-1)
+        assert np.array_equal(qa[at].view(np.uint32), ROUNDED.view(np.uint32))
+
+    def test_a_strided_half_of_several_blocks(self, rng):
+        # the upper frequency half of freq_split, a view
+        x = self.signed(rng, (1, 61, 128, 56))[0][:, :, 64:]
+        assert not x.flags.c_contiguous and x.size > BLOCK_ELEMS
+        self.assert_bits_equal(x)
+
+    def test_weights_of_several_blocks(self, rng):
+        w = rng.normal(0.0, 0.1, (3, 3, 90, 179)).astype(np.float32)
+        assert w.size > 2 * BLOCK_ELEMS
+        qt = quantize_tensor(w)
+        assert np.array_equal(qt.values, _six_step_rounding(w, qt.scale).astype(np.int8))
 
 
 class TestFoldBatchnorm:
@@ -429,9 +499,10 @@ class TestExactBlocks:
     """The int8 accumulators at the float32 block boundary: 1040 products of
     127 * 127 stay below 2**24, 1041 do not."""
 
-    def accumulators(self, spec, w, qa):
+    def accumulators(self, spec, w, qa, macs):
         acc = _int_accumulate(spec, w, qa)
-        assert acc.dtype == np.float64
+        # one float32 block is the op's own output; group sums add in float64
+        assert acc.dtype == (np.float32 if macs <= F32_EXACT_MACS else np.float64)
         return acc
 
     @pytest.mark.parametrize("macs", [F32_EXACT_MACS, F32_EXACT_MACS + 1])
@@ -440,7 +511,7 @@ class TestExactBlocks:
         qa = _signed_127(rng, (1, 2, 3, macs))
         w = _signed_127(rng, (1, 1, macs, 3))
         w[0, 0, :, 0] = qa[0, 0, 0]  # filter 0 meets item (0, 0) with +127**2 per MAC
-        acc = self.accumulators(spec, w, qa)
+        acc = self.accumulators(spec, w, qa, macs)
         oracle = qa.astype(np.int64).reshape(-1, macs) @ w.astype(np.int64).reshape(macs, 3)
         assert oracle[0, 0] == macs * 127**2
         assert np.array_equal(acc.reshape(-1, 3), oracle)
@@ -451,7 +522,7 @@ class TestExactBlocks:
         qa = _signed_127(rng, (1, macs))
         w = _signed_127(rng, (macs, 2))
         w[:, 0] = qa[0]
-        acc = self.accumulators(spec, w, qa)
+        acc = self.accumulators(spec, w, qa, macs)
         oracle = qa.astype(np.int64) @ w.astype(np.int64)
         assert oracle[0, 0] == macs * 127**2
         assert np.array_equal(acc, oracle)
@@ -500,6 +571,32 @@ def test_scores_equal_the_float64_reference_bit_for_bit(arch, rng):
     assert (macs > F32_EXACT_MACS) == (arch in BLOCKED_ARCHS)
     x = rng.normal(0.0, 1.0, (2, 16, 32, 3)).astype(np.float32)
     assert np.array_equal(quantized_forward(qm, x), _float64_reference(qm, x))
+
+
+@pytest.mark.parametrize("arch", ["mobnet", "resnet"])
+def test_scores_of_inputs_of_several_blocks_equal_the_float64_reference(arch, rng):
+    # here the signed graph input, and mobnet's conv inputs after a
+    # projection batchnorm, span more than one rounding block
+    g = build(ArchConfig(arch, width_mult=0.75, n_classes=3, input_shape=(256, 128, 3)), seed=3)
+    randomize_bn(g, rng)
+    qm = quantize_model(g)
+    x = rng.normal(0.0, 1.0, (2, 256, 128, 3)).astype(np.float32)
+    assert np.array_equal(quantized_forward(qm, x), _float64_reference(qm, x))
+
+
+# (arch, width, traced peak in MiB, rounded up, of one item's int8 forward
+# at the benchmark's 400 x 128 x 3). Rounding and rescaling whole arrays in
+# float64 read 21.52, 24.24 and 12.53; float32 accumulators and blocks of
+# float64 bring them to 13.98, 15.43 and 10.43.
+INT8_MEMORY_CASES = [("small_fcnn", 1.0, 13.98), ("mobnet", 0.5, 15.43), ("resnet", 0.5, 10.43)]
+
+
+@pytest.mark.parametrize("arch,width,peak", INT8_MEMORY_CASES, ids=[c[0] for c in INT8_MEMORY_CASES])
+def test_int8_forward_memory_stays_bounded(arch, width, peak):
+    shape = (400, 128, 3)
+    qm = quantize_model(build(ArchConfig(arch, width, 10, shape), seed=0))
+    x = np.random.default_rng(0).standard_normal((1, *shape)).astype(np.float32)
+    assert _traced_peak_mib(lambda: quantized_forward(qm, x)) <= 1.05 * peak
 
 
 class TestSerialization:
