@@ -94,7 +94,13 @@ def read_scores(path: str | Path) -> tuple[np.ndarray, tuple[str, ...]]:
             rows.append([float(p) for p in parts])
         except ValueError:
             raise DataError(f"{path}:{ln}: non-numeric score") from None
-    return np.array(rows, dtype=np.float64), classes
+    scores = np.array(rows, dtype=np.float64)
+    bad = ~(np.isfinite(scores) & (scores >= 0))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        value = float(scores[i, j])
+        raise DataError(f"{path}:{lines[1 + i][0]}: score {value!r} is not finite and non-negative")
+    return scores, classes
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +429,9 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         raise DataError(
             f"model emits {graph.output_shape[0]} classes but manifest labels need {len(classes)}"
         )
+    if args.out is not None:
+        # made before any item is scored, so an --out that cannot be made fails first
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     scores = score(model, _scored_items(base, subset.rows, stats, graph.input_shape[0]))
     return _evaluate_scores(scores, subset, args.out, classes)
 
@@ -473,6 +482,8 @@ TASK1B_LIMIT_KB = 500
 
 
 def cmd_quantize(args, cfg: RunConfig) -> int:
+    if Path(args.out).resolve() == Path(args.model).resolve():
+        raise ConfigError(f"--out {args.out} would overwrite the model it quantizes")
     graph = load_checkpoint(args.model)
     # checked before anything is written: `evaluate` of the .ascq reads it
     _sidecar_stats(args.model)
@@ -603,7 +614,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, OSError) as exc:
+        # an OSError is a path that cannot be read or written
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except AscError as exc:

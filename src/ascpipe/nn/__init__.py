@@ -17,27 +17,3 @@ from .train import (
     predict,
     train,
 )
-
-__all__ = [
-    "NON_TRAINABLE",
-    "LayerSpec",
-    "ModelGraph",
-    "OnlineAugment",
-    "ScheduleConfig",
-    "SgdMomentum",
-    "Tape",
-    "backward",
-    "cosine_restart_lr",
-    "cross_entropy",
-    "cycle_position",
-    "fold_batchnorm",
-    "forward",
-    "initialize",
-    "load_checkpoint",
-    "one_hot",
-    "predict",
-    "run_backward",
-    "run_forward",
-    "save_checkpoint",
-    "train",
-]

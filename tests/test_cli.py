@@ -477,6 +477,14 @@ class TestScoreFiles:
             read_scores(path)
 
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+    def test_a_non_finite_or_negative_score_names_its_line(self, tmp_path, value):
+        path = tmp_path / "scores.tsv"
+        path.write_text(f"a\tb\n0.5\t0.5\n\n0.5\t{value}\n")
+        with pytest.raises(DataError, match=rf"scores\.tsv:4: score {float(value)!r} is not finite"):
+            read_scores(path)
+
+
 class TestExtract:
     def test_outputs_present(self, ws):
         rows = read_manifest(ws.feats / "features.tsv").rows
@@ -1067,6 +1075,14 @@ class TestEnsemble:
         assert code == 3
         assert "at least two" in capsys.readouterr().err
 
+    def test_a_member_with_non_finite_or_negative_scores_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "a.tsv").write_text("a\tb\tc\n0.2\t0.3\t0.5\n")
+        (tmp_path / "b.tsv").write_text("a\tb\tc\nnan\t-1\tinf\n")
+        out = tmp_path / "avg.tsv"
+        assert run_cli("ensemble", tmp_path / "a.tsv", tmp_path / "b.tsv", "--out", out) == 3
+        assert f"{tmp_path / 'b.tsv'}:2: score nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_permuted_member_columns_reordered(self, tmp_path, rng):
         a = rng.dirichlet(np.ones(3), size=4)
         b = rng.dirichlet(np.ones(3), size=4)
@@ -1124,6 +1140,16 @@ class TestQuantize:
         model.with_suffix(".stats.txt").write_bytes(stats)
         assert run_cli("quantize", model, "--out", tmp_path / "model.ascq") == 0
         assert model.with_suffix(".stats.txt").read_bytes() == stats
+
+    def test_out_on_the_model_itself_exits_2_and_leaves_it(self, ws, tmp_path, capsys, monkeypatch):
+        model = tmp_path / "model.ascm"
+        model.write_bytes(ws.model.read_bytes())
+        model.with_suffix(".stats.txt").write_bytes(ws.model.with_suffix(".stats.txt").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        # the same file by another spelling
+        assert run_cli("quantize", model, "--out", "model.ascm") == 2
+        assert "would overwrite the model" in capsys.readouterr().err
+        assert model.read_bytes() == ws.model.read_bytes()
 
     def test_missing_model(self, tmp_path, capsys):
         code = run_cli("quantize", tmp_path / "absent.ascm",
@@ -1192,6 +1218,27 @@ class TestEvaluateQuantized:
         assert code == 3
         assert "truncated" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train", "quantize"])
+def test_an_output_path_that_cannot_be_written_exits_3(ws, tmp_path, capsys, monkeypatch, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    feats = ws.feats / "features.tsv"
+    argv = {
+        "evaluate": ("evaluate", ws.model, "--manifest", feats, "--out", taken, "--config", ws.ini),
+        "train": ("train", "--manifest", feats, "--out", tmp_path, "--config", ws.ini_fast),
+        "quantize": ("quantize", ws.model, "--out", taken / "q.ascq"),
+    }[command]
+    read = []
+    monkeypatch.setattr(cli, "read_features", lambda path: read.append(path) or read_features(path))
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert "Traceback" not in err
+    if command == "evaluate":
+        # the --out directory is made before any item is scored
+        assert read == []
 
 
 class TestReport:

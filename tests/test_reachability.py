@@ -8,6 +8,10 @@ and the unit tests do not count: code that only they reach produces no
 result of the pipeline, so it is deleted or given a command that calls it.
 Names matched by name alone collide with unrelated objects, so attribute
 uses of the names in ``COLLISIONS`` count only inside ``src/ascpipe``.
+
+The package's ``__init__.py`` re-exports nothing, so no fixed import
+order hides a cycle: the modules' import-time relative imports must form
+none.
 """
 
 import ast
@@ -111,3 +115,72 @@ def test_collision_names_count_only_inside_the_package(tmp_path):
     assert unreachable(package, (), (bench,)) == ["fusion.Hierarchy.group"]
     (package / "cli.py").write_text("from .fusion import Hierarchy\n\nHierarchy().group()\n")
     assert unreachable(package, (), (bench,)) == []
+
+
+def _module_imports(package=PACKAGE):
+    """Module name -> the package modules its import-time code imports by
+    relative import; imports inside functions run later and do not count.
+    ``from . import sub`` inside a package needs only the submodule ``sub``:
+    the package itself is already being imported."""
+    modules = {}
+    for path in sorted(package.rglob("*.py")):
+        parts = path.relative_to(package.parent).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        modules[name] = (path, name if parts[-1] == "__init__" else name.rpartition(".")[0])
+    graph = {}
+    for name, (path, here) in modules.items():
+        deps, todo = set(), list(ast.parse(path.read_text()).body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.level:
+                base = here.rsplit(".", node.level - 1)[0]
+                target = f"{base}.{node.module}" if node.module else base
+                subs = {f"{target}.{a.name}" for a in node.names} & modules.keys()
+                deps |= subs
+                if len(subs) < len(node.names) or not f"{name}.".startswith(f"{target}."):
+                    deps.add(target)
+            todo.extend(ast.iter_child_nodes(node))
+        graph[name] = deps & modules.keys()
+    return graph
+
+
+def _cycle(graph):
+    """One import cycle as a list of modules, or None."""
+    state = {}
+
+    def visit(node, path):
+        state[node] = "open"
+        for dep in sorted(graph[node]):
+            if state.get(dep) == "open":
+                return path[path.index(dep):] + [dep]
+            if dep not in state and (found := visit(dep, path + [dep])):
+                return found
+        state[node] = "done"
+        return None
+
+    return next(filter(None, (visit(n, [n]) for n in sorted(graph) if n not in state)), None)
+
+
+def test_the_package_has_no_import_cycle():
+    # nothing fixes the order the modules are first imported in, so each
+    # must import on its own
+    graph = _module_imports()
+    assert "ascpipe.nn.engine" in graph["ascpipe.nn.train"]
+    assert _cycle(graph) is None, f"import cycle: {' -> '.join(_cycle(graph))}"
+
+
+def test_an_import_cycle_is_found(tmp_path):
+    package = tmp_path / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "a.py").write_text("from .sub import b\n\n\ndef f():\n    from . import c\n")
+    (package / "c.py").write_text("from .a import f\n")
+    (package / "sub" / "__init__.py").write_text("")
+    (package / "sub" / "b.py").write_text("if True:\n    from ..a import f\n")
+    assert _cycle(_module_imports(package)) == ["pkg.a", "pkg.sub.b", "pkg.a"]
+    (package / "sub" / "b.py").write_text("from . import d\n")
+    (package / "sub" / "d.py").write_text("")
+    (package / "sub" / "__init__.py").write_text("from .b import d\n")
+    assert _cycle(_module_imports(package)) is None
