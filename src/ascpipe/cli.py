@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import platform
-import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -44,7 +43,7 @@ from .featio import (
     write_features,
     write_scale_stats,
 )
-from .features import ScaleStats, apply_scale01, extract_clip_features, fit_scale01
+from .features import FeatureTensor, ScaleStats, apply_scale01, extract_clip_features, fit_scale01
 from .fusion import ClassHierarchy, average_ensemble, two_stage_fuse_batch
 from .manifest import DatasetManifest, read_manifest, write_manifest
 from .nn import blas, load_checkpoint, one_hot, predict, save_checkpoint, train
@@ -136,13 +135,23 @@ def _print_repro(command: str, cfg: RunConfig) -> None:
     )
 
 
-def _run_jobs(jobs, worker, n_workers: int):
-    """worker(job) for every job, in order; at most one process per job."""
-    n_workers = min(n_workers, len(jobs))
-    if n_workers <= 1:
-        return [worker(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, jobs))
+def _prepare_out(out, *inputs, is_dir=False) -> Path | None:
+    """``--out`` made ready before any work: a directory output is made, and
+    a file output's parent. A file output may be neither an existing
+    directory (exit 3) nor one of ``inputs`` (exit 2). None stays None."""
+    if out is None:
+        return None
+    out = Path(out)
+    if is_dir:
+        out.mkdir(parents=True, exist_ok=True)
+        return out
+    hit = {Path(p).resolve(): p for p in inputs}.get(out.resolve())
+    if hit is not None:
+        raise ConfigError(f"--out {out} would overwrite the input {hit}")
+    if out.is_dir():
+        raise DataError(f"--out {out} is a directory, not a file")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _split_indices(manifest: DatasetManifest, tag: str) -> tuple[int, ...]:
@@ -170,10 +179,9 @@ def _run_corpus(args, cfg: RunConfig, worker, name_of, *job_args):
     Returns the manifest, the output directory, each row's output name
     and each row's worker result.
     """
+    out = _prepare_out(args.out, is_dir=True)
     manifest = read_manifest(args.manifest)
     base = Path(args.manifest).resolve().parent
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     owner, jobs = {}, []
     for i, row in enumerate(manifest.rows):
         name = name_of(i, Path(row.filename))
@@ -183,7 +191,12 @@ def _run_corpus(args, cfg: RunConfig, worker, name_of, *job_args):
         owner[name] = i
         jobs.append((i, str(base / row.filename), str(out / name), *job_args))
 
-    outcomes = _run_jobs(jobs, partial(_guarded, worker), cfg.workers)
+    guarded, n_workers = partial(_guarded, worker), min(cfg.workers, len(jobs))
+    if n_workers <= 1:
+        outcomes = [guarded(job) for job in jobs]
+    else:  # at most one process per job
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            outcomes = list(pool.map(guarded, jobs))
     failures = [(i, err) for i, (err, _) in enumerate(outcomes) if err is not None]
     for i, err in failures:
         print(f"row {i} ({manifest.rows[i].filename}): {err}", file=sys.stderr)
@@ -203,18 +216,6 @@ def _sidecar_stats(model_path: str | Path) -> ScaleStats:
     if not sidecar.exists():
         raise DataError(f"missing scale stats sidecar {sidecar}")
     return read_scale_stats(sidecar)
-
-
-def _crop_to_model(data: np.ndarray, t_model: int, row_name: str) -> np.ndarray:
-    t = data.shape[0]
-    if t == t_model:
-        return data
-    if t < t_model:
-        raise DataError(
-            f"{row_name}: {t} frames, model expects {t_model}; cannot pad"
-        )
-    start = (t - t_model) // 2
-    return data[start : start + t_model]
 
 
 def _hierarchy_from(cfg: RunConfig) -> ClassHierarchy:
@@ -318,11 +319,13 @@ def cmd_augment(args, cfg: RunConfig) -> int:
         args, cfg, _augment_job, lambda i, src: f"aug{i:05d}_{src.stem}.ascf",
         cfg.spectro, cfg.seed, cfg.augment,
     )
-    lines = ["filename\tscene_label\tsource_label\tsource_file\taugmentation\tparameters"]
+    # the split tags go last, so the other columns keep their places
+    tagged = any(row.split for row in manifest.rows)
+    lines = ["filename\tscene_label\tsource_label\tsource_file\taugmentation\tparameters"
+             + ("\tsplit" if tagged else "")]
     for name, row, (op, params) in zip(names, manifest.rows, results):
-        lines.append(
-            "\t".join((name, row.scene_label, row.source_label, row.filename, op, params))
-        )
+        fields = (name, row.scene_label, row.source_label, row.filename, op, params)
+        lines.append("\t".join(fields + ((row.split,) if tagged else ())))
     (out / "augmented.tsv").write_text("\n".join(lines) + "\n")
 
     print(f"wrote {len(names)} augmented feature files under {out}")
@@ -332,21 +335,24 @@ def cmd_augment(args, cfg: RunConfig) -> int:
 
 def cmd_train(args, cfg: RunConfig) -> int:
     base, subset = _read_split(args.manifest, "train")
+    paths = [base / row.filename for row in subset.rows]
+    stats_path = base / "scale_stats.txt"
+    out = _prepare_out(args.out, args.manifest, stats_path, *paths)
     classes = _hierarchy_from(cfg).label_set(subset.scene_labels())
     ys = one_hot(subset.label_indices(classes), len(classes))
 
-    tensors = [read_features(base / row.filename) for row in subset.rows]
-    shapes = {t.shape for t in tensors}
-    if len(shapes) != 1:
-        raise DataError(f"training features must share one shape, got {sorted(shapes)}")
-    stats_path = base / "scale_stats.txt"
-    stats = read_scale_stats(stats_path) if stats_path.exists() else fit_scale01(tensors)
-    # each raw tensor goes once its scaled row is written, so training
-    # holds the set once
-    xs = np.empty((len(tensors), *shapes.pop()), dtype=np.float32)
-    for i in range(len(xs)):
-        xs[i] = apply_scale01(tensors[i], stats).data
-        tensors[i] = None
+    # each row is read once into xs, the stats may be fitted on it, then it is scaled in place
+    for i, path in enumerate(paths):
+        feats = read_features(path)
+        if i == 0:
+            xs = np.empty((len(paths), *feats.shape), dtype=np.float32)
+        elif feats.shape != xs.shape[1:]:
+            raise DataError(f"{path}: training features must share one shape, "
+                            f"got {feats.shape} against the first row's {xs.shape[1:]}")
+        xs[i] = feats.data
+    stats = read_scale_stats(stats_path) if stats_path.exists() else fit_scale01(map(FeatureTensor, xs))
+    for row in xs:
+        row[...] = apply_scale01(FeatureTensor(row), stats).data
 
     t_dim = cfg.online.crop_len if cfg.online.crop_len else xs.shape[1]
     arch_cfg = ArchConfig(
@@ -367,8 +373,6 @@ def cmd_train(args, cfg: RunConfig) -> int:
         online=cfg.online,
     )
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, graph)
     write_scale_stats(_stats_sidecar(out), stats)
 
@@ -383,13 +387,11 @@ def cmd_train(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _evaluate_scores(scores: np.ndarray, subset: DatasetManifest, out_dir, classes) -> int:
+def _evaluate_scores(scores: np.ndarray, subset: DatasetManifest, out: Path | None, classes) -> int:
     report = evaluate(scores, subset, classes=classes)
     text = render_report(report)
     print(text)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "report.json").write_text(report_to_json(report))
         (out / "report.txt").write_text(text + "\n")
         write_scores(out / "scores.tsv", scores, report.classes)
@@ -397,24 +399,21 @@ def _evaluate_scores(scores: np.ndarray, subset: DatasetManifest, out_dir, class
     return 0
 
 
-def _scored_items(base: Path, rows, stats: ScaleStats, t_model: int):
-    """Each row's features, read, checked against the first row's mel and
-    channel dims, scaled and cropped only when the row is scored."""
-    dims = None
+def _scored_items(base: Path, rows, stats: ScaleStats, input_shape):
+    """Each row's features, read, checked against the model's input shape,
+    scaled and centre-cropped to its frames only when the row is scored."""
     for row in rows:
         path = base / row.filename
         feats = read_features(path)
-        if dims is None:
-            dims = feats.shape[1:]
-        elif feats.shape[1:] != dims:
-            raise DataError(
-                f"{path}: feature mel/channel dims {feats.shape[1:]} differ "
-                f"from the first test row's {dims}"
-            )
-        yield _crop_to_model(apply_scale01(feats, stats).data, t_model, row.filename)
+        if feats.shape[1:] != input_shape[1:] or feats.shape[0] < input_shape[0]:
+            raise DataError(f"{path}: features {feats.shape} do not fit the model input "
+                            f"{input_shape}; frames cannot be padded")
+        start = (feats.shape[0] - input_shape[0]) // 2
+        yield apply_scale01(feats, stats).data[start : start + input_shape[0]]
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
+    out = _prepare_out(args.out, is_dir=True)
     if Path(args.model).suffix == ".ascq":
         model = load_quantized(args.model)
         graph, score = model.graph, quantized_forward
@@ -429,14 +428,12 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         raise DataError(
             f"model emits {graph.output_shape[0]} classes but manifest labels need {len(classes)}"
         )
-    if args.out is not None:
-        # made before any item is scored, so an --out that cannot be made fails first
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-    scores = score(model, _scored_items(base, subset.rows, stats, graph.input_shape[0]))
-    return _evaluate_scores(scores, subset, args.out, classes)
+    scores = score(model, _scored_items(base, subset.rows, stats, graph.input_shape))
+    return _evaluate_scores(scores, subset, out, classes)
 
 
 def cmd_fuse(args, cfg: RunConfig) -> int:
+    out = _prepare_out(args.out, args.coarse, args.fine)
     hierarchy = _hierarchy_from(cfg)
     coarse, coarse_names = read_scores(args.coarse)
     fine, fine_names = read_scores(args.fine)
@@ -447,8 +444,6 @@ def cmd_fuse(args, cfg: RunConfig) -> int:
             f"row count mismatch: {args.coarse} has {len(coarse)}, {args.fine} has {len(fine)}"
         )
     fused, preds = two_stage_fuse_batch(coarse, fine, hierarchy)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_scores(out, fused, hierarchy.classes)
     counts = np.bincount(preds, minlength=len(hierarchy.classes))
     top = hierarchy.classes[int(np.argmax(counts))]
@@ -460,6 +455,7 @@ def cmd_fuse(args, cfg: RunConfig) -> int:
 def cmd_ensemble(args, cfg: RunConfig) -> int:
     if len(args.scores) < 2:
         raise DataError("ensemble needs at least two score files")
+    out = _prepare_out(args.out, *args.scores)
     matrices, classes = [], None
     for path in args.scores:
         scores, names = read_scores(path)
@@ -469,8 +465,6 @@ def cmd_ensemble(args, cfg: RunConfig) -> int:
             scores = _reorder_columns(scores, names, classes, path)
         matrices.append(scores)
     averaged = average_ensemble(matrices)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_scores(out, averaged, classes)
     print(f"averaged {len(matrices)} members over {len(averaged)} rows")
     print(f"ensemble scores -> {out}")
@@ -482,19 +476,14 @@ TASK1B_LIMIT_KB = 500
 
 
 def cmd_quantize(args, cfg: RunConfig) -> int:
-    if Path(args.out).resolve() == Path(args.model).resolve():
-        raise ConfigError(f"--out {args.out} would overwrite the model it quantizes")
+    out = _prepare_out(args.out, args.model, _stats_sidecar(args.model))
     graph = load_checkpoint(args.model)
-    # checked before anything is written: `evaluate` of the .ascq reads it
-    _sidecar_stats(args.model)
+    # read before anything is written: `evaluate` of the .ascq needs them
+    stats = _sidecar_stats(args.model)
     qm = quantize_model(graph)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     report = save_quantized(out, qm)
     # the float model's scale stats, so `evaluate` can score the .ascq
-    sidecar, out_sidecar = _stats_sidecar(args.model), _stats_sidecar(out)
-    if sidecar.resolve() != out_sidecar.resolve():
-        shutil.copyfile(sidecar, out_sidecar)
+    write_scale_stats(_stats_sidecar(out), stats)
     float_bytes = Path(args.model).stat().st_size
     for section, size in dataclasses.asdict(report).items():
         print(f"{section.replace('_', ' ')}: {size}")
@@ -520,13 +509,14 @@ def cmd_report(args, cfg: RunConfig) -> int:
         return 0
     if args.manifest is None:
         raise ConfigError("report on a scores file needs --manifest")
+    out = _prepare_out(args.out, is_dir=True)
     scores, names = read_scores(path)
     _, subset = _read_split(args.manifest, "test")
     if len(subset) != len(scores):
         raise DataError(
             f"{len(scores)} score rows but {len(subset)} evaluated manifest rows"
         )
-    return _evaluate_scores(scores, subset, args.out, names)
+    return _evaluate_scores(scores, subset, out, names)
 
 
 # ---------------------------------------------------------------------------

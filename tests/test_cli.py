@@ -635,6 +635,7 @@ class TestAugment:
             "source_file",
             "augmentation",
             "parameters",
+            "split",
         ]
         ops = {
             line.split("\t")[4]
@@ -644,6 +645,19 @@ class TestAugment:
         assert len(ops) > 1
         feats = read_features(out / manifest.rows[0].filename)
         assert feats.shape == (24, 32, 3)
+
+    def test_train_on_the_augmented_corpus_uses_only_its_train_rows(self, ws, tmp_path, capsys):
+        out = tmp_path / "aug"
+        assert run_cli("augment", "--manifest", ws.manifest, "--out", out,
+                       "--config", ws.ini) == 0
+        rows = read_manifest(out / "augmented.tsv").rows
+        assert [row.split for row in rows] == [row.split for row in read_manifest(ws.manifest).rows]
+        capsys.readouterr()
+        assert run_cli("train", "--manifest", out / "augmented.tsv",
+                       "--out", tmp_path / "m.ascm", "--config", ws.ini_fast) == 0
+        n_train = sum(row.split == "train" for row in rows)
+        assert (n_train, len(rows)) == (9, 12)
+        assert f"on {n_train} items" in capsys.readouterr().out
 
     def test_deterministic_across_workers(self, ws, tmp_path):
         outs = []
@@ -807,10 +821,29 @@ class TestTrainEvaluate:
         assert code == 3
         assert "training features must share one shape" in capsys.readouterr().err
 
+    def test_a_training_row_with_other_channels_names_its_file(self, ws, tmp_path, capsys):
+        # no scale_stats.txt beside the manifest, so train fits the stats itself
+        rows = [ln.split("\t") for ln in (ws.feats / "features.tsv").read_text().splitlines()]
+        for row in rows[1:]:
+            row[0] = str(ws.feats / row[0])
+        last = max(i for i, row in enumerate(rows) if row[-1] == "train")
+        t, f, c = read_features(rows[last][0]).shape
+        odd = tmp_path / "odd.ascf"
+        write_features(odd, FeatureTensor(np.zeros((t, f, c - 1))))
+        rows[last][0] = str(odd)
+        manifest = tmp_path / "odd_channels.tsv"
+        manifest.write_text("\n".join("\t".join(row) for row in rows) + "\n")
+        code = run_cli("train", "--manifest", manifest,
+                       "--out", tmp_path / "m.ascm", "--config", ws.ini_fast)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{odd}: training features must share one shape, got {(t, f, c - 1)}" in err
+        assert "Traceback" not in err
+
     def test_train_holds_the_scaled_set_in_one_array(self, tmp_path):
-        # the raw items as read, plus one float32 array their scaled rows
-        # go into: 2 sets and a few items' temporaries. Stacking a list of
-        # scaled copies would hold 3 sets
+        # each row read into one float32 array and scaled there in place:
+        # 1 set and a few items' temporaries. Holding the raw items as read
+        # as well would be 2 sets
         n, shape = 24, (400, 64, 3)
         rng = np.random.default_rng(0)
         lines = ["filename\tscene_label\tsource_label\tsplit"]
@@ -829,7 +862,7 @@ class TestTrainEvaluate:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * n * np.prod(shape) * 4
+        assert peak <= 1.35 * n * np.prod(shape) * 4
 
     @pytest.mark.parametrize("suffix", [".ascm", ".ascq"])
     def test_class_count_is_checked_before_any_feature_is_read(
@@ -881,7 +914,24 @@ class TestTrainEvaluate:
         code = run_cli("evaluate", ws.model, "--manifest", manifest)
         err = capsys.readouterr().err
         assert code == 3
-        assert f"{odd}: feature mel/channel dims" in err
+        assert f"{odd}: features {(t, f + 1, c)} do not fit the model input" in err
+        assert "Traceback" not in err
+
+    def test_evaluate_names_a_first_row_with_other_mel_dims(self, ws, tmp_path, capsys):
+        rows = [ln.split("\t") for ln in (ws.feats / "features.tsv").read_text().splitlines()]
+        for row in rows[1:]:
+            row[0] = str(ws.feats / row[0])
+        first = next(i for i, row in enumerate(rows) if row[-1] == "test")
+        t, f, c = read_features(rows[first][0]).shape
+        odd = tmp_path / "odd.ascf"
+        write_features(odd, FeatureTensor(np.zeros((t, f - 1, c))))
+        rows[first][0] = str(odd)
+        manifest = tmp_path / "odd_first.tsv"
+        manifest.write_text("\n".join("\t".join(row) for row in rows) + "\n")
+        code = run_cli("evaluate", ws.model, "--manifest", manifest)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{odd}: features {(t, f - 1, c)} do not fit the model input" in err
         assert "Traceback" not in err
 
     def test_evaluate_of_a_batchnorm_that_cannot_fold_exits_3(self, ws, tmp_path, capsys):
@@ -1148,7 +1198,7 @@ class TestQuantize:
         monkeypatch.chdir(tmp_path)
         # the same file by another spelling
         assert run_cli("quantize", model, "--out", "model.ascm") == 2
-        assert "would overwrite the model" in capsys.readouterr().err
+        assert f"would overwrite the input {model}" in capsys.readouterr().err
         assert model.read_bytes() == ws.model.read_bytes()
 
     def test_missing_model(self, tmp_path, capsys):
@@ -1220,7 +1270,7 @@ class TestEvaluateQuantized:
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["evaluate", "train", "quantize"])
+@pytest.mark.parametrize("command", ["evaluate", "train", "quantize", "report"])
 def test_an_output_path_that_cannot_be_written_exits_3(ws, tmp_path, capsys, monkeypatch, command):
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -1229,16 +1279,42 @@ def test_an_output_path_that_cannot_be_written_exits_3(ws, tmp_path, capsys, mon
         "evaluate": ("evaluate", ws.model, "--manifest", feats, "--out", taken, "--config", ws.ini),
         "train": ("train", "--manifest", feats, "--out", tmp_path, "--config", ws.ini_fast),
         "quantize": ("quantize", ws.model, "--out", taken / "q.ascq"),
+        "report": ("report", ws.evald / "scores.tsv", "--manifest", feats, "--out", taken),
     }[command]
-    read = []
+    read, trained = [], []
     monkeypatch.setattr(cli, "read_features", lambda path: read.append(path) or read_features(path))
+    monkeypatch.setattr(cli, "train", lambda *a, **k: trained.append(a) or [])
     assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error: ")
+    assert "Traceback" not in captured.err
+    # the output is checked before the work: no item is scored, no
+    # model trained and no report printed
+    assert read == []
+    assert trained == []
+    assert "acc. %" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["fuse", "ensemble", "train"])
+def test_an_output_on_an_input_exits_2_and_leaves_it(ws, tmp_path, capsys, command):
+    # the input written over is a copy, so a failure leaves the workspace whole
+    scores = tmp_path / "scores.tsv"
+    scores.write_bytes((ws.evald / "scores.tsv").read_bytes())
+    manifest = tmp_path / "features.tsv"
+    # the filename column comes first: made absolute, so the copy reads the same rows
+    lines = (ws.feats / "features.tsv").read_text().splitlines()
+    manifest.write_text("\n".join([lines[0]] + [f"{ws.feats}/{ln}" for ln in lines[1:]]) + "\n")
+    argv, victim = {
+        "fuse": (("fuse", scores, ws.evald / "scores.tsv", "--out", scores), scores),
+        "ensemble": (("ensemble", ws.evald / "scores.tsv", scores, "--out", scores), scores),
+        "train": (("train", "--manifest", manifest, "--out", manifest, "--config", ws.ini_fast), manifest),
+    }[command]
+    before = victim.read_bytes()
+    assert run_cli(*argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error: ")
+    assert f"would overwrite the input {victim}" in err
     assert "Traceback" not in err
-    if command == "evaluate":
-        # the --out directory is made before any item is scored
-        assert read == []
+    assert victim.read_bytes() == before
 
 
 class TestReport:
